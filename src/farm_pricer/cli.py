@@ -179,7 +179,7 @@ def _cmd_solve_poisson(args) -> int:
 
 def _cmd_solve_general(args) -> int:
     spec = _spec_from_args(args)
-    res = mdp_general.solve_general(spec, tol=args.precision)
+    res = mdp_general.solve_general(spec)
     _emit(
         {
             "theta_star": res.theta_star,

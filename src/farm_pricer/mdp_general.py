@@ -12,13 +12,13 @@ and theta solves theta = lambda sum_{j<K} a_{K,j} g_j(theta).  Uniqueness of
 that root is not guaranteed here (unlike the Poisson case), so the solver
 scans a dense theta grid, bisects every sign change, drops candidates whose
 chain ran m^{-1} out of range, warns if several survive, and returns the
-smallest survivor.  Prices are u*(b_i) for the effective
-arguments b_i = sum_{j<i}(a_{i,j} - a_{i+1,j}) Delta(j) + alpha_{i+1,0} Delta(i).
+smallest survivor; m^{-1} is exact for every valuation law.  Prices are
+u*(b_i) for the effective arguments
+b_i = sum_{j<i}(a_{i,j} - a_{i+1,j}) Delta(j) + alpha_{i+1,0} Delta(i).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from .arrival import DepartureMatrix, departure_matrix
 from .errors import MultipleRoots, NoRootInBracket
 from .model import SystemSpec
-from .valuation import ExponentialValuation, ParetoValuation, eval_m, m_inverse
+from .valuation import eval_m, m_inverse
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,13 @@ def _clamp_range(y: float, m0: float) -> tuple[float, bool]:
 
 
 def g_chain_general(
-    spec: SystemSpec, dep: DepartureMatrix, theta: float, _minv=None, _tol_m: float = 1e-10
+    spec: SystemSpec, dep: DepartureMatrix, theta: float
 ) -> tuple[np.ndarray, bool]:
     """Upward recursion for (g_0, ..., g_{K-1}); feasible=False if any
     m^{-1} argument had to be clamped into range."""
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
-    if _minv is None:
-        _minv = lambda y: m_inverse(val, y, tol_m=_tol_m)  # noqa: E731
     m0 = eval_m(val, 0.0).m_val
     a, alpha = dep.a_cum, dep.alpha
     g = np.zeros(k)
@@ -76,63 +74,39 @@ def g_chain_general(
         arg, ok = _clamp_range(arg, m0)
         feasible &= ok
         correction = float((a[i, :i] - a[i + 1, :i]) @ g[:i])
-        g[i] = (_minv(arg) - correction) / alpha[i + 1, 0]
+        g[i] = (m_inverse(val, arg) - correction) / alpha[i + 1, 0]
     return g, feasible
 
 
-def _has_closed_form_inverse(val) -> bool:
-    return isinstance(val, (ExponentialValuation, ParetoValuation))
-
-
-def _build_inverse_interpolant(val, m0: float):
-    # one-off sampled inverse of m for the theta scan; exact inversion would
-    # cost a bisection (each step a full maximization) per scan point
-    b_hi = m_inverse(val, m0 * 1e-15)
-    b_grid = np.linspace(0.0, b_hi, 1024)
-    m_grid = np.array([eval_m(val, b).m_val for b in b_grid])
-    xp, fp = m_grid[::-1], b_grid[::-1]
-    return lambda y: float(np.interp(y, xp, fp))
-
-
-def solve_general(spec: SystemSpec, tol: float = 1e-9) -> GeneralSolveResult:
+def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     """Find theta* and the optimal price vector for a general renewal stream.
 
     Scans h(theta) = theta - lambda sum a_{K,j} g_j(theta) on 1024 points of
-    (0, lambda m(0)], bisects each sign change, then (if the scan ran on the
-    sampled inverse) polishes the chosen root against the exact chain.
+    (0, lambda m(0)] and refines each sign change with Brent's method, all
+    on the exact m^{-1} of the valuation law.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     dep = departure_matrix(spec.arrival, spec.mu, k)
-    m0 = eval_m(val, 0.0).m_val
-    theta_hi = lam * m0
+    theta_hi = lam * eval_m(val, 0.0).m_val
 
-    exact = _has_closed_form_inverse(val)
-    minv_scan = None if exact else _build_inverse_interpolant(val, m0)
-
-    def h_scan(theta: float) -> float:
-        g, _ = g_chain_general(spec, dep, theta, _minv=minv_scan)
-        return theta - lam * float(dep.a_cum[k, :k] @ g)
-
-    def h_exact(theta: float) -> float:
-        g, _ = g_chain_general(spec, dep, theta, _tol_m=1e-12)
+    def h(theta: float) -> float:
+        g, _ = g_chain_general(spec, dep, theta)
         return theta - lam * float(dep.a_cum[k, :k] @ g)
 
     thetas = np.linspace(0.0, theta_hi, 1025)[1:]
-    hs = np.array([h_scan(t) for t in thetas])
+    hs = np.array([h(t) for t in thetas])
 
     roots = []
     for t1, t2, h1, h2 in zip(thetas, thetas[1:], hs, hs[1:]):
         if h1 == 0.0:
             roots.append(float(t1))
         elif h1 * h2 < 0:
-            roots.append(float(brentq(h_scan, t1, t2, xtol=1e-12, rtol=8.9e-16)))
+            roots.append(float(brentq(h, t1, t2, xtol=1e-12, rtol=8.9e-16)))
     if hs[-1] == 0.0:
         roots.append(float(thetas[-1]))
 
     if not roots:
-        lines = [f"  h({t:.6g}) = {h:.6g}" for t, h in zip(thetas[::128], hs[::128])]
+        lines = [f"  h({t:.6g}) = {v:.6g}" for t, v in zip(thetas[::128], hs[::128])]
         raise NoRootInBracket(
             "no sign change of h(theta) on (0, lambda m(0)]; "
             f"min h = {hs.min():.6g}, max h = {hs.max():.6g}; trace:\n" + "\n".join(lines)
@@ -141,7 +115,7 @@ def solve_general(spec: SystemSpec, tol: float = 1e-9) -> GeneralSolveResult:
         # sign changes inside a clamped region are artifacts: m^{-1} never saw
         # its real argument there, so the closing equation did not actually
         # hold.  In light traffic these fakes appear below the true root.
-        survivors = [r for r in roots if g_chain_general(spec, dep, r, _minv=minv_scan)[1]]
+        survivors = [r for r in roots if g_chain_general(spec, dep, r)[1]]
         if survivors:
             roots = survivors
         if len(roots) > 1:
@@ -152,10 +126,7 @@ def solve_general(spec: SystemSpec, tol: float = 1e-9) -> GeneralSolveResult:
             )
     root = min(roots)
 
-    if not exact:
-        root = _polish(h_exact, root, thetas[0], theta_hi)
-
-    g, _ = g_chain_general(spec, dep, root, _tol_m=1e-12)
+    g, _ = g_chain_general(spec, dep, root)
     a, alpha = dep.a_cum, dep.alpha
     b = np.array(
         [float((a[i, :i] - a[i + 1, :i]) @ g[:i]) + alpha[i + 1, 0] * g[i] for i in range(k)]
@@ -171,22 +142,3 @@ def solve_general(spec: SystemSpec, tol: float = 1e-9) -> GeneralSolveResult:
     return GeneralSolveResult(
         theta_star=root, deltas=g, b_vals=b, prices=prices, residuals=residuals
     )
-
-
-def _polish(h_exact, root: float, lo_floor: float, theta_hi: float) -> float:
-    w = 1e-4
-    while True:
-        t1, t2 = max(root - w, lo_floor), min(root + w, theta_hi)
-        h1, h2 = h_exact(t1), h_exact(t2)
-        if h1 == 0.0:
-            return t1
-        if h2 == 0.0:
-            return t2
-        if h1 * h2 < 0:
-            return float(brentq(h_exact, t1, t2, xtol=1e-12, rtol=8.9e-16))
-        if t1 <= lo_floor and t2 >= theta_hi:
-            raise NoRootInBracket(
-                f"sampled-inverse root {root:.9g} does not bracket a root of the exact "
-                f"system: h({t1:.6g}) = {h1:.6g}, h({t2:.6g}) = {h2:.6g}"
-            )
-        w *= 8.0

@@ -102,7 +102,9 @@ def optimize_uniform(
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
     rev = np.array([revenue_uniform(dist, val, mu, k, p) for p in grid])
     i = int(np.argmax(rev))
-    if i == len(grid) - 1 and rev[-1] > rev[-2] and tail(val, grid[-1]) > 0:
+    # test the tail just past the grid end: an atom at the end is a finite maximizer
+    past_end = np.nextafter(grid[-1], math.inf)
+    if i == len(grid) - 1 and rev[-1] > rev[-2] and tail(val, past_end) > 0:
         raise NoFiniteMaximizer(
             f"revenue still rising at p = {grid[-1]:.6g} (value {rev[-1]:.6g}); "
             f"no finite optimal price detected"

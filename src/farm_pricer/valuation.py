@@ -13,6 +13,10 @@ m is nonnegative, nonincreasing, convex and Lipschitz-1 in B, and u*(B) is
 nondecreasing; the solvers lean on all four properties, so the test suite
 checks them on random pairs for every supported law.
 
+Each law has one exact path for each map.  The exponential and Pareto laws
+have closed forms.  Uniform and tabulated tails are piecewise linear, so f
+is a parabola in u on each segment and both maps are exact per piece.
+
 Since valuations are positive, tail(u) = 1 for u <= 0 and the maximization
 is effectively over u >= 0: for very negative B the maximizer clamps to 0
 and m(B) = -B.
@@ -205,36 +209,35 @@ def _golden_max(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _eval_m_numeric(dist: ValuationDist, B: float) -> AuxEval:
-    lo = max(B, 0.0)
-    # widen past the literal B + quantile so negative B still covers the
-    # whole region where the tail is positive
-    hi = max(B, 0.0) + dist.tail_quantile(1e-9)
-    if hi <= lo:
-        return AuxEval(B, lo, (lo - B) * dist.tail(lo))
-    grid = np.linspace(lo, hi, 256)
-    fg = (grid - B) * dist.tail(grid)
-    i = int(np.argmax(fg))  # argmax returns the first hit: smallest maximizer
-    if i == len(grid) - 1 and fg[-1] > fg[-2] and dist.tail(hi) > 0.0:
-        raise NonFiniteObjective(
-            f"(u - {B}) * tail(u) still increasing at u = {hi:.6g}"
-        )
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    fn = lambda u: (u - B) * dist.tail(u)
-    u = _golden_max(fn, a, b, tol=1e-10 * max(1.0, abs(b)))
-    # never come back worse than the best grid point
-    if fn(u) < fg[i]:
-        u = float(grid[i])
-    return AuxEval(B, u, fn(u))
+def _knots(dist: ValuationDist) -> tuple[np.ndarray, np.ndarray]:
+    # a uniform law is the piecewise-linear tail through (0,1), (lo,1), (hi,0)
+    if isinstance(dist, UniformValuation):
+        if dist.lo == 0.0:
+            return np.array([0.0, dist.hi]), np.array([1.0, 0.0])
+        return np.array([0.0, dist.lo, dist.hi]), np.array([1.0, 1.0, 0.0])
+    return np.asarray(dist.xs), np.asarray(dist.gs)
+
+
+def _falling_segments(x: np.ndarray, g: np.ndarray):
+    """Ends, slope s and line zero c of each segment where the tail falls.
+
+    There the tail is s (u - c), so (u - B) * tail(u) is a parabola with its
+    top at (B + c) / 2 and height -s (c - B)^2 / 4.
+    """
+    s = np.diff(g) / np.diff(x)
+    fall = s < 0.0
+    xl, xr, s = x[:-1][fall], x[1:][fall], s[fall]
+    return xl, xr, s, xl - g[:-1][fall] / s
 
 
 def eval_m(dist: ValuationDist, B: float) -> AuxEval:
     """Maximize (u - B) * tail(u); smallest maximizer wins ties.
 
-    Closed forms for the exponential and Pareto kinds, a 256-point coarse
-    grid plus golden-section refinement otherwise (f need not be unimodal
-    for an arbitrary tail, so the grid locates the bracket first).
+    Closed forms for the exponential and Pareto kinds.  Uniform and
+    tabulated tails are piecewise linear, so f is a parabola on each
+    segment and the maximum sits at a knot, at a segment's parabola top
+    (clipped into the segment) or at u = max(B, 0); the candidates are
+    compared in one pass.
     """
     if not math.isfinite(B):
         raise ValueError(f"B must be finite, got {B}")
@@ -247,14 +250,24 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
                 "Pareto tail: (u - B) * tail(u) increases toward theta for B > 0"
             )
         return AuxEval(B, dist.theta, dist.theta - B)
-    return _eval_m_numeric(dist, B)
+    x, g = _knots(dist)
+    xl, xr, _, c = _falling_segments(x, g)
+    tops = np.clip(0.5 * (B + c), xl, xr)
+    # prices below B lose money: pull those candidates up to u = max(B, 0)
+    u = np.sort(np.maximum(np.concatenate((x, tops)), max(B, 0.0)))
+    f = (u - B) * dist.tail(u)
+    i = int(np.argmax(f))  # argmax returns the first hit: smallest maximizer
+    return AuxEval(B, float(u[i]), float(f[i]))
 
 
-def m_inverse(dist: ValuationDist, y: float, tol_m: float = 1e-10) -> float:
+def m_inverse(dist: ValuationDist, y: float) -> float:
     """Solve m(B) = y for B, using that m is decreasing.
 
-    Returns B with |m(B) - y| <= tol_m.  Raises OutOfRange when y is not in
-    the reachable range (e.g. y <= 0, or y below an unreachable plateau).
+    Raises OutOfRange when y is not in the reachable range (y <= 0, or a
+    Pareto y below theta).  For uniform and tabulated tails m is the upper
+    envelope of the knot lines (x_j - B) g_j and of each segment's parabola
+    top while that top lies inside its segment, so m^{-1}(y) is the largest
+    B at which any of these pieces reaches y.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise OutOfRange(f"m maps onto positive values only, got y = {y}")
@@ -268,37 +281,13 @@ def m_inverse(dist: ValuationDist, y: float, tol_m: float = 1e-10) -> float:
                 f"Pareto m only takes values >= theta = {dist.theta}, got {y}"
             )
         return dist.theta - y
-
-    lo = 0.0
-    m_lo = eval_m(dist, lo).m_val
-    if m_lo < y:
-        lo = -y  # m(-y) >= (0 - (-y)) * tail(0) = y
-        m_lo = eval_m(dist, lo).m_val
-    hi = max(2.0 * abs(lo), 1.0)
-    for _ in range(200):
-        if eval_m(dist, hi).m_val <= y:
-            break
-        hi *= 2.0
-    else:
-        raise OutOfRange(f"could not bracket m(B) = {y} from above")
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = eval_m(dist, mid).m_val
-        if abs(val - y) <= tol_m:
-            return mid
-        if val > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    val = eval_m(dist, mid).m_val
-    if abs(val - y) <= 10.0 * tol_m:
-        return mid
-    raise OutOfRange(
-        f"m is not invertible at y = {y} (bracket collapsed with residual {val - y:.3g})"
-    )
+    x, g = _knots(dist)
+    xl, xr, s, c = _falling_segments(x, g)
+    pos = g > 0.0
+    b_line = np.max(x[pos] - y / g[pos])  # knot 0 alone gives -y
+    b_top = c - 2.0 * np.sqrt(y / -s)
+    inside = (b_top >= 2.0 * xl - c) & (b_top <= 2.0 * xr - c)
+    return float(max(b_line, np.max(b_top[inside], initial=-math.inf)))
 
 
 def valuation_from_config(cfg: dict) -> ValuationDist:

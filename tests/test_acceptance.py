@@ -186,7 +186,7 @@ def _random_general_spec(rng, i):
     else:
         arrival = Exponential(rate=lam)
     if i == 12:
-        k = 3  # keep the slow numeric-inverse instance small
+        k = 3  # keep the 800-knot tabulated instance small
         xs = np.linspace(0.0, 4.0, 800)
         val = TabulatedTail(xs=tuple(xs), gs=tuple(np.exp(-((xs / 1.2) ** 2))))
     elif i in (5, 18):

@@ -10,12 +10,16 @@ from farm_pricer import (
     Exponential,
     ExponentialValuation,
     SystemSpec,
+    TabulatedTail,
     UniformInterval,
     UniformValuation,
     departure_matrix,
     eval_m,
     fixed_point,
     g_chain_general,
+    optimize_uniform,
+    revenue_rate,
+    revenue_uniform,
     solve_general,
 )
 
@@ -50,12 +54,28 @@ def test_matches_fixed_point_single_server():
 
 
 def test_matches_fixed_point_numeric_valuation():
-    # no closed-form m inverse: exercises the sampled inverse plus polish
+    # piecewise-linear tail: exercises the per-piece exact m inverse
     spec = spec_with(Exponential(rate=10.0), k=3, val=UniformValuation(lo=0.0, hi=2.0))
     ref = fixed_point(spec)
     res = solve_general(spec)
     assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-6)
     np.testing.assert_allclose(res.prices, ref.prices, atol=1e-4)
+
+
+def test_atom_valuation_matches_fixed_point_and_certificate():
+    # the final atom at 2 carries the top prices; both solvers must land on
+    # the same certified optimum there
+    val = TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3))
+    spec = spec_with(Exponential(rate=25.0), val=val)
+    ref = fixed_point(spec)
+    assert revenue_rate(spec, ref.prices) == pytest.approx(ref.theta_star, rel=1e-9)
+    assert np.all(np.diff(ref.prices) >= 0)
+    assert ref.theta_star >= revenue_uniform(spec.arrival, val, spec.mu, spec.servers, 2.0)
+    assert ref.theta_star <= optimize_uniform(spec.arrival, val, spec.mu, spec.servers).gap_upper
+
+    res = solve_general(spec)
+    assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-9)
+    assert revenue_rate(spec, res.prices) == pytest.approx(res.theta_star, rel=1e-9)
 
 
 # ------------------------------------------------------------- regressions
@@ -115,10 +135,10 @@ def test_more_servers_earn_more():
 def test_chain_feasibility_flag():
     spec = spec_with(Deterministic(rate=25.0))
     dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    _, ok = g_chain_general(spec, dep, 7.9, _tol_m=1e-12)
+    _, ok = g_chain_general(spec, dep, 7.9)
     assert ok
     # theta / lambda below the representable range of m^{-1} forces a clamp
-    _, ok = g_chain_general(spec, dep, 1e-18, _tol_m=1e-12)
+    _, ok = g_chain_general(spec, dep, 1e-18)
     assert not ok
 
 
@@ -138,10 +158,10 @@ def test_light_traffic_discards_clamped_roots():
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
 
     dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    _, ok = g_chain_general(spec, dep, res.theta_star, _tol_m=1e-12)
+    _, ok = g_chain_general(spec, dep, res.theta_star)
     assert ok
     # the crossing near 1.854 only exists because of clamping
-    _, ok = g_chain_general(spec, dep, 1.8544, _tol_m=1e-12)
+    _, ok = g_chain_general(spec, dep, 1.8544)
     assert not ok
 
 
@@ -150,5 +170,3 @@ def test_input_validation():
     dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
     with pytest.raises(ValueError):
         g_chain_general(spec, dep, -1.0)
-    with pytest.raises(ValueError):
-        solve_general(spec, tol=0.0)

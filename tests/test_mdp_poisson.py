@@ -21,8 +21,9 @@ from farm_pricer import (
     value_iteration_oracle,
 )
 
-# frozen oracle for theta*(K=5, lambda=25, mu=2, Gbar=e^-p), bisected to 1e-12
-THETA_REF = 7.726190669187233
+# frozen oracle for theta*(K=5, lambda=25, mu=2, Gbar=e^-p): the root of
+# theta = lambda m(g_0(theta)) in 40-digit mpmath arithmetic
+THETA_REF = 7.726190669152576
 # theta* at K=4 and K=7 (same lambda, mu, Gbar): the maximum of the product-form
 # birth-death revenue sum_i pi_i lambda e^{-p_i} p_i, found as a root of its
 # gradient in 40-digit mpmath arithmetic, independently of the solver

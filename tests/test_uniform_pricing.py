@@ -125,6 +125,16 @@ def test_p_star_dominates_infinite_server_price():
             assert res.p_star_K >= res.p_star_inf - 1e-6
 
 
+def test_optimize_uniform_price_on_final_atom():
+    # revenue is 12.350743 at p = 2, where the tail holds an atom, and 0 just
+    # past it: the grid end is a finite maximizer
+    val = TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3))
+    res = optimize_uniform(Exponential(rate=25.0), val, 2.0, 5)
+    assert res.p_star_K == 2.0
+    assert res.revenue_K == pytest.approx(12.350743274594699, rel=1e-9)
+    assert res.revenue_K <= res.gap_upper
+
+
 def test_no_finite_maximizer_for_heavy_tail():
     # u Gbar(u) -> theta from below: revenue keeps rising in p
     with pytest.raises(NoFiniteMaximizer):

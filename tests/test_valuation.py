@@ -38,6 +38,12 @@ def tabulated_from(fn, hi, n=400):
     return TabulatedTail(xs=tuple(xs), gs=tuple(gs / gs[0]))
 
 
+# the best price sits on the final atom for B in [0.5, 2)
+ATOM = TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3))
+# u* jumps onto the plateau's right end and stays there for B in (-2.2, 0.5)
+PLATEAU = TabulatedTail(xs=(0.0, 1.0, 1.5, 2.5), gs=(1.0, 0.6, 0.6, 0.0))
+
+
 # ---------------------------------------------------------------- tails
 
 def test_tail_values():
@@ -97,6 +103,9 @@ def test_eval_m_matches_brute_force():
         (UniformValuation(0.0, 2.0), [-1.0, 0.0, 0.4, 1.5]),
         (UniformValuation(0.9, 1.0), [-0.2, 0.0, 0.5]),
         (tabulated_from(lambda x: math.exp(-x), 25.0), [0.0, 0.5, 2.0]),
+        (ATOM, [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5]),
+        (PLATEAU, [-2.5, -2.2, -1.0, 0.0, 0.5, 1.0, 3.0]),
+        (UniformValuation(1.0, 3.0), [-1.0, -0.5, 0.0, 1.0, 2.5, 3.5]),
     ]
     for dist, bs in cases:
         for B in bs:
@@ -126,8 +135,11 @@ def test_eval_m_pareto():
         ExponentialValuation(beta=3.0),
         UniformValuation(0.0, 1.5),
         tabulated_from(lambda x: math.exp(-(x**2)), 5.0),
+        ATOM,
+        PLATEAU,
+        UniformValuation(1.0, 3.0),
     ],
-    ids=["exp1", "exp3", "unif", "gauss-tail"],
+    ids=["exp1", "exp3", "unif", "gauss-tail", "atom", "plateau", "unif-1-3"],
 )
 def test_m_monotone_lipschitz_convex(dist):
     rng = np.random.default_rng(42)
@@ -163,16 +175,18 @@ def test_m_inverse_pareto():
 
 
 def test_m_inverse_round_trip():
-    tol = 1e-10
     for dist in (
         ExponentialValuation(beta=2.0),
         UniformValuation(0.0, 1.0),
         tabulated_from(lambda x: math.exp(-x), 25.0),
+        ATOM,
+        PLATEAU,
+        UniformValuation(1.0, 3.0),
     ):
         m0 = eval_m(dist, 0.0).m_val
         for y in (m0 * 0.9, m0 * 0.5, m0 * 0.1, m0 * 1e-3):
-            b = m_inverse(dist, y, tol_m=tol)
-            assert eval_m(dist, b).m_val == pytest.approx(y, abs=2 * tol)
+            b = m_inverse(dist, y)
+            assert eval_m(dist, b).m_val == pytest.approx(y, rel=1e-12, abs=0.0)
 
 
 def test_m_inverse_rejects_nonpositive():
