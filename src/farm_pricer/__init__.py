@@ -16,7 +16,6 @@ from .arrival import (
     departure_matrix,
     lst,
 )
-from .cli import emit_figure_data
 from .errors import (
     BracketCollapse,
     ConfigError,
@@ -32,6 +31,7 @@ from .errors import (
     SingularChain,
     UnknownFigure,
 )
+from .figures import emit_figure_data
 from .mdp_general import GeneralSolveResult, g_chain_general, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,

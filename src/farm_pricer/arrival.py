@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import betaln, gammaln
 
 from .errors import ConfigError, DegenerateTransform, QuadratureFailure
 
@@ -193,11 +190,16 @@ class DepartureMatrix:
     a_cum: np.ndarray
 
 
-def _binomial_thinning_row(k: int, mu: float, x: float) -> np.ndarray:
+def _log_factorials(n: int) -> np.ndarray:
+    """(log 0!, ..., log n!)."""
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+
+
+def _binomial_thinning_row(k: int, mu: float, x: float, lf: np.ndarray) -> np.ndarray:
     """alpha row for a fixed interval length x: Binomial(k, 1 - e^{-mu x})."""
     q = math.exp(-mu * x)
     i = np.arange(k + 1)
-    logc = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
+    logc = lf[k] - lf[i] - lf[k - i]
     with np.errstate(divide="ignore"):
         logp = np.where(i > 0, i * np.log1p(-q), 0.0)
         logq = np.where(k - i > 0, -(k - i) * mu * x, 0.0)
@@ -206,66 +208,70 @@ def _binomial_thinning_row(k: int, mu: float, x: float) -> np.ndarray:
 
 def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     # E over Exp(lam) has a Beta-function closed form:
-    # alpha_{k,i} = C(k,i) * (lam/mu) * B(lam/mu + k - i, i + 1)
+    # alpha_{k,i} = C(k,i) * r * B(r + k - i, i + 1), r = lam/mu, so
+    # alpha_{k,0} = r / (r + k) and alpha_{k,i} / alpha_{k,i-1} = (k-i+1) / (r+k-i).
+    # The running product keeps each entry within a few ulps; differences of
+    # log-gammas would lose digits as r grows.
     r = lam / mu
     alpha = np.zeros((k_max + 1, k_max + 1))
     alpha[0, 0] = 1.0
     for k in range(1, k_max + 1):
-        i = np.arange(k + 1)
-        logc = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
-        alpha[k, : k + 1] = np.exp(logc + math.log(r) + betaln(r + k - i, i + 1))
+        i = np.arange(1, k + 1)
+        alpha[k, 0] = r / (r + k)
+        alpha[k, 1 : k + 1] = alpha[k, 0] * np.cumprod((k - i + 1) / (r + k - i))
     return alpha
 
 
-def _alpha_quadrature(dist, mu: float, k_max: int, quad_tol: float) -> np.ndarray:
-    if isinstance(dist, UniformInterval):
-        lo, hi, density = dist.lo, dist.hi, 1.0 / (dist.hi - dist.lo)
-    else:
-        raise QuadratureFailure(f"no integration recipe for {type(dist).__name__}")
+def _alpha_uniform(lo: float, hi: float, mu: float, k_max: int, lf: np.ndarray) -> np.ndarray:
+    # With y = e^{-mu x}, alpha_{k,i} = C(k,i) / (mu (hi - lo)) times the
+    # integral of (1-y)^i y^{k-i-1} over [e^{-mu hi}, e^{-mu lo}].  For i < k
+    # that is a polynomial of degree k-1, which an n-point Gauss-Legendre
+    # rule integrates exactly once 2n - 1 >= k - 1.  For i = k, (1-y)^k / y
+    # is 1/y, whose integral is mu (hi - lo), plus the polynomial
+    # ((1-y)^k - 1) / y.
+    y_lo, y_hi = math.exp(-mu * hi), math.exp(-mu * lo)
+    nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
+    half = 0.5 * (y_hi - y_lo)
+    y = y_lo + half * (nodes + 1.0)
+    w = half * weights / (mu * (hi - lo))
+    log_y, log_1my = np.log(y), np.log1p(-y)
     alpha = np.zeros((k_max + 1, k_max + 1))
     alpha[0, 0] = 1.0
     for k in range(1, k_max + 1):
-        for i in range(k + 1):
-            logc = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
-            c = math.exp(logc)
-
-            def integrand(x, i=i, k=k, c=c):
-                return c * density * (1.0 - math.exp(-mu * x)) ** i * math.exp(-(k - i) * mu * x)
-
-            val, err = quad(integrand, lo, hi, epsabs=0.1 * quad_tol, epsrel=0.1 * quad_tol, limit=200)
-            if err > quad_tol:
-                raise QuadratureFailure(
-                    f"alpha[{k},{i}] error estimate {err:.2e} exceeds {quad_tol:.2e}"
-                )
-            alpha[k, i] = val
+        i = np.arange(k)[:, None]
+        logc = lf[k] - lf[i] - lf[k - i]
+        alpha[k, :k] = np.exp(logc + i * log_1my + (k - i - 1) * log_y) @ w
+        alpha[k, k] = 1.0 + float(np.expm1(k * log_1my) / y @ w)
     return alpha
 
 
-def departure_matrix(
-    dist: InterarrivalDist, mu: float, k: int, quad_tol: float = 1e-10
-) -> DepartureMatrix:
+def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatrix:
     """Build and validate the departure-count matrix for k servers.
 
     Closed forms for exponential, deterministic and two-point intervals;
-    adaptive quadrature otherwise.  Raises QuadratureFailure when rows do
-    not sum to one or the structural identities fail beyond tolerance.
+    an exact Gauss-Legendre rule in e^{-mu x} for uniform ones.  Raises
+    QuadratureFailure when rows do not sum to one or the structural
+    identities fail beyond tolerance.
     """
     if not (k >= 1 and mu > 0):
         raise ValueError(f"need k >= 1 and mu > 0, got k={k}, mu={mu}")
+    lf = _log_factorials(k)
     if isinstance(dist, Exponential):
         alpha = _alpha_exponential(dist.rate, mu, k)
     elif isinstance(dist, Deterministic):
         alpha = np.zeros((k + 1, k + 1))
         for kk in range(k + 1):
-            alpha[kk, : kk + 1] = _binomial_thinning_row(kk, mu, dist.mean)
+            alpha[kk, : kk + 1] = _binomial_thinning_row(kk, mu, dist.mean, lf)
     elif isinstance(dist, TwoPoint):
         alpha = np.zeros((k + 1, k + 1))
         for kk in range(k + 1):
-            alpha[kk, : kk + 1] = dist.p1 * _binomial_thinning_row(kk, mu, dist.x1) + (
+            alpha[kk, : kk + 1] = dist.p1 * _binomial_thinning_row(kk, mu, dist.x1, lf) + (
                 1.0 - dist.p1
-            ) * _binomial_thinning_row(kk, mu, dist.x2)
+            ) * _binomial_thinning_row(kk, mu, dist.x2, lf)
+    elif isinstance(dist, UniformInterval):
+        alpha = _alpha_uniform(dist.lo, dist.hi, mu, k, lf)
     else:
-        alpha = _alpha_quadrature(dist, mu, k, quad_tol)
+        raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
 
     rows = alpha.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > 1e-9:
@@ -328,6 +334,8 @@ def rare_long_gap_family(rate: float) -> TwoPoint:
     1/rate.  As the rate grows the rare long gap grows too, and
     rate * (1 - phi(mu)) tends to zero.
     """
+    from scipy.optimize import brentq
+
     if rate <= 1.0:
         raise ValueError(f"family defined for rate > 1, got {rate}")
 

@@ -14,15 +14,14 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
-from .arrival import Exponential
+from .arrival import departure_matrix
 from .errors import ConfigError, PricingError, UnknownFigure
+from .figures import _FIGURES, _csv_cell, _write_text, emit_figure_data
 from .model import SystemSpec, price_array, spec_from_config
-from .valuation import ExponentialValuation
 
 
 def _parse_shorthand(text: str, which: str) -> dict:
@@ -114,16 +113,6 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path_like, text: str) -> Path:
-    out = Path(path_like)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-    except OSError as exc:
-        raise ConfigError("out", f"cannot write {out}: {exc}") from None
-    return out
-
-
 def _emit(payload, args, summary: str) -> None:
     text = json.dumps(_jsonable(payload), indent=2)
     if getattr(args, "out", None):
@@ -143,12 +132,6 @@ def _emit_csv(header: list[str], rows: list[list], args, summary: str) -> None:
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.10g}"
-    return str(x)
 
 
 def _solver_for(spec: SystemSpec):
@@ -197,18 +180,15 @@ def _cmd_solve_general(args) -> int:
 def _cmd_uniform(args) -> int:
     spec = _spec_from_args(args)
     res = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
-    lower, upper, coarse = uniform_pricing.gap_bound(
-        spec.arrival, spec.valuation, spec.mu, spec.servers
-    )
     _emit(
         {
             "p_star_K": res.p_star_K,
             "revenue_K": res.revenue_K,
             "p_star_inf": res.p_star_inf,
             "revenue_inf_bound": res.revenue_inf_bound,
-            "gap_lower": lower,
-            "gap_upper": upper,
-            "coarse_gap": coarse,
+            "gap_lower": res.revenue_K,
+            "gap_upper": res.gap_upper,
+            "coarse_gap": res.coarse_gap,
         },
         args,
         f"best uniform price {res.p_star_K:.6f} earns {res.revenue_K:.6f}",
@@ -226,14 +206,12 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise ConfigError("prices", str(exc)) from None
     if spec.is_poisson:
+        dep = None
         occ = stationary.occupancy_poisson(spec, p)
     else:
-        from .arrival import departure_matrix
-
-        occ = stationary.occupancy_general(
-            spec, departure_matrix(spec.arrival, spec.mu, spec.servers), p
-        )
-    rate = stationary.revenue_rate(spec, p)
+        dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
+        occ = stationary.occupancy_general(spec, dep, p)
+    rate = stationary.revenue_rate(spec, p, dep)
     _emit(
         {
             "revenue_rate": rate,
@@ -359,115 +337,6 @@ def _cmd_compare(args) -> int:
             f"revenues {rev_at_inf_price:.4f} <= {uni.revenue_K:.4f} <= {theta:.4f}",
         )
     return 0
-
-
-_FIGURES = {}
-
-
-def _figure(fid):
-    def wrap(fn):
-        _FIGURES[fid] = fn
-        return fn
-
-    return wrap
-
-
-def _poisson_spec(k: int, lam: float, mu: float) -> SystemSpec:
-    return SystemSpec(
-        servers=k,
-        mu=mu,
-        arrival=Exponential(rate=lam),
-        valuation=ExponentialValuation(beta=1.0),
-    )
-
-
-@_figure("opt-pri-exp")
-def _fig_opt_pri_exp():
-    """Optimal prices per state for three interarrival laws at rate 25."""
-    from .arrival import Deterministic, UniformInterval
-
-    base = _poisson_spec(5, 25.0, 2.0)
-    exp_res = mdp_poisson.fixed_point(base)
-    det = mdp_general.solve_general(
-        SystemSpec(5, 2.0, Deterministic(rate=25.0), base.valuation)
-    )
-    uni = mdp_general.solve_general(
-        SystemSpec(5, 2.0, UniformInterval.from_rate(25.0), base.valuation)
-    )
-    header = ["state", "constant", "uniform", "exponential"]
-    rows = [
-        [i, det.prices[i], uni.prices[i], exp_res.prices[i]] for i in range(5)
-    ]
-    return header, rows
-
-
-@_figure("lam-rev")
-def _fig_lam_rev():
-    rows = mdp_poisson.sweep(_poisson_spec(5, 25.0, 2.0), "lambda", [10, 15, 20, 25, 30])
-    return ["lambda", "theta_star", "theta_over_lambda"], [
-        [r.value, r.theta_star, r.ratio] for r in rows
-    ]
-
-
-@_figure("mu-rev")
-def _fig_mu_rev():
-    rows = mdp_poisson.sweep(_poisson_spec(5, 25.0, 2.0), "mu", [1, 2, 3, 4, 5])
-    return ["mu", "theta_star", "theta_over_mu"], [
-        [r.value, r.theta_star, r.ratio] for r in rows
-    ]
-
-
-@_figure("serv-rev")
-def _fig_serv_rev():
-    rows = mdp_poisson.sweep(_poisson_spec(5, 25.0, 2.0), "K", [3, 4, 5, 6, 7])
-    return ["servers", "theta_star", "theta_over_servers"], [
-        [int(r.value), r.theta_star, r.ratio] for r in rows
-    ]
-
-
-def _load_comparison(k: int, mu: float, rhos: list[float]):
-    header = ["rho", "lambda", "revenue_uniform_inf_price", "revenue_uniform_best", "revenue_optimal"]
-    rows = []
-    for rho in rhos:
-        lam = rho * mu
-        spec = _poisson_spec(k, lam, mu)
-        uni = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, mu, k)
-        r_inf = uniform_pricing.revenue_uniform(spec.arrival, spec.valuation, mu, k, uni.p_star_inf)
-        theta = mdp_poisson.fixed_point(spec).theta_star
-        rows.append([rho, lam, r_inf, uni.revenue_K, theta])
-    return header, rows
-
-
-@_figure("five-servers")
-def _fig_five_servers():
-    return _load_comparison(5, 2.0, [0.5, 1.0, 5.0, 10.0])
-
-
-@_figure("ten-servers")
-def _fig_ten_servers():
-    return _load_comparison(10, 2.0, [5.0, 10.0, 15.0, 25.0])
-
-
-@_figure("rev-vs-k")
-def _fig_rev_vs_k():
-    """Finite-K optimal revenue closing on the infinite-server level lambda/e."""
-    mu = 2.0
-    lam = 20.0
-    limit, _ = mdp_poisson.infinite_server_limit(_poisson_spec(5, lam, mu))
-    rows = []
-    for k in range(5, 11):
-        theta = mdp_poisson.fixed_point(_poisson_spec(k, lam, mu)).theta_star
-        rows.append([k, theta, limit])
-    return ["servers", "theta_star", "infinite_server_revenue"], rows
-
-
-def emit_figure_data(figure_id: str, out_path) -> Path:
-    """Write the CSV behind one of the shipped result figures."""
-    if figure_id not in _FIGURES:
-        raise UnknownFigure(f"'{figure_id}' not in {sorted(_FIGURES)}")
-    header, rows = _FIGURES[figure_id]()
-    lines = [",".join(header)] + [",".join(_csv_cell(x) for x in row) for row in rows]
-    return _write_text(out_path, "\n".join(lines) + "\n")
 
 
 def _cmd_figure(args) -> int:

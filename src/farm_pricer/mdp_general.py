@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .arrival import DepartureMatrix, departure_matrix
 from .errors import MultipleRoots, NoRootInBracket
@@ -85,6 +84,8 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     (0, lambda m(0)] and refines each sign change with Brent's method, all
     on the exact m^{-1} of the valuation law.
     """
+    from scipy.optimize import brentq
+
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     dep = departure_matrix(spec.arrival, spec.mu, k)
     theta_hi = lam * eval_m(val, 0.0).m_val

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .arrival import Deterministic, Exponential, UniformInterval
 from .model import SystemSpec, price_array
@@ -147,6 +145,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     streams = np.random.SeedSequence(cfg.seed).spawn(reps)
     workers = int(os.environ.get("FARM_PRICER_THREADS", "1"))
     if workers > 1 and reps > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
             outs = list(pool.map(_run_replication, [cfg] * reps, streams))
     else:
@@ -161,7 +161,10 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     mean = float(rates.mean())
     if reps > 1:
-        half = float(student_t.ppf(0.975, reps - 1) * rates.std(ddof=1) / math.sqrt(reps))
+        # stdtrit(df, q) is scipy.stats.t.ppf(q, df) without loading scipy.stats
+        from scipy.special import stdtrit
+
+        half = float(stdtrit(reps - 1, 0.975) * rates.std(ddof=1) / math.sqrt(reps))
     else:
         half = 0.0
     total_seen = int(seen.sum())

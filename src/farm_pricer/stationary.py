@@ -110,6 +110,8 @@ def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -
 
     sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
     each arrival pays the price posted for the state it finds, if admitted.
+    Given a departure matrix `dep`, the embedded chain is solved, even for
+    Poisson arrivals; without one, Poisson arrivals use the closed form.
     """
     p = price_array(spec, prices)
     if spec.is_poisson and dep is None:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .arrival import (
     Exponential,
     InterarrivalDist,
     _log_beta_seq,
+    _log_factorials,
     lst,
     rare_long_gap_family,
     rare_unit_gap_family,
@@ -38,7 +38,8 @@ class UniformPricingResult:
     """Best single price for K servers, and the infinite-server benchmark.
 
     gap_upper is an upper bound on the revenue of the best state-dependent
-    policy: revenue_K / (1 - pi_K(p_star_inf)).
+    policy: revenue_K / (1 - pi_K(p_star_inf)).  coarse_gap bounds that
+    policy's excess over revenue_K by revenue_K / (beta_1 K).
     """
 
     p_star_K: float
@@ -46,20 +47,52 @@ class UniformPricingResult:
     p_star_inf: float
     revenue_inf_bound: float
     gap_upper: float
+    coarse_gap: float
+
+
+def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
+    """p -> (Gbar(p), pi_K(p)) over an array of prices.
+
+    log C(K,j) + log beta_j is built once here; each call then costs one
+    (len(p) x K+1) log-sum-exp.
+    """
+    lf = _log_factorials(k)
+    terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
+    j = np.arange(k + 1)
+
+    def curve(p):
+        gbar = np.asarray(tail(val, p), dtype=float)
+        # Gbar(p) = 0: nobody joins, the system drains and is never full
+        joins = gbar > 0.0
+        x = np.multiply.outer(np.log(np.where(joins, gbar, 1.0)), -j)
+        x += terms
+        top = x.max(axis=-1, keepdims=True)
+        x -= top
+        log_sum = top[..., 0] + np.log(np.exp(x, out=x).sum(axis=-1))
+        return gbar, np.where(joins, np.exp(-log_sum), 0.0)
+
+    return curve
+
+
+def _revenue_curve(dist: InterarrivalDist, curve):
+    """p -> lambda p Gbar(p) (1 - pi_K(p)) over an array of finite prices."""
+    lam = 1.0 / dist.mean
+
+    def revenue(p):
+        gbar, block = curve(p)
+        return lam * p * gbar * (1.0 - block)
+
+    return revenue
 
 
 def blocking_prob(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Long-run fraction of admitted-willing arrivals that find all servers busy."""
-    gbar = float(tail(val, p))
-    if gbar <= 0.0:
+    if float(tail(val, p)) <= 0.0:
         # nobody joins, the system drains and is never full
         return 0.0
-    logb = _log_beta_seq(dist, mu, k)
-    j = np.arange(k + 1)
-    logc = gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
-    return float(np.exp(-logsumexp(logc - j * math.log(gbar) + logb)))
+    return float(_blocking_curve(dist, val, mu, k)(p)[1])
 
 
 def revenue_uniform(
@@ -68,11 +101,9 @@ def revenue_uniform(
     """Mean revenue rate lambda * p * Gbar(p) * (1 - pi_K(p)) at uniform price p."""
     if p < 0:
         raise ValueError(f"price must be >= 0, got {p}")
-    gbar = float(tail(val, p))
-    if gbar <= 0.0:
+    if float(tail(val, p)) <= 0.0:
         return 0.0
-    lam = 1.0 / dist.mean
-    return lam * p * gbar * (1.0 - blocking_prob(dist, val, mu, k, p))
+    return float(_revenue_curve(dist, _blocking_curve(dist, val, mu, k))(p))
 
 
 def optimize_uniform(
@@ -99,8 +130,10 @@ def optimize_uniform(
             f"p = {q_hi:.6g} is still at the supremum {inf_eval.m_val:.6g}; "
             f"no finite optimal price exists"
         )
+    curve = _blocking_curve(dist, val, mu, k)
+    revenue = _revenue_curve(dist, curve)
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
-    rev = np.array([revenue_uniform(dist, val, mu, k, p) for p in grid])
+    rev = revenue(grid)
     i = int(np.argmax(rev))
     # test the tail just past the grid end: an atom at the end is a finite maximizer
     past_end = np.nextafter(grid[-1], math.inf)
@@ -112,18 +145,20 @@ def optimize_uniform(
 
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    p_star = _golden_max(lambda p: revenue_uniform(dist, val, mu, k, p), lo, hi, 1e-8)
-    r_star = revenue_uniform(dist, val, mu, k, p_star)
+    p_star = _golden_max(lambda p: float(revenue(p)), lo, hi, 1e-8)
+    r_star = float(revenue(p_star))
     if rev[i] > r_star:
         p_star, r_star = float(grid[i]), float(rev[i])
 
-    gap_upper = r_star / (1.0 - blocking_prob(dist, val, mu, k, p_inf))
+    gap_upper = r_star / (1.0 - float(curve(p_inf)[1]))
+    beta1 = float(np.exp(_log_beta_seq(dist, mu, 1)[1]))
     return UniformPricingResult(
         p_star_K=p_star,
         revenue_K=r_star,
         p_star_inf=p_inf,
         revenue_inf_bound=rev_inf,
         gap_upper=gap_upper,
+        coarse_gap=r_star / (beta1 * k),
     )
 
 
@@ -132,15 +167,13 @@ def gap_bound(
 ) -> tuple[float, float, float]:
     """Sandwich the optimal state-dependent revenue R*.
 
-    Returns (lower, upper, coarse_gap): the best uniform revenue is a lower
-    bound, lower / (1 - pi_K(p_inf)) an upper bound, and coarse_gap the
-    weaker transform-only bound lower / (beta_1 K) on R* - lower, which
-    never needs a price search to state.
+    Returns (lower, upper, coarse_gap) from optimize_uniform: the best
+    uniform revenue is a lower bound, lower / (1 - pi_K(p_inf)) an upper
+    bound, and coarse_gap the weaker transform-only bound lower / (beta_1 K)
+    on R* - lower, which never needs a price search to state.
     """
     res = optimize_uniform(dist, val, mu, k)
-    beta1 = float(np.exp(_log_beta_seq(dist, mu, 1)[1]))
-    coarse_gap = res.revenue_K / (beta1 * k)
-    return res.revenue_K, res.gap_upper, coarse_gap
+    return res.revenue_K, res.gap_upper, res.coarse_gap
 
 
 _FAMILIES: dict[str, Callable[[float], InterarrivalDist]] = {

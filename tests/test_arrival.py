@@ -135,6 +135,29 @@ def test_uniform_quadrature_matches_monte_carlo():
         assert dep.alpha[3, i] == pytest.approx(mc, abs=2e-3)
 
 
+@pytest.mark.parametrize("k", [5, 50])
+def test_uniform_departure_matrix_is_exact(k):
+    # Gauss-Legendre in y = e^{-mu x} against adaptive quadrature in x
+    from scipy.integrate import quad
+
+    mu = 2.0
+    dists = [UniformInterval.from_rate(lam) for lam in (0.5, 4.0, 25.0, 100.0)]
+    for d in dists + [UniformInterval(0.3, 0.9)]:
+        alpha = departure_matrix(d, mu, k).alpha
+        want = np.zeros_like(alpha)
+        want[0, 0] = 1.0
+        for kk in range(1, k + 1):
+            for i in range(kk + 1):
+                c = math.comb(kk, i) / (d.hi - d.lo)
+
+                def integrand(x, i=i, kk=kk, c=c):
+                    return c * (-math.expm1(-mu * x)) ** i * math.exp(-(kk - i) * mu * x)
+
+                want[kk, i] = quad(integrand, d.lo, d.hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        assert np.max(np.abs(alpha - want)) <= 1e-13
+        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-12
+
+
 def test_exponential_closed_form_vs_binomial_mixture():
     # TwoPoint degenerating to a single atom must equal the Deterministic matrix
     a1 = departure_matrix(TwoPoint(x1=0.04, p1=0.5, x2=0.04), 2.0, 4).alpha

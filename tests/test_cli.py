@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import farm_pricer
+import farm_pricer.cli
 from farm_pricer import UnknownFigure, emit_figure_data
 from farm_pricer.cli import run
 
@@ -28,6 +34,22 @@ def test_solve_poisson_json(tmp_path):
         data["prices"], (1.1743, 1.2204, 1.2954, 1.4349, 1.7726), atol=5e-4
     )
     assert data["bracket_width"] <= 1e-9
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # the package must not import its cli module, or runpy warns on `-m`
+    src = str(Path(farm_pricer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "sp.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "farm_pricer.cli", "solve-poisson", *BASE, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(out.read_text())["theta_star"] == pytest.approx(7.7261906, abs=1e-5)
+    assert farm_pricer.cli.emit_figure_data is emit_figure_data
 
 
 def test_solve_general_with_arrival_flag(tmp_path):

@@ -1,0 +1,75 @@
+"""Import budget: the Poisson and uniform-pricing paths load no scipy module.
+
+Each case runs in a fresh interpreter, because this test process may already
+hold scipy from other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import farm_pricer
+
+NUMPY_ONLY_PATH = """
+import json, sys, tempfile
+from pathlib import Path
+
+import farm_pricer as fp
+from farm_pricer import cli
+
+spec = fp.SystemSpec(5, 2.0, fp.Exponential(rate=25.0), fp.ExponentialValuation(beta=1.0))
+res = fp.fixed_point(spec)
+assert abs(fp.revenue_rate(spec, res.prices) - res.theta_star) < 1e-9
+uni = fp.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
+lower, upper, _ = fp.gap_bound(spec.arrival, spec.valuation, spec.mu, spec.servers)
+assert lower <= res.theta_star <= upper and lower == uni.revenue_K
+for dist in (
+    fp.Exponential(rate=25.0),
+    fp.Deterministic(rate=25.0),
+    fp.UniformInterval.from_rate(25.0),
+    fp.TwoPoint(x1=0.1, p1=0.3, x2=0.02),
+):
+    fp.departure_matrix(dist, 2.0, 5)
+
+base = ["--k", "5", "--lambda", "25", "--mu", "2", "--valuation", "exp:1"]
+out = Path(tempfile.mkdtemp())
+for argv in (
+    ["solve-poisson", *base],
+    ["uniform", *base],
+    ["evaluate", *base, "--prices", ",".join(str(p) for p in res.prices)],
+    ["figure", "--id", "rev-vs-k"],
+):
+    assert cli.run([*argv, "--out", str(out / "out")]) == 0, argv
+"""
+
+SCIPY_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _run(code: str) -> list:
+    src = str(Path(farm_pricer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_poisson_and_uniform_paths_load_no_scipy():
+    assert _run(NUMPY_ONLY_PATH + SCIPY_LOADED) == []
+
+
+def test_scipy_paths_still_work_afterwards():
+    later = """
+det = fp.SystemSpec(5, 2.0, fp.Deterministic(rate=25.0), fp.ExponentialValuation(beta=1.0))
+assert abs(fp.solve_general(det).theta_star - 7.904175) < 1e-5
+sim = fp.simulate(fp.SimConfig(spec, res.prices, horizon_arrivals=2000, replications=3, seed=1))
+assert sim.revenue_rate_ci_half > 0.0
+"""
+    loaded = _run(NUMPY_ONLY_PATH + later + SCIPY_LOADED)
+    assert "scipy.optimize" in loaded and "scipy.special" in loaded

@@ -12,13 +12,16 @@ from farm_pricer import (
     NoFiniteMaximizer,
     ParetoValuation,
     TabulatedTail,
+    TwoPoint,
     UniformInterval,
+    UniformValuation,
     asymptotic_mu_tilde,
     blocking_prob,
     gap_bound,
     optimize_uniform,
     revenue_uniform,
 )
+from farm_pricer.uniform_pricing import _blocking_curve
 
 
 def erlang_b(k: int, a: float) -> float:
@@ -204,3 +207,64 @@ def test_gaussian_tail_log_price_decays():
     ]
     assert revs[0] > revs[1] > revs[2]
     assert revs[2] < 1e-2
+
+
+# ---------------------------------------------------------------- one-pass grid
+
+TABLE7 = TabulatedTail(
+    xs=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0), gs=(1.0, 0.9, 0.7, 0.45, 0.3, 0.1, 0.0)
+)
+VALUATIONS = {"exp": VAL, "uniform": UniformValuation(lo=0.0, hi=2.0), "table7": TABLE7}
+
+
+def arrival_law(kind: str, lam: float):
+    return {
+        "exp": Exponential(rate=lam),
+        "det": Deterministic(rate=lam),
+        "two": TwoPoint(x1=0.2 / lam, p1=0.5, x2=1.8 / lam),
+        "uni": UniformInterval.from_rate(lam),
+    }[kind]
+
+
+def rate_for(k: int) -> float:
+    # K=5 at the reference rate; large K at load 5 per server, where blocking binds
+    return 25.0 if k == 5 else 10.0 * k
+
+
+ONE_PASS_CASES = [
+    (a, v, k) for a in ("exp", "det", "two", "uni") for v in VALUATIONS for k in (5, 200, 1000)
+]
+
+
+@pytest.mark.parametrize("arrival,valuation,k", ONE_PASS_CASES)
+def test_grid_revenue_matches_scalar_path(arrival, valuation, k):
+    dist, val = arrival_law(arrival, rate_for(k)), VALUATIONS[valuation]
+    res = optimize_uniform(dist, val, 2.0, k)
+    assert res.revenue_K == pytest.approx(
+        revenue_uniform(dist, val, 2.0, k, res.p_star_K), rel=1e-14
+    )
+    curve = _blocking_curve(dist, val, 2.0, k)
+    ps = np.geomspace(1e-3, val.tail_quantile(1e-9), 16)
+    scalar = [blocking_prob(dist, val, 2.0, k, p) for p in ps]
+    np.testing.assert_allclose(curve(ps)[1], scalar, rtol=1e-14, atol=0.0)
+
+
+# (arrival, valuation, K) -> (revenue_K, gap_upper), computed by the
+# per-price blocking_prob loop that the one-pass grid replaced
+PINNED = {
+    ("exp", "exp", 5): (7.6208012367775906, 10.180815530266816),
+    ("det", "uniform", 5): (9.0605879227538573, 13.916106841578548),
+    ("two", "table7", 5): (12.543458374198288, 22.611254418545855),
+    ("uni", "exp", 200): (614.55595768001911, 1136.2174287096852),
+    ("det", "table7", 200): (948.49607885080343, 2850.4476051129036),
+    ("exp", "exp", 1000): (3151.1105678725116, 5803.0215773777809),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_optimize_uniform_pinned_values(case):
+    arrival, valuation, k = case
+    res = optimize_uniform(arrival_law(arrival, rate_for(k)), VALUATIONS[valuation], 2.0, k)
+    revenue, gap_upper = PINNED[case]
+    assert res.revenue_K == pytest.approx(revenue, rel=1e-12)
+    assert res.gap_upper == pytest.approx(gap_upper, rel=1e-12)
