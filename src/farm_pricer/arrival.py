@@ -25,6 +25,7 @@ from typing import Union
 
 import numpy as np
 
+from ._numeric import brentq
 from .errors import ConfigError, DegenerateTransform, QuadratureFailure
 
 
@@ -334,8 +335,6 @@ def rare_long_gap_family(rate: float) -> TwoPoint:
     1/rate.  As the rate grows the rare long gap grows too, and
     rate * (1 - phi(mu)) tends to zero.
     """
-    from scipy.optimize import brentq
-
     if rate <= 1.0:
         raise ValueError(f"family defined for rate > 1, got {rate}")
 

@@ -21,10 +21,6 @@ class ConfigError(PricingError):
         super().__init__(f"config key '{key}': {message}")
 
 
-class NonFiniteObjective(PricingError):
-    """(u - B) * tail(u) keeps improving as u grows; no finite maximizer exists."""
-
-
 class OutOfRange(PricingError):
     """Requested value lies outside the invertible range of a monotone map."""
 
@@ -38,7 +34,14 @@ class QuadratureFailure(PricingError):
 
 
 class NoFiniteMaximizer(PricingError):
-    """Revenue still climbing at the search boundary; no interior optimum found."""
+    """The objective keeps improving as its argument grows; no finite maximizer.
+
+    Raised for the surplus (u - B) * tail(u) and for the uniform-price
+    revenue still climbing at the search boundary.
+    """
+
+
+NonFiniteObjective = NoFiniteMaximizer
 
 
 class BracketCollapse(PricingError):

@@ -10,10 +10,10 @@ a_{i,j} and reward differences Delta(j) =: g_j(theta),
 
 and theta solves theta = lambda sum_{j<K} a_{K,j} g_j(theta).  Uniqueness of
 that root is not guaranteed here (unlike the Poisson case), so the solver
-scans a dense theta grid, bisects every sign change, drops candidates whose
-chain ran m^{-1} out of range, warns if several survive, and returns the
-smallest survivor; m^{-1} is exact for every valuation law.  Prices are
-u*(b_i) for the effective arguments
+scans a dense theta grid, refines every sign change with Brent's method,
+drops candidates whose chain ran m^{-1} out of range, warns if several
+survive, and returns the smallest survivor; m^{-1} is exact for every
+valuation law.  Prices are u*(b_i) for the effective arguments
 b_i = sum_{j<i}(a_{i,j} - a_{i+1,j}) Delta(j) + alpha_{i+1,0} Delta(i).
 """
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import brentq
 from .arrival import DepartureMatrix, departure_matrix
 from .errors import MultipleRoots, NoRootInBracket
 from .model import SystemSpec
@@ -84,8 +85,6 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     (0, lambda m(0)] and refines each sign change with Brent's method, all
     on the exact m^{-1} of the valuation law.
     """
-    from scipy.optimize import brentq
-
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     dep = departure_matrix(spec.arrival, spec.mu, k)
     theta_hi = lam * eval_m(val, 0.0).m_val

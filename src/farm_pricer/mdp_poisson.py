@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrival import Exponential
-from .errors import BracketCollapse, NoConvergence, NonFiniteObjective
+from .errors import BracketCollapse, NoConvergence, NoFiniteMaximizer
 from .model import SystemSpec
 from .valuation import eval_m, tail
 
@@ -75,8 +75,8 @@ def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolve
     try:
         hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
         if not math.isfinite(hi):
-            raise NonFiniteObjective(f"initial upper end {hi}")
-    except NonFiniteObjective:
+            raise NoFiniteMaximizer(f"initial upper end {hi}")
+    except NoFiniteMaximizer:
         # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
         hi = lam * eval_m(val, 0.0).m_val
 

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._numeric import t_quantile
 from .arrival import Deterministic, Exponential, UniformInterval
 from .model import SystemSpec, price_array
 
@@ -161,10 +162,7 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     mean = float(rates.mean())
     if reps > 1:
-        # stdtrit(df, q) is scipy.stats.t.ppf(q, df) without loading scipy.stats
-        from scipy.special import stdtrit
-
-        half = float(stdtrit(reps - 1, 0.975) * rates.std(ddof=1) / math.sqrt(reps))
+        half = float(t_quantile(reps - 1, 0.975) * rates.std(ddof=1) / math.sqrt(reps))
     else:
         half = 0.0
     total_seen = int(seen.sum())

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteObjective, OutOfRange
+from .errors import ConfigError, NoFiniteMaximizer, OutOfRange
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
 
@@ -246,7 +246,7 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
         return AuxEval(B, u, (u - B) * math.exp(-dist.beta * u))
     if isinstance(dist, ParetoValuation):
         if B > 0.0:
-            raise NonFiniteObjective(
+            raise NoFiniteMaximizer(
                 "Pareto tail: (u - B) * tail(u) increases toward theta for B > 0"
             )
         return AuxEval(B, dist.theta, dist.theta - B)

@@ -1,4 +1,4 @@
-"""Import budget: the Poisson and uniform-pricing paths load no scipy module.
+"""Import budget: no library or CLI path loads any scipy module.
 
 Each case runs in a fresh interpreter, because this test process may already
 hold scipy from other tests.
@@ -64,12 +64,36 @@ def test_poisson_and_uniform_paths_load_no_scipy():
     assert _run(NUMPY_ONLY_PATH + SCIPY_LOADED) == []
 
 
-def test_scipy_paths_still_work_afterwards():
+def test_renewal_long_gap_and_simulate_paths_load_no_scipy():
     later = """
+from farm_pricer.arrival import rare_long_gap_family
+
 det = fp.SystemSpec(5, 2.0, fp.Deterministic(rate=25.0), fp.ExponentialValuation(beta=1.0))
 assert abs(fp.solve_general(det).theta_star - 7.904175) < 1e-5
 sim = fp.simulate(fp.SimConfig(spec, res.prices, horizon_arrivals=2000, replications=3, seed=1))
 assert sim.revenue_rate_ci_half > 0.0
+gaps = rare_long_gap_family(1e3)
+assert abs(gaps.p1 * gaps.x1 + (1.0 - gaps.p1) * gaps.x2 - 1e-3) < 1e-12
 """
-    loaded = _run(NUMPY_ONLY_PATH + later + SCIPY_LOADED)
-    assert "scipy.optimize" in loaded and "scipy.special" in loaded
+    assert _run(NUMPY_ONLY_PATH + later + SCIPY_LOADED) == []
+
+
+def test_every_cli_command_and_figure_loads_no_scipy():
+    every_command = """
+det = ["--k", "5", "--mu", "2", "--valuation", "exp:1", "--arrival", "det:25"]
+sim = ["--arrivals", "2000", "--reps", "3", "--seed", "1"]
+for argv in (
+    ["solve-general", *det],
+    ["uniform", *det],
+    ["evaluate", *det, "--prices", "1.2,1.2,1.3,1.45,1.8"],
+    ["simulate", *base, *sim],
+    ["simulate", *det, *sim],
+    ["sweep", *base, "--vary", "K", "--grid", "3,4", "--format", "csv"],
+    ["compare", *base],
+    ["compare", *det],
+    *(["figure", "--id", fid] for fid in sorted(fp.figures._FIGURES)),
+):
+    assert cli.run([*argv, "--out", str(out / "out")]) == 0, argv
+assert len(fp.figures._FIGURES) == 7
+"""
+    assert _run(NUMPY_ONLY_PATH + every_command + SCIPY_LOADED) == []

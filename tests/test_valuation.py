@@ -7,6 +7,7 @@ import pytest
 
 from farm_pricer import (
     ExponentialValuation,
+    NoFiniteMaximizer,
     NonFiniteObjective,
     OutOfRange,
     ParetoValuation,
@@ -124,6 +125,8 @@ def test_eval_m_pareto():
     assert ev.m_val == pytest.approx(3.0)  # theta - B
     with pytest.raises(NonFiniteObjective):
         eval_m(ParetoValuation(theta=2.0), 0.5)
+    # the two names are one class, so either except clause catches it
+    assert NonFiniteObjective is NoFiniteMaximizer
 
 
 # ---------------------------------------------------------------- m properties
