@@ -20,11 +20,9 @@ from .errors import (
     BracketCollapse,
     ConfigError,
     DegenerateTransform,
-    MultipleRoots,
     NoConvergence,
     NoFiniteMaximizer,
     NonFiniteObjective,
-    NoRootInBracket,
     OutOfRange,
     PricingError,
     QuadratureFailure,
@@ -77,11 +75,9 @@ __all__ = [
     "ExponentialValuation",
     "GeneralSolveResult",
     "InsensitivityReport",
-    "MultipleRoots",
     "NoConvergence",
     "NoFiniteMaximizer",
     "NonFiniteObjective",
-    "NoRootInBracket",
     "OccupancyDist",
     "OutOfRange",
     "ParetoValuation",

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from ._numeric import brentq
+from ._numeric import bisect
 from .errors import ConfigError, DegenerateTransform, QuadratureFailure
 
 
@@ -341,7 +341,9 @@ def rare_long_gap_family(rate: float) -> TwoPoint:
     def mean_gap(m):
         return 1.0 / math.sqrt(m) + (1.0 / m) * (1.0 - 1.0 / m) - 1.0 / rate
 
-    m = brentq(mean_gap, 1.0 + 1e-9, max(1e18, 16.0 * rate**2))
+    # with x = m^{-1/2} the mean is x + x^2 - x^4, which crosses 1/rate < 1
+    # once on (0, 1), so mean_gap > 0 holds exactly below the root
+    m = bisect(lambda m: mean_gap(m) > 0.0, 1.0 + 1e-9, max(1e18, 16.0 * rate**2))
     return TwoPoint(x1=math.sqrt(m), p1=1.0 / m, x2=1.0 / m)
 
 

@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, precision_default=1e-9):
+    def add_common(p):
         p.add_argument("--config", help="JSON config file with a 'system' object")
         p.add_argument("--k", type=int, help="number of servers")
         p.add_argument("--lambda", dest="lam", type=float, help="Poisson arrival rate")
@@ -362,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--arrival", help="interarrival law, e.g. exp:25, det:25, uniform:25, two_point:1:0.5:2"
         )
-        p.add_argument("--precision", type=float, default=precision_default)
         p.add_argument("--out", help="write structured output here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("solve-poisson", help="state-dependent optimum, Poisson arrivals")
     add_common(p)
+    p.add_argument("--precision", type=float, default=1e-9, help="theta bisection tolerance")
     p.set_defaults(fn=_cmd_solve_poisson)
 
     p = sub.add_parser("solve-general", help="state-dependent optimum, renewal arrivals")

@@ -49,11 +49,11 @@ class BracketCollapse(PricingError):
 
 
 class NoConvergence(PricingError):
-    """Iterative scheme exhausted its sweep budget before reaching tolerance."""
+    """Iterative scheme stopped short of its tolerance.
 
-
-class NoRootInBracket(PricingError):
-    """Root scan found no sign change over the admissible revenue range."""
+    Raised when a sweep budget runs out, and when a solve stops with a
+    certificate (its Bellman defects) above tolerance; no vector is returned.
+    """
 
 
 class SingularChain(PricingError):
@@ -62,7 +62,3 @@ class SingularChain(PricingError):
 
 class UnknownFigure(PricingError):
     """Figure identifier does not match any known dataset."""
-
-
-class MultipleRoots(UserWarning):
-    """Root scan located several candidates; the smallest was returned."""

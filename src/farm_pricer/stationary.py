@@ -58,18 +58,21 @@ def occupancy_poisson(spec: SystemSpec, prices) -> OccupancyDist:
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 
-def _transition_matrix(spec: SystemSpec, dep: DepartureMatrix, p: np.ndarray) -> np.ndarray:
-    k = spec.servers
-    alpha = dep.alpha
-    P = np.zeros((k + 1, k + 1))
-    for state in range(k + 1):
-        gbar = float(tail(spec.valuation, p[state])) if state < k else 0.0
-        for j in range(state + 1):
-            P[state, j] = (1.0 - gbar) * alpha[state, state - j]
-        if gbar > 0.0:
-            for j in range(state + 2):
-                P[state, j] += gbar * alpha[state + 1, state + 1 - j]
-    return P
+def embedded_chain(dep: DepartureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Reject and admit one-step matrices of the chain embedded at arrivals.
+
+    From state i (busy servers seen by an arrival) the next arrival finds j:
+    reject[i, j] = alpha[i, i-j] when the arrival is turned away, and
+    admit[i, j] = alpha[i+1, i+1-j] when it is admitted.  The full state K
+    admits no one, so its admit row is zero.
+    """
+    k, alpha = dep.k, dep.alpha
+    i = np.arange(k + 1)[:, None]
+    j = np.arange(k + 1)[None, :]
+    reject = np.where(j <= i, alpha[i, np.maximum(i - j, 0)], 0.0)
+    up = np.minimum(i + 1, k)
+    admit = np.where((j <= i + 1) & (i < k), alpha[up, np.clip(i + 1 - j, 0, k)], 0.0)
+    return reject, admit
 
 
 def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> OccupancyDist:
@@ -82,13 +85,13 @@ def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> Occupan
     p = price_array(spec, prices)
     k = spec.servers
 
-    n = k + 1
-    for i in range(k):
-        if float(tail(spec.valuation, p[i])) == 0.0:
-            n = i + 1  # no admissions in state i: the chain never climbs past it
-            break
+    gbar = tail(spec.valuation, p)
+    # no admissions in the first state with gbar = 0 (at the latest p_K = inf):
+    # the chain never climbs past it
+    n = int(np.flatnonzero(gbar == 0.0)[0]) + 1
 
-    P = _transition_matrix(spec, dep, p)[:n, :n]
+    reject, admit = embedded_chain(dep)
+    P = ((1.0 - gbar[:, None]) * reject + gbar[:, None] * admit)[:n, :n]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     rhs = np.zeros(n)

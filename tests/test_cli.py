@@ -60,6 +60,15 @@ def test_solve_general_with_arrival_flag(tmp_path):
     assert max(abs(r) for r in data["residuals"]) < 1e-8
 
 
+def test_precision_only_on_solve_poisson(tmp_path):
+    general = ["solve-general", "--k", "5", "--arrival", "det:25", "--mu", "2",
+               "--valuation", "exp:1", "--precision", "1e-6"]
+    assert run(general + ["--out", str(tmp_path / "g.json")]) == 2
+    data = run_json(tmp_path, ["solve-poisson", *BASE, "--precision", "1e-6"])
+    assert 1e-9 < data["bracket_width"] <= 1e-6
+    assert data["theta_star"] == pytest.approx(7.7261906, abs=1e-6)
+
+
 def test_evaluate_round_trip(tmp_path):
     solved = run_json(tmp_path, ["solve-poisson", *BASE], "a.json")
     prices = ",".join(f"{p:.12g}" for p in solved["prices"])

@@ -1,22 +1,27 @@
-"""Arrival-sampled solver: Poisson equivalence, frozen regressions, invariants."""
+"""Arrival-sampled solver: Poisson equivalence, frozen regressions, invariants, certificate."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farm_pricer import (
     Deterministic,
     Exponential,
     ExponentialValuation,
+    NoConvergence,
     SystemSpec,
     TabulatedTail,
+    TwoPoint,
     UniformInterval,
     UniformValuation,
     departure_matrix,
     eval_m,
     fixed_point,
     g_chain_general,
+    mdp_general,
     optimize_uniform,
     revenue_rate,
     revenue_uniform,
@@ -24,10 +29,25 @@ from farm_pricer import (
 )
 
 VAL = ExponentialValuation(beta=1.0)
+TABLE7 = TabulatedTail(
+    xs=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0), gs=(1.0, 0.9, 0.7, 0.45, 0.3, 0.1, 0.0)
+)
 
 
 def spec_with(arrival, k=5, mu=2.0, val=VAL):
     return SystemSpec(servers=k, mu=mu, arrival=arrival, valuation=val)
+
+
+def assert_certified(spec, res):
+    """Bellman residuals, revenue_rate(prices) = theta* and the uniform-price bounds."""
+    theta = res.theta_star
+    assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, theta)
+    dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
+    assert revenue_rate(spec, res.prices, dep) == pytest.approx(theta, rel=1e-10, abs=0.0)
+    uni = optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
+    # where blocking is negligible, theta*, the best uniform revenue and
+    # gap_upper agree to the last bits, so both sides allow for rounding
+    assert uni.revenue_K * (1 - 1e-12) <= theta <= uni.gap_upper * (1 + 1e-12)
 
 
 # ------------------------------------------------------- Poisson equivalence
@@ -163,6 +183,57 @@ def test_light_traffic_discards_clamped_roots():
     # the crossing near 1.854 only exists because of clamping
     _, ok = g_chain_general(spec, dep, 1.8544)
     assert not ok
+
+
+# ---------------------------------------------------------- certificate
+
+@pytest.mark.parametrize(
+    "val, theta", [(UniformValuation(lo=0.0, hi=2.0), 2.0), (TABLE7, 2.88)], ids=["unif", "table7"]
+)
+def test_many_servers_in_light_traffic_reach_lambda_m0(val, theta):
+    # Deterministic(4), K=12: almost no arrival is blocked, so theta* is the
+    # no-blocking bound lambda m(0) to rounding
+    spec = spec_with(Deterministic(rate=4.0), k=12, val=val)
+    res = solve_general(spec)
+    assert res.theta_star == pytest.approx(theta, rel=1e-12)
+    assert_certified(spec, res)
+
+
+def test_rare_arrivals_earn_at_least_the_best_uniform_price():
+    spec = spec_with(Deterministic(rate=0.5))
+    assert_certified(spec, solve_general(spec))
+
+
+def test_certificate_gate_raises_when_iterations_run_out(monkeypatch):
+    # the myopic start is far from optimal here: one evaluation leaves
+    # Bellman defects well above the gate
+    monkeypatch.setattr(mdp_general, "_MAX_ITERATIONS", 1)
+    with pytest.raises(NoConvergence):
+        solve_general(spec_with(Deterministic(rate=25.0)))
+
+
+@st.composite
+def renewal_specs(draw):
+    k = draw(st.integers(1, 40))
+    lam = draw(st.floats(0.01, 5.0)) * k * 2.0  # load times K mu, with mu = 2
+    kind = draw(st.sampled_from(["det", "unif", "two_point"]))
+    if kind == "det":
+        arrival = Deterministic(rate=lam)
+    elif kind == "unif":
+        arrival = UniformInterval.from_rate(lam)
+    else:
+        p1, c = draw(st.floats(0.1, 0.9)), draw(st.floats(0.05, 0.95))
+        arrival = TwoPoint(x1=c / lam, p1=p1, x2=(1.0 - p1 * c) / ((1.0 - p1) * lam))
+    val = draw(st.sampled_from([VAL, UniformValuation(lo=0.0, hi=2.0), TABLE7]))
+    return spec_with(arrival, k=k, val=val)
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True, database=None)
+@given(renewal_specs())
+def test_certificate_on_random_renewal_specs(spec):
+    res = solve_general(spec)
+    assert_certified(spec, res)
+    assert np.all(np.diff(res.prices) >= -1e-10)
 
 
 def test_input_validation():

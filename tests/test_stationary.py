@@ -11,6 +11,8 @@ from farm_pricer import (
     ExponentialValuation,
     OccupancyDist,
     SystemSpec,
+    TabulatedTail,
+    TwoPoint,
     UniformInterval,
     UniformValuation,
     blocking_prob,
@@ -22,6 +24,7 @@ from farm_pricer import (
     revenue_rate,
     solve_general,
 )
+from farm_pricer.stationary import embedded_chain
 
 VAL = ExponentialValuation(beta=1.0)
 
@@ -76,6 +79,34 @@ def test_single_server_chain_closed_form():
     occ = occupancy_general(spec, dep, [p0])
     denom = a11 + gamma * a10
     np.testing.assert_allclose(occ.pi, (a11 / denom, gamma * a10 / denom), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "arrival, val",
+    [
+        (Deterministic(rate=4.0), VAL),
+        (UniformInterval.from_rate(30.0), UniformValuation(lo=0.0, hi=2.0)),
+        (TwoPoint(x1=0.01, p1=0.5, x2=0.09), TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3))),
+    ],
+    ids=["det", "unif", "two_point"],
+)
+def test_embedded_chain_matches_loop_reference(arrival, val):
+    k = 12
+    dep = departure_matrix(arrival, 2.0, k)
+    prices = np.append(np.linspace(0.3, 2.5, k), np.inf)  # some above 2: Gbar = 0
+    reject, admit = embedded_chain(dep)
+    ref_reject, ref_admit = np.zeros((k + 1, k + 1)), np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(i + 1):
+            ref_reject[i, j] = dep.alpha[i, i - j]
+        for j in range(i + 2 if i < k else 0):
+            ref_admit[i, j] = dep.alpha[i + 1, i + 1 - j]
+    assert np.array_equal(reject, ref_reject)
+    assert np.array_equal(admit, ref_admit)
+    # every row of the mixed one-step matrix is a distribution
+    gbar = val.tail(prices)[:, None]
+    P = (1.0 - gbar) * reject + gbar * admit
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=1e-12)
 
 
 def test_unreachable_states_are_cut():
