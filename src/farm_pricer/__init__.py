@@ -23,14 +23,13 @@ from .errors import (
     NoConvergence,
     NoFiniteMaximizer,
     NonFiniteObjective,
-    OutOfRange,
     PricingError,
     QuadratureFailure,
     SingularChain,
     UnknownFigure,
 )
 from .figures import emit_figure_data
-from .mdp_general import GeneralSolveResult, g_chain_general, solve_general
+from .mdp_general import GeneralSolveResult, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,
     SweepRow,
@@ -58,7 +57,6 @@ from .valuation import (
     TabulatedTail,
     UniformValuation,
     eval_m,
-    m_inverse,
     tail,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "NoFiniteMaximizer",
     "NonFiniteObjective",
     "OccupancyDist",
-    "OutOfRange",
     "ParetoValuation",
     "PoissonSolveResult",
     "PricingError",
@@ -103,12 +100,10 @@ __all__ = [
     "eval_m",
     "fixed_point",
     "g_chain",
-    "g_chain_general",
     "gap_bound",
     "infinite_server_limit",
     "insensitivity_check",
     "lst",
-    "m_inverse",
     "occupancy_general",
     "occupancy_poisson",
     "optimize_uniform",

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
-from .arrival import departure_matrix
 from .errors import ConfigError, PricingError, UnknownFigure
 from .figures import _FIGURES, _csv_cell, _write_text, emit_figure_data
 from .model import SystemSpec, price_array, spec_from_config
@@ -145,6 +144,12 @@ def _solver_for(spec: SystemSpec):
 
 def _cmd_solve_poisson(args) -> int:
     spec = _spec_from_args(args)
+    if not spec.is_poisson:
+        raise ConfigError(
+            "arrival", "solve-poisson needs exponential interarrivals; use solve-general"
+        )
+    if not args.precision > 0:
+        raise ConfigError("precision", f"must be > 0, got {args.precision}")
     res = mdp_poisson.fixed_point(spec, delta_precision=args.precision)
     _emit(
         {
@@ -205,13 +210,7 @@ def _cmd_evaluate(args) -> int:
         p = price_array(spec, prices)
     except ValueError as exc:
         raise ConfigError("prices", str(exc)) from None
-    if spec.is_poisson:
-        dep = None
-        occ = stationary.occupancy_poisson(spec, p)
-    else:
-        dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-        occ = stationary.occupancy_general(spec, dep, p)
-    rate = stationary.revenue_rate(spec, p, dep)
+    occ, rate = stationary._occupancy_and_rate(spec, p)
     _emit(
         {
             "revenue_rate": rate,
@@ -241,16 +240,16 @@ def _cmd_simulate(args) -> int:
         from .arrival import arrival_from_config
 
         service = arrival_from_config(_parse_shorthand(args.service, "service"))
-    cfg = simulator.SimConfig(
-        spec=spec,
-        prices=np.asarray(prices, dtype=float),
-        horizon_arrivals=args.arrivals,
-        warmup_arrivals=args.warmup,
-        replications=args.reps,
-        seed=args.seed,
-        service_law=service,
-    )
     try:
+        cfg = simulator.SimConfig(
+            spec=spec,
+            prices=np.asarray(prices, dtype=float),
+            horizon_arrivals=args.arrivals,
+            warmup_arrivals=args.warmup,
+            replications=args.reps,
+            seed=args.seed,
+            service_law=service,
+        )
         res = simulator.simulate(cfg)
     except ValueError as exc:
         raise ConfigError("simulate", str(exc)) from None
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--arrival", help="interarrival law, e.g. exp:25, det:25, uniform:25, two_point:1:0.5:2"
         )
         p.add_argument("--out", help="write structured output here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("solve-poisson", help="state-dependent optimum, Poisson arrivals")
     add_common(p)
@@ -397,10 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--vary", required=True, choices=["lambda", "mu", "K"])
     p.add_argument("--grid", required=True, help="comma-separated grid values")
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("compare", help="uniform vs state-dependent revenue")
     add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("figure", help="regenerate the CSV behind a results figure")

@@ -21,10 +21,6 @@ class ConfigError(PricingError):
         super().__init__(f"config key '{key}': {message}")
 
 
-class OutOfRange(PricingError):
-    """Requested value lies outside the invertible range of a monotone map."""
-
-
 class DegenerateTransform(PricingError):
     """Interarrival transform returned an unusable value (phi(s) outside (0, 1))."""
 

@@ -22,13 +22,6 @@ and the Bellman equations are theta = lambda (m(B_i) + sum_{j<i} a_{i,j} Delta(j
 for i < K and theta = lambda sum_{j<K} a_{K,j} Delta(j).  Their defects are
 the solve's certificate: it returns only when every defect is within
 1e-9 max(1, theta*), and raises NoConvergence otherwise.
-
-Solving those equations upward in i for a given theta is the paper's
-recursion `g_chain_general`.  It stays public, but no solve relies on it:
-in light traffic it loses everything to rounding.  Deterministic arrivals
-at load 0.02 with K = 4 and exp(1) values have Delta(0) = 2.5e-51, so
-theta*/lambda equals m(0) to far below one ulp; fed the certified theta*,
-the recursion returns Delta = 0 in every state, where Delta(3) = m(0) = 0.37.
 """
 
 from __future__ import annotations
@@ -39,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import DepartureMatrix, departure_matrix
+from .arrival import departure_matrix
 from .errors import NoConvergence, SingularChain
 from .model import SystemSpec
 from .stationary import embedded_chain
-from .valuation import eval_m, m_inverse, tail
+from .valuation import eval_m, tail
 
 # Random specs took at most 6 iterations at K <= 40, load <= 5, and 13 at
 # K <= 200, load <= 100; the cap only ends a solve that cannot certify.
@@ -66,37 +59,6 @@ class GeneralSolveResult:
     b_vals: np.ndarray
     prices: np.ndarray
     residuals: np.ndarray
-
-
-def _clamp_range(y: float, m0: float) -> tuple[float, bool]:
-    # m^{-1} only accepts (0, m(0)]; out-of-range arguments are pinned to the
-    # nearest representable value and flagged so the caller sees the miss
-    if y > m0:
-        return m0, False
-    if y < m0 * 1e-15:
-        return m0 * 1e-15, False
-    return y, True
-
-
-def g_chain_general(
-    spec: SystemSpec, dep: DepartureMatrix, theta: float
-) -> tuple[np.ndarray, bool]:
-    """Upward recursion for (g_0, ..., g_{K-1}); feasible=False if any
-    m^{-1} argument had to be clamped into range."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
-    m0 = eval_m(val, 0.0).m_val
-    a, alpha = dep.a_cum, dep.alpha
-    g = np.zeros(k)
-    feasible = True
-    for i in range(k):
-        arg = theta / lam - float(a[i, :i] @ g[:i])
-        arg, ok = _clamp_range(arg, m0)
-        feasible &= ok
-        correction = float((a[i, :i] - a[i + 1, :i]) @ g[:i])
-        g[i] = (m_inverse(val, arg) - correction) / alpha[i + 1, 0]
-    return g, feasible
 
 
 def solve_general(spec: SystemSpec) -> GeneralSolveResult:

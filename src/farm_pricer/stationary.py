@@ -108,14 +108,10 @@ def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> Occupan
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 
-def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -> float:
-    """Mean revenue per unit time at the given prices.
-
-    sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
-    each arrival pays the price posted for the state it finds, if admitted.
-    Given a departure matrix `dep`, the embedded chain is solved, even for
-    Poisson arrivals; without one, Poisson arrivals use the closed form.
-    """
+def _occupancy_and_rate(
+    spec: SystemSpec, prices, dep: DepartureMatrix | None = None
+) -> tuple[OccupancyDist, float]:
+    """Arrival-sampled occupancy and the revenue rate it earns; see revenue_rate."""
     p = price_array(spec, prices)
     if spec.is_poisson and dep is None:
         occ = occupancy_poisson(spec, p)
@@ -129,4 +125,15 @@ def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -
         gbar = float(tail(spec.valuation, p[k]))
         if gbar > 0.0 and math.isfinite(p[k]):
             total += occ.pi[k] * lam * gbar * p[k]
-    return total
+    return occ, total
+
+
+def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -> float:
+    """Mean revenue per unit time at the given prices.
+
+    sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
+    each arrival pays the price posted for the state it finds, if admitted.
+    Given a departure matrix `dep`, the embedded chain is solved, even for
+    Poisson arrivals; without one, Poisson arrivals use the closed form.
+    """
+    return _occupancy_and_rate(spec, prices, dep)[1]

@@ -2,20 +2,19 @@
 
 A customer facing price u buys iff their sampled valuation is at least u,
 which happens with probability ``tail(u)``.  Solvers interact with a law
-through three primitives only:
+through two primitives only:
 
-* the tail itself,
-* ``eval_m``: the maximum of f(B, u) = (u - B) * tail(u) over prices u,
-  together with its smallest maximizer u*(B), and
-* ``m_inverse``: the inverse of B -> m(B) on its decreasing range.
+* the tail itself, and
+* ``eval_m``: the maximum m(B) of f(B, u) = (u - B) * tail(u) over prices
+  u, together with its smallest maximizer u*(B).
 
 m is nonnegative, nonincreasing, convex and Lipschitz-1 in B, and u*(B) is
 nondecreasing; the solvers lean on all four properties, so the test suite
 checks them on random pairs for every supported law.
 
-Each law has one exact path for each map.  The exponential and Pareto laws
-have closed forms.  Uniform and tabulated tails are piecewise linear, so f
-is a parabola in u on each segment and both maps are exact per piece.
+Each law has one exact path for ``eval_m``.  The exponential and Pareto
+laws have closed forms.  Uniform and tabulated tails are piecewise linear,
+so f is a parabola in u on each segment and the maximum is exact per piece.
 
 Since valuations are positive, tail(u) = 1 for u <= 0 and the maximization
 is effectively over u >= 0: for very negative B the maximizer clamps to 0
@@ -30,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, NoFiniteMaximizer, OutOfRange
+from .errors import ConfigError, NoFiniteMaximizer
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
 
@@ -218,18 +217,6 @@ def _knots(dist: ValuationDist) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(dist.xs), np.asarray(dist.gs)
 
 
-def _falling_segments(x: np.ndarray, g: np.ndarray):
-    """Ends, slope s and line zero c of each segment where the tail falls.
-
-    There the tail is s (u - c), so (u - B) * tail(u) is a parabola with its
-    top at (B + c) / 2 and height -s (c - B)^2 / 4.
-    """
-    s = np.diff(g) / np.diff(x)
-    fall = s < 0.0
-    xl, xr, s = x[:-1][fall], x[1:][fall], s[fall]
-    return xl, xr, s, xl - g[:-1][fall] / s
-
-
 def eval_m(dist: ValuationDist, B: float) -> AuxEval:
     """Maximize (u - B) * tail(u); smallest maximizer wins ties.
 
@@ -251,43 +238,18 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
             )
         return AuxEval(B, dist.theta, dist.theta - B)
     x, g = _knots(dist)
-    xl, xr, _, c = _falling_segments(x, g)
+    # where the tail falls it is s (u - c) with slope s < 0, so f is a
+    # parabola with its top at (B + c) / 2
+    s = np.diff(g) / np.diff(x)
+    fall = s < 0.0
+    xl, xr = x[:-1][fall], x[1:][fall]
+    c = xl - g[:-1][fall] / s[fall]
     tops = np.clip(0.5 * (B + c), xl, xr)
     # prices below B lose money: pull those candidates up to u = max(B, 0)
     u = np.sort(np.maximum(np.concatenate((x, tops)), max(B, 0.0)))
     f = (u - B) * dist.tail(u)
     i = int(np.argmax(f))  # argmax returns the first hit: smallest maximizer
     return AuxEval(B, float(u[i]), float(f[i]))
-
-
-def m_inverse(dist: ValuationDist, y: float) -> float:
-    """Solve m(B) = y for B, using that m is decreasing.
-
-    Raises OutOfRange when y is not in the reachable range (y <= 0, or a
-    Pareto y below theta).  For uniform and tabulated tails m is the upper
-    envelope of the knot lines (x_j - B) g_j and of each segment's parabola
-    top while that top lies inside its segment, so m^{-1}(y) is the largest
-    B at which any of these pieces reaches y.
-    """
-    if not (y > 0.0 and math.isfinite(y)):
-        raise OutOfRange(f"m maps onto positive values only, got y = {y}")
-    if isinstance(dist, ExponentialValuation):
-        if y > 1.0 / dist.beta:
-            return -y  # clamped branch: m(B) = -B for B <= -1/beta
-        return (-math.log(dist.beta * y) - 1.0) / dist.beta
-    if isinstance(dist, ParetoValuation):
-        if y < dist.theta:
-            raise OutOfRange(
-                f"Pareto m only takes values >= theta = {dist.theta}, got {y}"
-            )
-        return dist.theta - y
-    x, g = _knots(dist)
-    xl, xr, s, c = _falling_segments(x, g)
-    pos = g > 0.0
-    b_line = np.max(x[pos] - y / g[pos])  # knot 0 alone gives -y
-    b_top = c - 2.0 * np.sqrt(y / -s)
-    inside = (b_top >= 2.0 * xl - c) & (b_top <= 2.0 * xr - c)
-    return float(max(b_line, np.max(b_top[inside], initial=-math.inf)))
 
 
 def valuation_from_config(cfg: dict) -> ValuationDist:

@@ -185,6 +185,35 @@ def test_exit_code_on_bad_config():
     assert run(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-poisson", *BASE, "--precision", "0"],
+        ["solve-poisson", *BASE, "--arrival", "det:25"],
+        ["simulate", *BASE, "--reps", "0"],
+        ["simulate", *BASE, "--arrivals", "10", "--warmup", "20"],
+    ],
+    ids=["zero-precision", "renewal-arrivals", "zero-reps", "warmup-past-horizon"],
+)
+def test_invalid_input_is_a_config_error(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_format_only_on_sweep_and_compare(tmp_path):
+    out = ["--out", str(tmp_path / "out"), "--format", "csv"]
+    for argv in (
+        ["solve-poisson", *BASE],
+        ["solve-general", *BASE],
+        ["uniform", *BASE],
+        ["evaluate", *BASE, "--prices", "1.2,1.2,1.3,1.45,1.8"],
+        ["simulate", *BASE, "--arrivals", "2000", "--reps", "2"],
+    ):
+        assert run(argv + out) == 2, argv[0]
+    assert run(["compare", *BASE, *out]) == 0
+    assert (tmp_path / "out").read_text().startswith("policy,price,revenue\n")
+
+
 def test_exit_code_on_solver_failure():
     # no finite revenue maximizer under a tail with p Gbar(p) constant
     assert run(["uniform", "--k", "2", "--lambda", "5", "--mu", "2",

@@ -1,7 +1,8 @@
-"""Import budget: no library or CLI path loads any scipy module.
+"""Public names and the import budget: no library or CLI path loads any
+scipy module.
 
-Each case runs in a fresh interpreter, because this test process may already
-hold scipy from other tests.
+The scipy cases run in a fresh interpreter, because this test process may
+already hold scipy from other tests.
 """
 
 import json
@@ -58,6 +59,15 @@ def _run(code: str) -> list:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    for name in farm_pricer.__all__:
+        assert hasattr(farm_pricer, name), name
+    # the upward recursion, its m^{-1} and the error only m^{-1} raised
+    for module in (farm_pricer, farm_pricer.mdp_general, farm_pricer.valuation, farm_pricer.errors):
+        for name in ("g_chain_general", "m_inverse", "OutOfRange"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_poisson_and_uniform_paths_load_no_scipy():

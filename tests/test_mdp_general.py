@@ -20,7 +20,6 @@ from farm_pricer import (
     departure_matrix,
     eval_m,
     fixed_point,
-    g_chain_general,
     mdp_general,
     optimize_uniform,
     revenue_rate,
@@ -150,22 +149,12 @@ def test_more_servers_earn_more():
     assert np.all(np.diff(thetas) > 0)
 
 
-# ------------------------------------------------------------------- chain
-
-def test_chain_feasibility_flag():
-    spec = spec_with(Deterministic(rate=25.0))
-    dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    _, ok = g_chain_general(spec, dep, 7.9)
-    assert ok
-    # theta / lambda below the representable range of m^{-1} forces a clamp
-    _, ok = g_chain_general(spec, dep, 1e-18)
-    assert not ok
-
+# ------------------------------------------------------------ light traffic
 
 def test_light_traffic_discards_clamped_roots():
-    # rho = lam / (K mu) ~ 0.4: the closing function picks up fake sign
-    # changes where the chain had to clamp m^{-1}; the solver must land on
-    # the feasible root, not the smallest scan crossing
+    # rho = lam / (K mu) ~ 0.4: a theta scan over the paper's upward
+    # recursion finds a spurious crossing near 1.854 here, where the
+    # recursion has to clamp its arguments; the solve must land on theta*
     spec = SystemSpec(
         servers=6,
         mu=1.5876,
@@ -176,13 +165,6 @@ def test_light_traffic_discards_clamped_roots():
     assert res.theta_star == pytest.approx(1.8882, abs=2e-3)
     assert np.all(np.diff(res.deltas) > 0)
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
-
-    dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    _, ok = g_chain_general(spec, dep, res.theta_star)
-    assert ok
-    # the crossing near 1.854 only exists because of clamping
-    _, ok = g_chain_general(spec, dep, 1.8544)
-    assert not ok
 
 
 # ---------------------------------------------------------- certificate
@@ -234,10 +216,3 @@ def test_certificate_on_random_renewal_specs(spec):
     res = solve_general(spec)
     assert_certified(spec, res)
     assert np.all(np.diff(res.prices) >= -1e-10)
-
-
-def test_input_validation():
-    spec = spec_with(Deterministic(rate=25.0))
-    dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    with pytest.raises(ValueError):
-        g_chain_general(spec, dep, -1.0)

@@ -1,4 +1,4 @@
-"""Valuation laws and the auxiliary maps m, u*, m^{-1}."""
+"""Valuation laws and the auxiliary maps m and u*."""
 
 import math
 
@@ -9,12 +9,10 @@ from farm_pricer import (
     ExponentialValuation,
     NoFiniteMaximizer,
     NonFiniteObjective,
-    OutOfRange,
     ParetoValuation,
     TabulatedTail,
     UniformValuation,
     eval_m,
-    m_inverse,
     tail,
 )
 from farm_pricer.errors import ConfigError
@@ -158,49 +156,6 @@ def test_m_monotone_lipschitz_convex(dist):
     for i in range(0, len(bs) - 2, 3):
         mid = eval_m(dist, 0.5 * (bs[i] + bs[i + 2])).m_val
         assert mid <= 0.5 * (ms[i] + ms[i + 2]) + 1e-8
-
-
-# ---------------------------------------------------------------- m_inverse
-
-def test_m_inverse_exponential():
-    d = ExponentialValuation(beta=1.0)
-    assert m_inverse(d, math.exp(-1)) == pytest.approx(0.0, abs=1e-10)
-    assert m_inverse(d, math.exp(-2)) == pytest.approx(1.0, abs=1e-10)
-    # linear branch: m(B) = -B once the maximizer clamps
-    assert m_inverse(d, 7.5) == pytest.approx(-7.5)
-
-
-def test_m_inverse_pareto():
-    d = ParetoValuation(theta=2.0)
-    assert m_inverse(d, 3.5) == pytest.approx(-1.5)
-    with pytest.raises(OutOfRange):
-        m_inverse(d, 1.0)  # below theta: unreachable value
-
-
-def test_m_inverse_round_trip():
-    for dist in (
-        ExponentialValuation(beta=2.0),
-        UniformValuation(0.0, 1.0),
-        tabulated_from(lambda x: math.exp(-x), 25.0),
-        ATOM,
-        PLATEAU,
-        UniformValuation(1.0, 3.0),
-    ):
-        m0 = eval_m(dist, 0.0).m_val
-        for y in (m0 * 0.9, m0 * 0.5, m0 * 0.1, m0 * 1e-3):
-            b = m_inverse(dist, y)
-            assert eval_m(dist, b).m_val == pytest.approx(y, rel=1e-12, abs=0.0)
-
-
-def test_m_inverse_rejects_nonpositive():
-    with pytest.raises(OutOfRange):
-        m_inverse(ExponentialValuation(1.0), 0.0)
-    with pytest.raises(OutOfRange):
-        m_inverse(ExponentialValuation(1.0), -1.0)
-
-
-def test_uniform_y_quarter_maps_to_zero():
-    assert m_inverse(UniformValuation(0.0, 1.0), 0.25) == pytest.approx(0.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------- tabulated tails
