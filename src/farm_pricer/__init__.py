@@ -17,7 +17,6 @@ from .arrival import (
     lst,
 )
 from .errors import (
-    BracketCollapse,
     ConfigError,
     DegenerateTransform,
     NoConvergence,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxEval",
-    "BracketCollapse",
     "ConfigError",
     "DegenerateTransform",
     "DepartureMatrix",

@@ -229,7 +229,8 @@ def _alpha_uniform(lo: float, hi: float, mu: float, k_max: int, lf: np.ndarray) 
     # that is a polynomial of degree k-1, which an n-point Gauss-Legendre
     # rule integrates exactly once 2n - 1 >= k - 1.  For i = k, (1-y)^k / y
     # is 1/y, whose integral is mu (hi - lo), plus the polynomial
-    # ((1-y)^k - 1) / y.
+    # ((1-y)^k - 1) / y.  That sum cancels in heavy traffic, where alpha_{k,k}
+    # is far below rounding, so it is clamped at its lower bound 0.
     y_lo, y_hi = math.exp(-mu * hi), math.exp(-mu * lo)
     nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
     half = 0.5 * (y_hi - y_lo)
@@ -242,7 +243,7 @@ def _alpha_uniform(lo: float, hi: float, mu: float, k_max: int, lf: np.ndarray) 
         i = np.arange(k)[:, None]
         logc = lf[k] - lf[i] - lf[k - i]
         alpha[k, :k] = np.exp(logc + i * log_1my + (k - i - 1) * log_y) @ w
-        alpha[k, k] = 1.0 + float(np.expm1(k * log_1my) / y @ w)
+        alpha[k, k] = max(0.0, 1.0 + float(np.expm1(k * log_1my) / y @ w))
     return alpha
 
 

@@ -239,7 +239,10 @@ def _cmd_simulate(args) -> int:
     if args.service is not None:
         from .arrival import arrival_from_config
 
-        service = arrival_from_config(_parse_shorthand(args.service, "service"))
+        try:
+            service = arrival_from_config(_parse_shorthand(args.service, "service"))
+        except ConfigError as exc:  # interval laws report their errors as 'arrival'
+            raise ConfigError("service", str(exc).split(": ", 1)[1]) from None
     try:
         cfg = simulator.SimConfig(
             spec=spec,

@@ -40,14 +40,10 @@ class NoFiniteMaximizer(PricingError):
 NonFiniteObjective = NoFiniteMaximizer
 
 
-class BracketCollapse(PricingError):
-    """Bisection bracket inverted, which signals a non-monotone map evaluation."""
-
-
 class NoConvergence(PricingError):
     """Iterative scheme stopped short of its tolerance.
 
-    Raised when a sweep budget runs out, and when a solve stops with a
+    Raised when a step budget runs out, and when a solve stops with a
     certificate (its Bellman defects) above tolerance; no vector is returned.
     """
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrival import Exponential
-from .errors import BracketCollapse, NoConvergence, NoFiniteMaximizer
+from .errors import NoConvergence, NoFiniteMaximizer
 from .model import SystemSpec
 from .valuation import eval_m, tail
 
@@ -62,9 +62,9 @@ def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolve
 
     Bracket update per iteration, with v = lambda m(g_0(midpoint)):
     the new lower end is max(old, min(mid, v)), the new upper end
-    min(old, max(mid, v)).  Either way the width halves, and the root never
-    leaves the bracket; a crossed bracket therefore signals a broken
-    (non-monotone) m evaluation and raises BracketCollapse.
+    min(old, max(mid, v)).  Either way the width halves and the ends never
+    cross; once they are adjacent floats the width stops shrinking, and a
+    delta_precision below that spacing raises NoConvergence after 2000 steps.
     """
     _require_poisson(spec)
     if not delta_precision > 0:
@@ -86,11 +86,9 @@ def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolve
         v = lam * eval_m(val, g_chain(spec, mid)[0]).m_val
         lo = max(lo, min(mid, v))
         hi = min(hi, max(mid, v))
-        if lo > hi:
-            raise BracketCollapse(f"bracket crossed: [{lo}, {hi}] after {iterations} steps")
         iterations += 1
-        if iterations > 2000:  # width halves each step; unreachable unless m is broken
-            raise BracketCollapse(f"no convergence after {iterations} steps, width {hi - lo}")
+        if iterations > 2000:
+            raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
 
     theta = 0.5 * (lo + hi)
     deltas = g_chain(spec, theta)

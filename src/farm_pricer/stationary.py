@@ -1,18 +1,17 @@
 """Stationary occupancy and the revenue rate for an arbitrary price vector.
 
-Poisson arrivals admit the truncated birth-death closed form
-
-    pi_k proportional to (rho^k / k!) prod_{j<k} Gbar(p_j),
-
-identical whether sampled in time or at arrivals.  General renewal streams
-are handled through the chain embedded at arrival instants, whose one-step
-matrix mixes the departure-count rows with and without an admission.  The
-revenue rate is then sum_k pi_k lambda Gbar(p_k) p_k.
+Both arrival laws give a product form pi_n = pi_{n-1} r_n on the busy count.
+Poisson arrivals give the birth-death ratios r_n = rho Gbar(p_{n-1}) / n,
+identical whether sampled in time or at arrivals.  A renewal stream is
+sampled at arrival instants; that embedded chain P climbs at most one
+server per step, so censoring it to {0..n} (Grassmann, Taksar & Heyman,
+Oper. Res. 1985) balances the flow across the cut below n:
+r_n = P[n-1, n] / S_n, with S_n the mass row n of the censored chain sends
+below n.  The revenue rate is then sum_k pi_k lambda Gbar(p_k) p_k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +38,28 @@ class OccupancyDist:
             raise ValueError("occupancy vector must be a probability distribution")
 
 
+def _product_form(ratios: np.ndarray) -> np.ndarray:
+    """Distribution with pi_n / pi_{n-1} = ratios[n-1], accumulated in log space.
+
+    The sums run outward from the mode of a first pass, so the states that
+    carry the mass get short sums and keep their digits.  A zero ratio
+    gives exact zeros from there on: those states are unreachable.
+    """
+    with np.errstate(divide="ignore"):
+        log_r = np.log(ratios)
+    m = int(np.argmax(np.append(0.0, np.cumsum(log_r))))
+    log_w = np.concatenate((-np.cumsum(log_r[:m][::-1])[::-1], [0.0], np.cumsum(log_r[m:])))
+    w = np.exp(log_w)
+    return w / w.sum()
+
+
 def occupancy_poisson(spec: SystemSpec, prices) -> OccupancyDist:
     """Closed-form busy-server distribution under Poisson arrivals."""
     if not spec.is_poisson:
         raise ValueError("occupancy_poisson needs exponential interarrivals")
-    p = price_array(spec, prices)
-    k, rho = spec.servers, spec.rho
-    w = np.zeros(k + 1)
-    w[0] = 1.0
-    for i in range(k):
-        gbar = float(tail(spec.valuation, p[i]))
-        w[i + 1] = w[i] * rho * gbar / (i + 1)
-        if w[i + 1] == 0.0:
-            break  # later states unreachable
-        if w[i + 1] > 1e250:  # renormalize before overflow, scale cancels
-            w[: i + 2] /= w[i + 1]
-    pi = w / w.sum()
+    k = spec.servers
+    gbar = tail(spec.valuation, price_array(spec, prices)[:k])
+    pi = _product_form(spec.rho * gbar / np.arange(1, k + 1))
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 
@@ -78,33 +83,27 @@ def embedded_chain(dep: DepartureMatrix) -> tuple[np.ndarray, np.ndarray]:
 def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> OccupancyDist:
     """Busy-server distribution seen by arrivals under a renewal stream.
 
-    Solves pi = pi P for the chain embedded at arrival instants.  States
-    above the first zero-acceptance price are unreachable and are cut
-    before the solve, then padded back with zeros.
+    The censored product form, built top-down from nonnegative terms only:
+    row n of the chain on {0..n} sends row = P[n, :n] + P[n, n+1] row'[:n] /
+    S_{n+1} below n, row' being row n+1 on {0..n+1}, and S_n = sum(row).
+    States above a zero acceptance come out exactly zero.  Raises
+    SingularChain unless max |pi P - pi| <= 1e-8.
     """
-    p = price_array(spec, prices)
     k = spec.servers
-
-    gbar = tail(spec.valuation, p)
-    # no admissions in the first state with gbar = 0 (at the latest p_K = inf):
-    # the chain never climbs past it
-    n = int(np.flatnonzero(gbar == 0.0)[0]) + 1
-
+    gbar = tail(spec.valuation, price_array(spec, prices))[:, None]
     reject, admit = embedded_chain(dep)
-    P = ((1.0 - gbar[:, None]) * reject + gbar[:, None] * admit)[:n, :n]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi_n = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChain(f"embedded chain solve failed on {n} states: {exc}") from None
-    if np.any(pi_n < -1e-10) or np.max(np.abs(pi_n @ P - pi_n)) > 1e-8:
-        raise SingularChain("embedded chain is not irreducible on the retained states")
-    pi = np.zeros(k + 1)
-    pi[:n] = np.clip(pi_n, 0.0, None)
-    pi /= pi.sum()
+    P = (1.0 - gbar) * reject + gbar * admit
+
+    down = np.empty(k + 1)  # down[n] = S_n for n >= 1
+    row = P[k, :k]
+    down[k] = row.sum()
+    for n in range(k - 1, 0, -1):
+        row = P[n, :n] + P[n, n + 1] * row[:n] / down[n + 1]
+        down[n] = row.sum()
+    pi = _product_form(np.diagonal(P, 1) / down[1:])
+    defect = float(np.max(np.abs(pi @ P - pi)))
+    if not defect <= 1e-8:
+        raise SingularChain(f"embedded chain occupancy off stationarity by {defect:.3g}")
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 
@@ -119,13 +118,10 @@ def _occupancy_and_rate(
         if dep is None:
             dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
         occ = occupancy_general(spec, dep, p)
-    lam = spec.arrival_rate
-    total = 0.0
-    for k in range(spec.servers):
-        gbar = float(tail(spec.valuation, p[k]))
-        if gbar > 0.0 and math.isfinite(p[k]):
-            total += occ.pi[k] * lam * gbar * p[k]
-    return occ, total
+    k = spec.servers
+    gbar = tail(spec.valuation, p[:k])
+    earned = occ.pi[:k] * spec.arrival_rate * gbar * np.where(np.isfinite(p[:k]), p[:k], 0.0)
+    return occ, float(earned.sum())
 
 
 def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -> float:
@@ -133,7 +129,7 @@ def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -
 
     sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
     each arrival pays the price posted for the state it finds, if admitted.
-    Given a departure matrix `dep`, the embedded chain is solved, even for
+    Given a departure matrix `dep`, the embedded chain is used, even for
     Poisson arrivals; without one, Poisson arrivals use the closed form.
     """
     return _occupancy_and_rate(spec, prices, dep)[1]

@@ -113,7 +113,9 @@ def optimize_uniform(
 
     512-point log grid on (0, Q(1e-9)] followed by golden-section
     refinement; the revenue curve is not provably unimodal, so the grid
-    does the global work and the section search only polishes.
+    does the global work and the section search only polishes.  On a flat
+    maximum p_star_K is reproducible only to about 1.5e-8 (rounding-level
+    revenue differences steer the polish); revenue_K to about 1e-15.
     """
     inf_eval = eval_m(val, 0.0)
     p_inf = inf_eval.u_star

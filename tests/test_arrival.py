@@ -158,6 +158,16 @@ def test_uniform_departure_matrix_is_exact(k):
         assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
+    # alpha_{k,k} is 1 plus a cancelling sum; in heavy traffic it is far
+    # below rounding (1.5e-171 at k = 51, load 81.12) and must not go negative
+    for k in (12, 39, 51, 94, 200):
+        for load in (10.0, 30.0, 72.0, 81.12, 100.0):
+            for mu in (0.22, 2.0):
+                dep = departure_matrix(UniformInterval.from_rate(load * k * mu), mu, k)
+                assert dep.alpha.min() >= 0.0, (k, load, mu)
+
+
 def test_exponential_closed_form_vs_binomial_mixture():
     # TwoPoint degenerating to a single atom must equal the Deterministic matrix
     a1 = departure_matrix(TwoPoint(x1=0.04, p1=0.5, x2=0.04), 2.0, 4).alpha

@@ -200,6 +200,12 @@ def test_invalid_input_is_a_config_error(argv, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_bad_service_law_is_reported_under_service(capsys):
+    assert run(["simulate", *BASE, "--service", "det:0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'service': rate must be positive")
+
+
 def test_format_only_on_sweep_and_compare(tmp_path):
     out = ["--out", str(tmp_path / "out"), "--format", "csv"]
     for argv in (

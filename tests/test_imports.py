@@ -64,9 +64,12 @@ def _run(code: str) -> list:
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in farm_pricer.__all__:
         assert hasattr(farm_pricer, name), name
-    # the upward recursion, its m^{-1} and the error only m^{-1} raised
-    for module in (farm_pricer, farm_pricer.mdp_general, farm_pricer.valuation, farm_pricer.errors):
-        for name in ("g_chain_general", "m_inverse", "OutOfRange"):
+    # the upward recursion, its m^{-1}, the error only m^{-1} raised and the
+    # bisection's crossed-bracket error, which no bracket update can trigger
+    modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
+               farm_pricer.valuation, farm_pricer.errors)  # fmt: skip
+    for module in modules:
+        for name in ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 

@@ -10,6 +10,7 @@ from farm_pricer import (
     Deterministic,
     Exponential,
     ExponentialValuation,
+    NoConvergence,
     SystemSpec,
     UniformValuation,
     eval_m,
@@ -145,6 +146,12 @@ def test_chain_input_validation():
         fixed_point(det)
     with pytest.raises(ValueError):
         fixed_point(base_spec(), delta_precision=0.0)
+
+
+def test_unreachable_precision_is_no_convergence():
+    # the bracket stops shrinking at adjacent floats, so the step cap ends it
+    with pytest.raises(NoConvergence, match="after 2001 steps"):
+        fixed_point(base_spec(), delta_precision=1e-300)
 
 
 # ---------------------------------------------------------------- oracle
