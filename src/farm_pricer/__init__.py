@@ -21,11 +21,9 @@ from .errors import (
     DegenerateTransform,
     NoConvergence,
     NoFiniteMaximizer,
-    NonFiniteObjective,
     PricingError,
     QuadratureFailure,
     SingularChain,
-    UnknownFigure,
 )
 from .figures import emit_figure_data
 from .mdp_general import GeneralSolveResult, solve_general
@@ -73,7 +71,6 @@ __all__ = [
     "InsensitivityReport",
     "NoConvergence",
     "NoFiniteMaximizer",
-    "NonFiniteObjective",
     "OccupancyDist",
     "ParetoValuation",
     "PoissonSolveResult",
@@ -89,7 +86,6 @@ __all__ = [
     "UniformInterval",
     "UniformPricingResult",
     "UniformValuation",
-    "UnknownFigure",
     "asymptotic_mu_tilde",
     "beta_seq",
     "blocking_prob",

@@ -12,9 +12,11 @@ and the arrival-sampled Markov chain needs the departure-count law
     alpha_{k,i} = E[ C(k,i) (1 - e^{-mu U})^i e^{-(k-i) mu U} ],
 
 the probability that exactly i of k busy exponential servers finish within
-one interval.  Cumulative sums a_{i,j} = sum_{l<=j} alpha_{i,i-l} (chance
-that at most j of i jobs survive) satisfy three structural identities that
-are checked on every constructed matrix.
+one interval.  It has a closed form for exponential intervals; every other
+law is written as weighted atoms in y = e^{-mu U}, and alpha is the mixture
+of their binomial rows.  Cumulative sums a_{i,j} = sum_{l<=j} alpha_{i,i-l}
+(chance that at most j of i jobs survive) satisfy three structural
+identities that are checked on every constructed matrix.
 """
 
 from __future__ import annotations
@@ -196,17 +198,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
 
 
-def _binomial_thinning_row(k: int, mu: float, x: float, lf: np.ndarray) -> np.ndarray:
-    """alpha row for a fixed interval length x: Binomial(k, 1 - e^{-mu x})."""
-    q = math.exp(-mu * x)
-    i = np.arange(k + 1)
-    logc = lf[k] - lf[i] - lf[k - i]
-    with np.errstate(divide="ignore"):
-        logp = np.where(i > 0, i * np.log1p(-q), 0.0)
-        logq = np.where(k - i > 0, -(k - i) * mu * x, 0.0)
-    return np.exp(logc + logp + logq)
-
-
 def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     # E over Exp(lam) has a Beta-function closed form:
     # alpha_{k,i} = C(k,i) * r * B(r + k - i, i + 1), r = lam/mu, so
@@ -223,61 +214,65 @@ def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     return alpha
 
 
-def _alpha_uniform(lo: float, hi: float, mu: float, k_max: int, lf: np.ndarray) -> np.ndarray:
-    # With y = e^{-mu x}, alpha_{k,i} = C(k,i) / (mu (hi - lo)) times the
-    # integral of (1-y)^i y^{k-i-1} over [e^{-mu hi}, e^{-mu lo}].  For i < k
-    # that is a polynomial of degree k-1, which an n-point Gauss-Legendre
-    # rule integrates exactly once 2n - 1 >= k - 1.  For i = k, (1-y)^k / y
-    # is 1/y, whose integral is mu (hi - lo), plus the polynomial
-    # ((1-y)^k - 1) / y.  That sum cancels in heavy traffic, where alpha_{k,k}
-    # is far below rounding, so it is clamped at its lower bound 0.
-    y_lo, y_hi = math.exp(-mu * hi), math.exp(-mu * lo)
-    nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
-    half = 0.5 * (y_hi - y_lo)
-    y = y_lo + half * (nodes + 1.0)
-    w = half * weights / (mu * (hi - lo))
-    log_y, log_1my = np.log(y), np.log1p(-y)
+def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w_n and log y_n of atoms in y = e^{-mu U} that reproduce alpha up to row k_max."""
+    if isinstance(dist, Deterministic):
+        return np.array([1.0]), np.array([-mu * dist.mean])
+    if isinstance(dist, TwoPoint):
+        return np.array([dist.p1, 1.0 - dist.p1]), -mu * np.array([dist.x1, dist.x2])
+    if isinstance(dist, UniformInterval):
+        # y has density 1 / (mu (hi - lo) y) on [e^{-mu hi}, e^{-mu lo}], so for
+        # i < k alpha_{k,i} integrates the polynomial C(k,i) (1-y)^i y^{k-i-1} of
+        # degree k - 1, which floor(K/2) + 2 Gauss-Legendre nodes do exactly.  The
+        # rule is not exact for the 1/y of alpha_{k,k}; an atom at y = 0 (every
+        # busy server finishes) carries the mass 1 - sum w it misses, so the rule
+        # is exact for every polynomial of degree <= K.
+        y_lo, y_hi = math.exp(-mu * dist.hi), math.exp(-mu * dist.lo)
+        nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
+        half = 0.5 * (y_hi - y_lo)
+        y = y_lo + half * (nodes + 1.0)
+        w = half * weights / (mu * (dist.hi - dist.lo) * y)
+        return np.append(w, 1.0 - w.sum()), np.append(np.log(y), -np.inf)
+    raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
+
+
+def _alpha_mixture(weights: np.ndarray, log_y: np.ndarray, k_max: int) -> np.ndarray:
+    # alpha_{k,i} = max(0, sum_n w_n C(k,i) (1-y_n)^i y_n^{k-i}), each term in log
+    # space.  log(1-y) comes from log y by expm1, which keeps its digits when y is
+    # near 1; the clamp drops a cancelling sum that rounds below 0 in heavy traffic.
+    log_1my = np.log(-np.expm1(log_y))
+    lf = _log_factorials(k_max)
     alpha = np.zeros((k_max + 1, k_max + 1))
-    alpha[0, 0] = 1.0
-    for k in range(1, k_max + 1):
-        i = np.arange(k)[:, None]
-        logc = lf[k] - lf[i] - lf[k - i]
-        alpha[k, :k] = np.exp(logc + i * log_1my + (k - i - 1) * log_y) @ w
-        alpha[k, k] = max(0.0, 1.0 + float(np.expm1(k * log_1my) / y @ w))
+    for k in range(k_max + 1):
+        i = np.arange(k + 1)[:, None]
+        with np.errstate(invalid="ignore"):  # 0 * log 0 at i = k, replaced by 0
+            log_yk = np.where(i < k, (k - i) * log_y, 0.0)
+        terms = np.exp(lf[k] - lf[i] - lf[k - i] + i * log_1my + log_yk)
+        alpha[k, : k + 1] = np.maximum(0.0, terms @ weights)
     return alpha
 
 
 def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatrix:
     """Build and validate the departure-count matrix for k servers.
 
-    Closed forms for exponential, deterministic and two-point intervals;
-    an exact Gauss-Legendre rule in e^{-mu x} for uniform ones.  Raises
-    QuadratureFailure when rows do not sum to one or the structural
-    identities fail beyond tolerance.
+    A closed form for exponential intervals; for every other law, a mixture
+    of binomial rows over atoms in y = e^{-mu U} (the interval's own atoms,
+    or an exact Gauss-Legendre rule for uniform ones).  Rows within 1e-9 of
+    summing to one are divided by their sums, so each sums to one to
+    rounding; QuadratureFailure otherwise, or when the structural identities
+    fail beyond tolerance.
     """
     if not (k >= 1 and mu > 0):
         raise ValueError(f"need k >= 1 and mu > 0, got k={k}, mu={mu}")
-    lf = _log_factorials(k)
     if isinstance(dist, Exponential):
         alpha = _alpha_exponential(dist.rate, mu, k)
-    elif isinstance(dist, Deterministic):
-        alpha = np.zeros((k + 1, k + 1))
-        for kk in range(k + 1):
-            alpha[kk, : kk + 1] = _binomial_thinning_row(kk, mu, dist.mean, lf)
-    elif isinstance(dist, TwoPoint):
-        alpha = np.zeros((k + 1, k + 1))
-        for kk in range(k + 1):
-            alpha[kk, : kk + 1] = dist.p1 * _binomial_thinning_row(kk, mu, dist.x1, lf) + (
-                1.0 - dist.p1
-            ) * _binomial_thinning_row(kk, mu, dist.x2, lf)
-    elif isinstance(dist, UniformInterval):
-        alpha = _alpha_uniform(dist.lo, dist.hi, mu, k, lf)
     else:
-        raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
+        alpha = _alpha_mixture(*_gap_atoms(dist, mu, k), k)
 
     rows = alpha.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > 1e-9:
         raise QuadratureFailure(f"alpha rows sum to {rows}, expected 1")
+    alpha /= rows[:, None]
 
     # a_cum[i, j] = sum_{l<=j} alpha[i, i-l]
     a_cum = np.zeros_like(alpha)

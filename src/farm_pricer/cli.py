@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
-from .errors import ConfigError, PricingError, UnknownFigure
+from .errors import ConfigError, PricingError
 from .figures import _FIGURES, _csv_cell, _write_text, emit_figure_data
 from .model import SystemSpec, price_array, spec_from_config
 
@@ -423,9 +423,6 @@ def run(argv) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownFigure as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PricingError as exc:

@@ -37,9 +37,6 @@ class NoFiniteMaximizer(PricingError):
     """
 
 
-NonFiniteObjective = NoFiniteMaximizer
-
-
 class NoConvergence(PricingError):
     """Iterative scheme stopped short of its tolerance.
 
@@ -50,7 +47,3 @@ class NoConvergence(PricingError):
 
 class SingularChain(PricingError):
     """Stationary equations are singular; chain reducible or ill-conditioned."""
-
-
-class UnknownFigure(PricingError):
-    """Figure identifier does not match any known dataset."""

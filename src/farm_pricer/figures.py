@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mdp_general, mdp_poisson, uniform_pricing
 from .arrival import Deterministic, Exponential, UniformInterval
-from .errors import ConfigError, UnknownFigure
+from .errors import ConfigError
 from .model import SystemSpec
 from .valuation import ExponentialValuation
 
@@ -134,7 +134,7 @@ def _fig_rev_vs_k():
 def emit_figure_data(figure_id: str, out_path) -> Path:
     """Write the CSV behind one of the shipped result figures."""
     if figure_id not in _FIGURES:
-        raise UnknownFigure(f"'{figure_id}' not in {sorted(_FIGURES)}")
+        raise ConfigError("id", f"'{figure_id}' not in {sorted(_FIGURES)}")
     header, rows = _FIGURES[figure_id]()
     lines = [",".join(header)] + [",".join(_csv_cell(x) for x in row) for row in rows]
     return _write_text(out_path, "\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Interval laws: transforms, beta products, departure-count matrices."""
 
+import decimal
 import math
 
 import numpy as np
@@ -135,7 +136,7 @@ def test_uniform_quadrature_matches_monte_carlo():
         assert dep.alpha[3, i] == pytest.approx(mc, abs=2e-3)
 
 
-@pytest.mark.parametrize("k", [5, 50])
+@pytest.mark.parametrize("k", [1, 2, 5, 50])
 def test_uniform_departure_matrix_is_exact(k):
     # Gauss-Legendre in y = e^{-mu x} against adaptive quadrature in x
     from scipy.integrate import quad
@@ -166,6 +167,42 @@ def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
             for mu in (0.22, 2.0):
                 dep = departure_matrix(UniformInterval.from_rate(load * k * mu), mu, k)
                 assert dep.alpha.min() >= 0.0, (k, load, mu)
+
+
+def _alpha_40_digits(atoms, mu, k):
+    """alpha rows of a gap law with atoms [(x, p)], in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        alpha = [[decimal.Decimal(0)] * (k + 1) for _ in range(k + 1)]
+        for x, p in atoms:
+            y = (-decimal.Decimal(mu) * decimal.Decimal(x)).exp()
+            y_pow = [y**n for n in range(k + 1)]
+            done_pow = [decimal.Decimal(p) * (1 - y) ** n for n in range(k + 1)]
+            for kk in range(k + 1):
+                for i in range(kk + 1):
+                    alpha[kk][i] += math.comb(kk, i) * done_pow[i] * y_pow[kk - i]
+    return alpha
+
+
+@pytest.mark.parametrize("k, load", [(300, 50.0), (120, 10.0)], ids=["k300-load50", "k120-load10"])
+def test_atom_laws_match_40_digit_reference(k, load):
+    # heavy traffic: mu x is small, so 1 - e^{-mu x} formed by subtraction
+    # would lose digits that (1 - y)^i raises to a power
+    mu = 2.0
+    lam = load * k * mu
+    det = Deterministic(rate=lam)
+    two = TwoPoint(x1=0.2 / lam, p1=0.5, x2=1.8 / lam)
+    two_atoms = [(two.x1, two.p1), (two.x2, 1.0 - two.p1)]
+    for dist, atoms in ((det, [(det.mean, 1.0)]), (two, two_atoms)):
+        alpha = departure_matrix(dist, mu, k).alpha
+        ref = _alpha_40_digits(atoms, mu, k)
+        worst = 0.0
+        for kk in range(k + 1):
+            for i in range(kk + 1):
+                if ref[kk][i] > decimal.Decimal("1e-300"):
+                    rel = abs(decimal.Decimal(alpha[kk, i]) / ref[kk][i] - 1)
+                    worst = max(worst, float(rel))
+        assert worst <= 1e-12, (type(dist).__name__, worst)
 
 
 def test_exponential_closed_form_vs_binomial_mixture():

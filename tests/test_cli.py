@@ -12,7 +12,7 @@ import pytest
 
 import farm_pricer
 import farm_pricer.cli
-from farm_pricer import UnknownFigure, emit_figure_data
+from farm_pricer import ConfigError, emit_figure_data
 from farm_pricer.cli import run
 
 BASE = ["--k", "5", "--lambda", "25", "--mu", "2", "--valuation", "exp:1"]
@@ -143,7 +143,7 @@ def test_rev_vs_k_converges_to_infinite_server_level(tmp_path):
 
 def test_unknown_figure(tmp_path):
     assert run(["figure", "--id", "no-such-plot", "--out", str(tmp_path / "x.csv")]) == 2
-    with pytest.raises(UnknownFigure):
+    with pytest.raises(ConfigError):
         emit_figure_data("no-such-plot", tmp_path / "y.csv")
 
 

@@ -64,12 +64,15 @@ def _run(code: str) -> list:
 def test_public_names_resolve_and_removed_names_are_gone():
     for name in farm_pricer.__all__:
         assert hasattr(farm_pricer, name), name
-    # the upward recursion, its m^{-1}, the error only m^{-1} raised and the
-    # bisection's crossed-bracket error, which no bracket update can trigger
+    # the upward recursion, its m^{-1}, the error only m^{-1} raised, the
+    # bisection's crossed-bracket error, which no bracket update can trigger,
+    # an alias of NoFiniteMaximizer and the unknown-figure error (a ConfigError)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
-               farm_pricer.valuation, farm_pricer.errors)  # fmt: skip
+               farm_pricer.valuation, farm_pricer.errors, farm_pricer.figures)  # fmt: skip
+    removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
+               "NonFiniteObjective", "UnknownFigure")  # fmt: skip
     for module in modules:
-        for name in ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse"):
+        for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 

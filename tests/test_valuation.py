@@ -8,7 +8,6 @@ import pytest
 from farm_pricer import (
     ExponentialValuation,
     NoFiniteMaximizer,
-    NonFiniteObjective,
     ParetoValuation,
     TabulatedTail,
     UniformValuation,
@@ -121,10 +120,8 @@ def test_eval_m_matches_brute_force():
 def test_eval_m_pareto():
     ev = eval_m(ParetoValuation(theta=2.0), -1.0)
     assert ev.m_val == pytest.approx(3.0)  # theta - B
-    with pytest.raises(NonFiniteObjective):
+    with pytest.raises(NoFiniteMaximizer):
         eval_m(ParetoValuation(theta=2.0), 0.5)
-    # the two names are one class, so either except clause catches it
-    assert NonFiniteObjective is NoFiniteMaximizer
 
 
 # ---------------------------------------------------------------- m properties
