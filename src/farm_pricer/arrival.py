@@ -14,9 +14,8 @@ and the arrival-sampled Markov chain needs the departure-count law
 the probability that exactly i of k busy exponential servers finish within
 one interval.  It has a closed form for exponential intervals; every other
 law is written as weighted atoms in y = e^{-mu U}, and alpha is the mixture
-of their binomial rows.  Cumulative sums a_{i,j} = sum_{l<=j} alpha_{i,i-l}
-(chance that at most j of i jobs survive) satisfy three structural
-identities that are checked on every constructed matrix.
+of their binomial rows, grown one busy server at a time by Pascal's rule.
+Two structural identities are checked on every constructed matrix.
 """
 
 from __future__ import annotations
@@ -178,24 +177,16 @@ def beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DepartureMatrix:
-    """Departure-count probabilities alpha and their cumulative sums a_cum.
+    """Departure-count probabilities for k busy servers.
 
     alpha[k, i] is the chance that i of k busy servers finish within one
-    interarrival period; a_cum[i, j] the chance that at most j of i jobs
-    survive it.  Both are (K+1) x (K+1), lower-triangular in the sense that
-    entries with column index above the row index are unused (alpha) or
-    saturated at 1 (a_cum).
+    interarrival period.  It is (K+1) x (K+1); entries with column index
+    above the row index are zero.
     """
 
     k: int
     mu: float
     alpha: np.ndarray
-    a_cum: np.ndarray
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """(log 0!, ..., log n!)."""
-    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
 
 
 def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
@@ -214,12 +205,11 @@ def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     return alpha
 
 
-def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w_n and log y_n of atoms in y = e^{-mu U} that reproduce alpha up to row k_max."""
-    if isinstance(dist, Deterministic):
-        return np.array([1.0]), np.array([-mu * dist.mean])
-    if isinstance(dist, TwoPoint):
-        return np.array([dist.p1, 1.0 - dist.p1]), -mu * np.array([dist.x1, dist.x2])
+def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarray, ...]:
+    """Weights w_n, y_n and 1 - y_n of atoms in y = e^{-mu U} that reproduce alpha up to row k_max.
+
+    Differences near 1 go through expm1 and keep their digits in heavy traffic.
+    """
     if isinstance(dist, UniformInterval):
         # y has density 1 / (mu (hi - lo) y) on [e^{-mu hi}, e^{-mu lo}], so for
         # i < k alpha_{k,i} integrates the polynomial C(k,i) (1-y)^i y^{k-i-1} of
@@ -229,26 +219,32 @@ def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarra
         # is exact for every polynomial of degree <= K.
         y_lo, y_hi = math.exp(-mu * dist.hi), math.exp(-mu * dist.lo)
         nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
-        half = 0.5 * (y_hi - y_lo)
+        half = -0.5 * y_hi * math.expm1(-mu * (dist.hi - dist.lo))
         y = y_lo + half * (nodes + 1.0)
+        done = -math.expm1(-mu * dist.lo) + half * (1.0 - nodes)
         w = half * weights / (mu * (dist.hi - dist.lo) * y)
-        return np.append(w, 1.0 - w.sum()), np.append(np.log(y), -np.inf)
-    raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
+        return np.append(w, 1.0 - w.sum()), np.append(y, 0.0), np.append(done, 1.0)
+    if isinstance(dist, Deterministic):
+        w, x = np.array([1.0]), np.array([dist.mean])
+    elif isinstance(dist, TwoPoint):
+        w, x = np.array([dist.p1, 1.0 - dist.p1]), np.array([dist.x1, dist.x2])
+    else:
+        raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
+    return w, np.exp(-mu * x), -np.expm1(-mu * x)
 
 
-def _alpha_mixture(weights: np.ndarray, log_y: np.ndarray, k_max: int) -> np.ndarray:
-    # alpha_{k,i} = max(0, sum_n w_n C(k,i) (1-y_n)^i y_n^{k-i}), each term in log
-    # space.  log(1-y) comes from log y by expm1, which keeps its digits when y is
-    # near 1; the clamp drops a cancelling sum that rounds below 0 in heavy traffic.
-    log_1my = np.log(-np.expm1(log_y))
-    lf = _log_factorials(k_max)
+def _alpha_mixture(weights: np.ndarray, y: np.ndarray, done: np.ndarray, k_max: int) -> np.ndarray:
+    # rows[i, n] = C(k,i) done_n^i y_n^(k-i), atom n's binomial row, grows by
+    # Pascal's rule from nonnegative terms; the clamp drops the y = 0 atom's
+    # cancelling sum where it rounds below 0 in heavy traffic.
+    rows = np.zeros((k_max + 1, len(weights)))
+    rows[0] = 1.0
     alpha = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        i = np.arange(k + 1)[:, None]
-        with np.errstate(invalid="ignore"):  # 0 * log 0 at i = k, replaced by 0
-            log_yk = np.where(i < k, (k - i) * log_y, 0.0)
-        terms = np.exp(lf[k] - lf[i] - lf[k - i] + i * log_1my + log_yk)
-        alpha[k, : k + 1] = np.maximum(0.0, terms @ weights)
+    alpha[0, 0] = 1.0
+    for k in range(1, k_max + 1):
+        rows[1 : k + 1] = rows[1 : k + 1] * y + rows[:k] * done
+        rows[0] *= y
+        alpha[k, : k + 1] = np.maximum(0.0, rows[: k + 1] @ weights)
     return alpha
 
 
@@ -257,10 +253,10 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatr
 
     A closed form for exponential intervals; for every other law, a mixture
     of binomial rows over atoms in y = e^{-mu U} (the interval's own atoms,
-    or an exact Gauss-Legendre rule for uniform ones).  Rows within 1e-9 of
-    summing to one are divided by their sums, so each sums to one to
-    rounding; QuadratureFailure otherwise, or when the structural identities
-    fail beyond tolerance.
+    or an exact Gauss-Legendre rule for uniform ones), built row by row with
+    Pascal's rule.  Rows within 1e-9 of summing to one are divided by their
+    sums, so each sums to one to rounding; QuadratureFailure otherwise, or
+    when the structural identities fail beyond tolerance.
     """
     if not (k >= 1 and mu > 0):
         raise ValueError(f"need k >= 1 and mu > 0, got k={k}, mu={mu}")
@@ -270,35 +266,26 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatr
         alpha = _alpha_mixture(*_gap_atoms(dist, mu, k), k)
 
     rows = alpha.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-9:
+    if not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too
         raise QuadratureFailure(f"alpha rows sum to {rows}, expected 1")
     alpha /= rows[:, None]
-
-    # a_cum[i, j] = sum_{l<=j} alpha[i, i-l]
-    a_cum = np.zeros_like(alpha)
-    for i in range(k + 1):
-        a_cum[i, : i + 1] = np.cumsum(alpha[i, : i + 1][::-1])
-
-    _check_survivor_identities(alpha, a_cum, k)
-    return DepartureMatrix(k=k, mu=mu, alpha=alpha, a_cum=a_cum)
+    _check_survivor_identities(alpha)
+    return DepartureMatrix(k=k, mu=mu, alpha=alpha)
 
 
-def _check_survivor_identities(alpha: np.ndarray, a_cum: np.ndarray, k: int) -> None:
-    # (a) one more initial job cannot raise the chance of few survivors
-    for i in range(1, k):
-        bad = a_cum[i + 1, :i] > a_cum[i, :i] + 1e-9
-        if np.any(bad):
-            raise QuadratureFailure(f"a[{i + 1}, j] > a[{i}, j] at j = {np.nonzero(bad)[0]}")
-    # (b) "some departure" and "no departure" partition the period
-    for i in range(1, k + 1):
-        gap = abs(a_cum[i, i - 1] + alpha[i, 0] - 1.0)
-        if gap > 1e-9:
-            raise QuadratureFailure(f"a[{i},{i - 1}] + alpha[{i},0] - 1 = {gap:.2e}")
-    # (c) telescoping of cumulative mass equals the single-server departure chance
-    for i in range(k):
-        gap = abs(a_cum[i + 1, : i + 1].sum() - a_cum[i, :i].sum() - alpha[1, 1])
-        if gap > 1e-9:
-            raise QuadratureFailure(f"cumulative telescoping off by {gap:.2e} at i = {i}")
+def _check_survivor_identities(alpha: np.ndarray) -> None:
+    # (a) one more busy server cannot raise the chance that at most j survive:
+    # with tails[i, m] = P(at least m of i finish) = P(at most i - m survive),
+    # tails[i+1, m+1] <= tails[i, m]
+    tails = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
+    rise = np.max(tails[2:, 2:] - tails[1:-1, 1:-1], initial=0.0)
+    if not rise <= 1e-9:
+        raise QuadratureFailure(f"departure tails rise by {rise:.2e} with one more busy server")
+    # (b) servers finish independently, so the mean departure count is linear
+    # in the busy count with slope alpha[1, 1]
+    gap = np.max(np.abs(np.diff(alpha @ np.arange(len(alpha))) - alpha[1, 1]))
+    if not gap <= 1e-9:
+        raise QuadratureFailure(f"mean departures off linear by {gap:.2e}")
 
 
 def arrival_from_config(cfg: dict) -> InterarrivalDist:

@@ -13,8 +13,8 @@ Processes*, 1994, sec. 8.6).  Each iteration
 * improves them: p_i = u*(B_i) with B_i = E[h | reject] - E[h | admit],
   which is the exact surplus map `eval_m`.
 
-In terms of Delta(j) = h(j) - h(j+1) and the departure statistics a_{i,j},
-alpha_{i,j},
+In terms of Delta(j) = h(j) - h(j+1), alpha_{i,j} and a_{i,j} =
+sum_{l<=j} alpha_{i,i-l}, the chance that at most j of i jobs survive a gap,
 
     B_i = sum_{j<i} (a_{i,j} - a_{i+1,j}) Delta(j) + alpha_{i+1,0} Delta(i),
 
@@ -73,7 +73,7 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     dep = departure_matrix(spec.arrival, spec.mu, k)
     reject, admit = embedded_chain(dep)
-    a_below = np.tril(dep.a_cum, -1)[:, :k]  # a_{i,j} for j < i
+    a_below = np.tril(np.cumsum(reject, axis=1), -1)[:, :k]  # a_{i,j} for j < i
     prices = np.full(k, eval_m(val, 0.0).u_star)
     g_prev = -math.inf
     for _ in range(_MAX_ITERATIONS):

@@ -9,8 +9,9 @@ chain g_i(theta) computed downward from g_{K-1} = theta / (K mu) via
 the optimal revenue rate is the unique solution of theta = lambda m(g_0(theta)).
 `fixed_point` brackets that solution by bisection with the certified update
 rule (the candidate map is a contraction toward the root from either side),
-and prices follow as u*(Delta(i)).  `value_iteration_oracle` solves the same
-MDP by relative value iteration over a discretized price grid, deliberately
+and prices follow as u*(Delta(i)); it returns them only when their revenue
+rate matches theta*.  `value_iteration_oracle` solves the same MDP by
+relative value iteration over a discretized price grid, deliberately
 sharing no code path with the fixed point, for cross-validation.
 """
 
@@ -25,6 +26,7 @@ import numpy as np
 from .arrival import Exponential
 from .errors import NoConvergence, NoFiniteMaximizer
 from .model import SystemSpec
+from .stationary import revenue_rate
 from .valuation import eval_m, tail
 
 
@@ -45,15 +47,19 @@ def _require_poisson(spec: SystemSpec) -> None:
 
 
 def g_chain(spec: SystemSpec, theta: float) -> np.ndarray:
-    """(g_0(theta), ..., g_{K-1}(theta)) by downward recursion."""
+    """(g_0(theta), ..., g_{K-1}(theta)) by downward recursion; NoConvergence on overflow."""
     _require_poisson(spec)
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     k, mu, lam = spec.servers, spec.mu, spec.arrival_rate
+    theta = float(theta)  # Python floats overflow to inf, caught below, with no warning
     g = np.empty(k)
-    g[k - 1] = theta / (k * mu)
+    gi = g[k - 1] = theta / (k * mu)
     for i in range(k - 1, 0, -1):
-        g[i - 1] = (theta - lam * eval_m(spec.valuation, g[i]).m_val) / (i * mu)
+        gi = (theta - lam * eval_m(spec.valuation, gi).m_val) / (i * mu)
+        if not math.isfinite(gi):
+            raise NoConvergence(f"g-chain overflows at state {i - 1} (theta = {theta:.9g})")
+        g[i - 1] = gi
     return g
 
 
@@ -65,36 +71,44 @@ def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolve
     min(old, max(mid, v)).  Either way the width halves and the ends never
     cross; once they are adjacent floats the width stops shrinking, and a
     delta_precision below that spacing raises NoConvergence after 2000 steps.
+    The prices must earn theta* (revenue_rate) within delta_precision + 1e-9
+    max(1, theta*); the chain amplifies any error in theta, so until they do
+    bisection goes on, raising NoConvergence at adjacent floats or overflow.
     """
     _require_poisson(spec)
     if not delta_precision > 0:
         raise ValueError(f"delta_precision must be > 0, got {delta_precision}")
     lam, val = spec.arrival_rate, spec.valuation
 
-    lo = 0.0
-    try:
-        hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
-        if not math.isfinite(hi):
-            raise NoFiniteMaximizer(f"initial upper end {hi}")
-    except NoFiniteMaximizer:
-        # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
-        hi = lam * eval_m(val, 0.0).m_val
+    with np.errstate(over="ignore"):  # lam m(g_0) may overflow; inf is handled below
+        lo = 0.0
+        try:
+            hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
+            if not math.isfinite(hi):
+                raise NoFiniteMaximizer(f"initial upper end {hi}")
+        except NoFiniteMaximizer:
+            # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
+            hi = lam * eval_m(val, 0.0).m_val
 
-    iterations = 0
-    while hi - lo > delta_precision:
-        mid = 0.5 * (lo + hi)
-        v = lam * eval_m(val, g_chain(spec, mid)[0]).m_val
-        lo = max(lo, min(mid, v))
-        hi = min(hi, max(mid, v))
-        iterations += 1
-        if iterations > 2000:
-            raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
-
-    theta = 0.5 * (lo + hi)
-    deltas = g_chain(spec, theta)
-    prices = np.array([eval_m(val, d).u_star for d in deltas])
+        iterations = 0
+        while True:
+            mid = 0.5 * (lo + hi)
+            deltas = g_chain(spec, mid)
+            if hi - lo <= delta_precision:
+                prices = np.array([eval_m(val, d).u_star for d in deltas])
+                rate = revenue_rate(spec, prices)
+                if abs(rate - mid) <= delta_precision + 1e-9 * max(1.0, mid):
+                    break
+                if not lo < mid < hi:
+                    raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
+            v = lam * eval_m(val, deltas[0]).m_val
+            lo = max(lo, min(mid, v))
+            hi = min(hi, max(mid, v))
+            iterations += 1
+            if iterations > 2000:
+                raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
     return PoissonSolveResult(
-        theta_star=theta,
+        theta_star=mid,
         deltas=deltas,
         prices=prices,
         iterations=iterations,

@@ -166,8 +166,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     else:
         half = 0.0
     total_seen = int(seen.sum())
-    with np.errstate(invalid="ignore"):
-        acc_frac = np.where(seen[:k] > 0, accepted / np.maximum(seen[:k], 1), 0.0)
+    acc_frac = np.where(seen[:k] > 0, accepted / np.maximum(seen[:k], 1), 0.0)
     return SimResult(
         revenue_rate_mean=mean,
         revenue_rate_ci_half=half,

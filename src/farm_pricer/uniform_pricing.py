@@ -24,7 +24,6 @@ from .arrival import (
     Exponential,
     InterarrivalDist,
     _log_beta_seq,
-    _log_factorials,
     lst,
     rare_long_gap_family,
     rare_unit_gap_family,
@@ -56,7 +55,7 @@ def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: in
     log C(K,j) + log beta_j is built once here; each call then costs one
     (len(p) x K+1) log-sum-exp.
     """
-    lf = _log_factorials(k)
+    lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!
     terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
     j = np.arange(k + 1)
 

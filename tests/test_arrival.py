@@ -16,11 +16,12 @@ from farm_pricer import (
     lst,
 )
 from farm_pricer.arrival import (
+    _check_survivor_identities,
     arrival_from_config,
     rare_long_gap_family,
     rare_unit_gap_family,
 )
-from farm_pricer.errors import ConfigError
+from farm_pricer.errors import ConfigError, QuadratureFailure
 
 ALL_DISTS = [
     Exponential(rate=25.0),
@@ -112,17 +113,40 @@ def test_departure_matrix_exponential_k1():
 def test_departure_matrix_rows_and_identities():
     for d in ALL_DISTS:
         dep = departure_matrix(d, 2.0, 6)
+        # a_cum[i, j]: the chance that at most j of i busy servers survive
+        a_cum = [np.cumsum(dep.alpha[i, : i + 1][::-1]) for i in range(7)]
         for k in range(7):
             assert dep.alpha[k, : k + 1].sum() == pytest.approx(1.0, abs=1e-9)
             # a_cum is a CDF over survivor counts
-            assert dep.a_cum[k, k] == pytest.approx(1.0, abs=1e-9)
+            assert a_cum[k][k] == pytest.approx(1.0, abs=1e-9)
         for i in range(1, 7):
-            assert dep.a_cum[i, i - 1] + dep.alpha[i, 0] == pytest.approx(1.0, abs=1e-9)
+            assert a_cum[i][i - 1] + dep.alpha[i, 0] == pytest.approx(1.0, abs=1e-9)
         for i in range(1, 6):
-            assert np.all(dep.a_cum[i + 1, :i] <= dep.a_cum[i, :i] + 1e-9)
+            assert np.all(a_cum[i + 1][:i] <= a_cum[i][:i] + 1e-9)
         for i in range(6):
-            lhs = dep.a_cum[i + 1, : i + 1].sum() - dep.a_cum[i, :i].sum()
+            lhs = a_cum[i + 1][: i + 1].sum() - a_cum[i][:i].sum()
             assert lhs == pytest.approx(dep.alpha[1, 1], abs=1e-9)
+
+
+def test_survivor_identity_checks_reject_broken_rows():
+    # mu d = ln 2: each busy server finishes with probability 1/2, so row 3 is
+    # (1, 3, 3, 1) / 8 with mean 3/2
+    alpha = departure_matrix(Deterministic(rate=1.0), math.log(2.0), 3).alpha
+    _check_survivor_identities(alpha)
+    # same mean, but P(all 3 finish) = 1/2 exceeds P(both of 2 finish) = 1/4
+    spread = alpha.copy()
+    spread[3] = [0.5, 0.0, 0.0, 0.5]
+    with pytest.raises(QuadratureFailure, match="tails rise"):
+        _check_survivor_identities(spread)
+    # still monotone in the busy count, but the mean drops to 11/8
+    fewer = alpha.copy()
+    fewer[3] = [0.25, 0.25, 0.375, 0.125]
+    with pytest.raises(QuadratureFailure, match="mean departures"):
+        _check_survivor_identities(fewer)
+    # a NaN entry fails the checks instead of slipping past every comparison
+    fewer[2, 1] = math.nan
+    with pytest.raises(QuadratureFailure):
+        _check_survivor_identities(fewer)
 
 
 def test_uniform_quadrature_matches_monte_carlo():
@@ -169,6 +193,28 @@ def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
                 assert dep.alpha.min() >= 0.0, (k, load, mu)
 
 
+def test_uniform_departure_matrix_heavy_traffic_to_rounding():
+    # K=40, load 100: the rule's half-width e^{-mu lo} - e^{-mu hi} is tiny
+    # and must not be formed by subtraction.  Reference: alpha_{k,i} =
+    # C(k,i)/(hi-lo) sum_l C(i,l) (-1)^l int e^{-(k-i+l) mu x} dx in 80 digits
+    k, mu = 40, 2.0
+    d = UniformInterval.from_rate(100.0 * k * mu)
+    alpha = departure_matrix(d, mu, k).alpha
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        lo, hi, dmu = (decimal.Decimal(v) for v in (d.lo, d.hi, mu))
+        integral = [hi - lo] + [
+            ((-j * dmu * lo).exp() - (-j * dmu * hi).exp()) / (j * dmu) for j in range(1, k + 1)
+        ]
+        worst = 0.0
+        for kk in range(k + 1):
+            for i in range(kk + 1):
+                s = sum(math.comb(i, l) * (-1) ** l * integral[kk - i + l] for l in range(i + 1))
+                ref = math.comb(kk, i) * s / (hi - lo)
+                worst = max(worst, float(abs(decimal.Decimal(alpha[kk, i]) - ref)))
+    assert worst <= 1e-15
+
+
 def _alpha_40_digits(atoms, mu, k):
     """alpha rows of a gap law with atoms [(x, p)], in 40-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
@@ -202,7 +248,7 @@ def test_atom_laws_match_40_digit_reference(k, load):
                 if ref[kk][i] > decimal.Decimal("1e-300"):
                     rel = abs(decimal.Decimal(alpha[kk, i]) / ref[kk][i] - 1)
                     worst = max(worst, float(rel))
-        assert worst <= 1e-12, (type(dist).__name__, worst)
+        assert worst <= 1e-13, (type(dist).__name__, worst)
 
 
 def test_exponential_closed_form_vs_binomial_mixture():

@@ -226,3 +226,10 @@ def test_exit_code_on_solver_failure():
                 "--valuation", "pareto:1"]) == 3
     assert run(["solve-poisson", "--k", "2", "--lambda", "5", "--mu", "2",
                 "--valuation", "pareto:1"]) == 3
+
+
+def test_overflowing_poisson_chain_exits_3(capsys):
+    # the g-chain overflows the floats: a solver error, not a traceback
+    assert run(["solve-poisson", "--k", "1000", "--lambda", "5000", "--mu", "2",
+                "--valuation", "exp:1"]) == 3
+    assert "solver error" in capsys.readouterr().err

@@ -18,6 +18,9 @@ from farm_pricer import (
     g_chain,
     gap_bound,
     infinite_server_limit,
+    mdp_poisson,
+    revenue_rate,
+    solve_general,
     sweep,
     value_iteration_oracle,
 )
@@ -152,6 +155,32 @@ def test_unreachable_precision_is_no_convergence():
     # the bracket stops shrinking at adjacent floats, so the step cap ends it
     with pytest.raises(NoConvergence, match="after 2001 steps"):
         fixed_point(base_spec(), delta_precision=1e-300)
+
+
+@pytest.mark.parametrize("k, lam", [(300, 300.0), (400, 720.0), (1000, 154.2621070932341)])
+def test_heavy_traffic_prices_are_certified(k, lam):
+    # the downward chain amplifies the error of a theta bisected to 1e-9: the
+    # prices at that width earned ~1e-21 theta* (K=300), ~1e-56 theta* (K=400)
+    # and 2.6e-9 too little (K=1000), so the bisection goes on until they earn
+    # theta*; policy iteration on the embedded chain is the independent check
+    spec = base_spec(lam=lam, k=k)
+    res = fixed_point(spec)
+    assert abs(revenue_rate(spec, res.prices) - res.theta_star) <= 1e-9 + 1e-9 * res.theta_star
+    assert abs(res.theta_star - solve_general(spec).theta_star) <= 1e-9
+
+
+def test_uncertified_prices_are_no_convergence(monkeypatch):
+    # prices that never earn theta* end the bisection at adjacent floats
+    monkeypatch.setattr(mdp_poisson, "revenue_rate", lambda spec, prices: 0.0)
+    with pytest.raises(NoConvergence, match="prices earn"):
+        fixed_point(base_spec())
+
+
+@pytest.mark.parametrize("k, lam", [(1000, 5000.0), (400, 2560.0), (1000, 1800.0)])
+def test_overflowing_chain_is_no_convergence(k, lam):
+    # the chain overflows the floats; no RuntimeWarning may escape either
+    with pytest.raises(NoConvergence, match="overflows"):
+        fixed_point(base_spec(lam=lam, k=k))
 
 
 # ---------------------------------------------------------------- oracle

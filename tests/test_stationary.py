@@ -213,9 +213,9 @@ def test_censored_product_form_matches_dense_solve():
 def test_stationarity_certificate_rejects_broken_departure_matrix():
     spec = SystemSpec(servers=4, mu=2.0, arrival=Deterministic(rate=5.0), valuation=VAL)
     dep = departure_matrix(spec.arrival, spec.mu, 4)
-    halved = DepartureMatrix(k=4, mu=2.0, alpha=0.5 * dep.alpha, a_cum=dep.a_cum)
+    halved = DepartureMatrix(k=4, mu=2.0, alpha=0.5 * dep.alpha)
     stuck = np.repeat(np.eye(1, 5), 5, axis=0)  # alpha[i, 0] = 1: nobody ever leaves
-    no_departures = DepartureMatrix(k=4, mu=2.0, alpha=stuck, a_cum=dep.a_cum)
+    no_departures = DepartureMatrix(k=4, mu=2.0, alpha=stuck)
     for broken in (halved, no_departures):
         with np.errstate(all="ignore"), pytest.raises(SingularChain):
             occupancy_general(spec, broken, [0.5] * 4)
