@@ -8,7 +8,6 @@ the analytics.
 
 from .arrival import (
     Deterministic,
-    DepartureMatrix,
     Exponential,
     TwoPoint,
     UniformInterval,
@@ -63,7 +62,6 @@ __all__ = [
     "AuxEval",
     "ConfigError",
     "DegenerateTransform",
-    "DepartureMatrix",
     "Deterministic",
     "Exponential",
     "ExponentialValuation",

@@ -1,4 +1,4 @@
-"""Renewal interval laws and the departure statistics they induce.
+"""Renewal interval laws and the survivor statistics they induce.
 
 The same classes describe interarrival times (rate lambda) and, in the
 simulator, service times (rate mu): each is a positive random interval with
@@ -7,15 +7,17 @@ phi(s) = E exp(-s U); the blocking formula needs the products
 
     beta_j = prod_{m=1}^{j} (1 - phi(m mu)) / phi(m mu),
 
-and the arrival-sampled Markov chain needs the departure-count law
+and the arrival-sampled Markov chain needs the survivor-count law
 
-    alpha_{k,i} = E[ C(k,i) (1 - e^{-mu U})^i e^{-(k-i) mu U} ],
+    S[k, s] = E[ C(k,s) e^{-s mu U} (1 - e^{-mu U})^{k-s} ],
 
-the probability that exactly i of k busy exponential servers finish within
-one interval.  It has a closed form for exponential intervals; every other
-law is written as weighted atoms in y = e^{-mu U}, and alpha is the mixture
-of their binomial rows, grown one busy server at a time by Pascal's rule.
-Two structural identities are checked on every constructed matrix.
+the probability that exactly s of k busy exponential servers are still busy
+after one interval; the paper's departure counts are S[k, s] =
+alpha_{k,k-s}.  It has a closed form for exponential intervals; every
+other law is written as weighted atoms in y = e^{-mu U}, and S is the
+mixture of their binomial rows, grown one busy server at a time by
+Pascal's rule.  Two structural identities are checked on every
+constructed matrix.
 """
 
 from __future__ import annotations
@@ -175,46 +177,31 @@ def beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     return np.exp(_log_beta_seq(dist, mu, k))
 
 
-@dataclass(frozen=True)
-class DepartureMatrix:
-    """Departure-count probabilities for k busy servers.
-
-    alpha[k, i] is the chance that i of k busy servers finish within one
-    interarrival period.  It is (K+1) x (K+1); entries with column index
-    above the row index are zero.
-    """
-
-    k: int
-    mu: float
-    alpha: np.ndarray
-
-
-def _alpha_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
+def _survivors_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     # E over Exp(lam) has a Beta-function closed form:
-    # alpha_{k,i} = C(k,i) * r * B(r + k - i, i + 1), r = lam/mu, so
-    # alpha_{k,0} = r / (r + k) and alpha_{k,i} / alpha_{k,i-1} = (k-i+1) / (r+k-i).
+    # S[k, s] = C(k,s) * r * B(r + s, k - s + 1), r = lam/mu, so
+    # S[k, k] = r / (r + k) and S[k, s-1] / S[k, s] = s / (r + s - 1).
     # The running product keeps each entry within a few ulps; differences of
-    # log-gammas would lose digits as r grows.
+    # log-gammas would lose digits as r grows.  It runs down from s = k.
     r = lam / mu
-    alpha = np.zeros((k_max + 1, k_max + 1))
-    alpha[0, 0] = 1.0
+    surv = np.zeros((k_max + 1, k_max + 1))
+    surv[0, 0] = 1.0
     for k in range(1, k_max + 1):
-        i = np.arange(1, k + 1)
-        alpha[k, 0] = r / (r + k)
-        alpha[k, 1 : k + 1] = alpha[k, 0] * np.cumprod((k - i + 1) / (r + k - i))
-    return alpha
+        s = np.arange(k, 0, -1)
+        surv[k, k::-1] = r / (r + k) * np.append(1.0, np.cumprod(s / (r + s - 1)))
+    return surv
 
 
 def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarray, ...]:
-    """Weights w_n, y_n and 1 - y_n of atoms in y = e^{-mu U} that reproduce alpha up to row k_max.
+    """Weights w_n, y_n and 1 - y_n of atoms in y = e^{-mu U} that reproduce S up to row k_max.
 
     Differences near 1 go through expm1 and keep their digits in heavy traffic.
     """
     if isinstance(dist, UniformInterval):
         # y has density 1 / (mu (hi - lo) y) on [e^{-mu hi}, e^{-mu lo}], so for
-        # i < k alpha_{k,i} integrates the polynomial C(k,i) (1-y)^i y^{k-i-1} of
+        # s > 0 S[k, s] integrates the polynomial C(k,s) y^{s-1} (1-y)^{k-s} of
         # degree k - 1, which floor(K/2) + 2 Gauss-Legendre nodes do exactly.  The
-        # rule is not exact for the 1/y of alpha_{k,k}; an atom at y = 0 (every
+        # rule is not exact for the 1/y of S[k, 0]; an atom at y = 0 (every
         # busy server finishes) carries the mass 1 - sum w it misses, so the rule
         # is exact for every polynomial of degree <= K.
         y_lo, y_hi = math.exp(-mu * dist.hi), math.exp(-mu * dist.lo)
@@ -229,31 +216,34 @@ def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarra
     elif isinstance(dist, TwoPoint):
         w, x = np.array([dist.p1, 1.0 - dist.p1]), np.array([dist.x1, dist.x2])
     else:
-        raise QuadratureFailure(f"no departure-count recipe for {type(dist).__name__}")
+        raise QuadratureFailure(f"no survivor-count recipe for {type(dist).__name__}")
     return w, np.exp(-mu * x), -np.expm1(-mu * x)
 
 
-def _alpha_mixture(weights: np.ndarray, y: np.ndarray, done: np.ndarray, k_max: int) -> np.ndarray:
-    # rows[i, n] = C(k,i) done_n^i y_n^(k-i), atom n's binomial row, grows by
+def _survivors_mixture(w: np.ndarray, y: np.ndarray, done: np.ndarray, k_max: int) -> np.ndarray:
+    # rows[s, n] = C(k,s) y_n^s done_n^(k-s), atom n's binomial row, grows by
     # Pascal's rule from nonnegative terms; the clamp drops the y = 0 atom's
     # cancelling sum where it rounds below 0 in heavy traffic.
-    rows = np.zeros((k_max + 1, len(weights)))
+    rows = np.zeros((k_max + 1, len(w)))
     rows[0] = 1.0
-    alpha = np.zeros((k_max + 1, k_max + 1))
-    alpha[0, 0] = 1.0
+    surv = np.zeros((k_max + 1, k_max + 1))
+    surv[0, 0] = 1.0
     for k in range(1, k_max + 1):
-        rows[1 : k + 1] = rows[1 : k + 1] * y + rows[:k] * done
-        rows[0] *= y
-        alpha[k, : k + 1] = np.maximum(0.0, rows[: k + 1] @ weights)
-    return alpha
+        rows[1 : k + 1] = rows[1 : k + 1] * done + rows[:k] * y
+        rows[0] *= done
+        surv[k, : k + 1] = np.maximum(0.0, rows[: k + 1] @ w)
+    return surv
 
 
-def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatrix:
-    """Build and validate the departure-count matrix for k servers.
+def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
+    """Build and validate the survivor matrix S for k servers.
 
-    A closed form for exponential intervals; for every other law, a mixture
-    of binomial rows over atoms in y = e^{-mu U} (the interval's own atoms,
-    or an exact Gauss-Legendre rule for uniform ones), built row by row with
+    S[n, s] is the chance that s of n busy servers are still busy one
+    interval later, so the paper's departure counts are S[n, s] =
+    alpha_{n,n-s}; S is (k+1) x (k+1) and zero above the diagonal.  A closed
+    form for exponential intervals; for every other law, a mixture of
+    binomial rows over atoms in y = e^{-mu U} (the interval's own atoms, or
+    an exact Gauss-Legendre rule for uniform ones), built row by row with
     Pascal's rule.  Rows within 1e-9 of summing to one are divided by their
     sums, so each sums to one to rounding; QuadratureFailure otherwise, or
     when the structural identities fail beyond tolerance.
@@ -261,31 +251,29 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> DepartureMatr
     if not (k >= 1 and mu > 0):
         raise ValueError(f"need k >= 1 and mu > 0, got k={k}, mu={mu}")
     if isinstance(dist, Exponential):
-        alpha = _alpha_exponential(dist.rate, mu, k)
+        surv = _survivors_exponential(dist.rate, mu, k)
     else:
-        alpha = _alpha_mixture(*_gap_atoms(dist, mu, k), k)
+        surv = _survivors_mixture(*_gap_atoms(dist, mu, k), k)
 
-    rows = alpha.sum(axis=1)
+    rows = surv.sum(axis=1)
     if not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too
-        raise QuadratureFailure(f"alpha rows sum to {rows}, expected 1")
-    alpha /= rows[:, None]
-    _check_survivor_identities(alpha)
-    return DepartureMatrix(k=k, mu=mu, alpha=alpha)
+        raise QuadratureFailure(f"survivor rows sum to {rows}, expected 1")
+    surv /= rows[:, None]
+    _check_survivor_identities(surv)
+    return surv
 
 
-def _check_survivor_identities(alpha: np.ndarray) -> None:
+def _check_survivor_identities(surv: np.ndarray) -> None:
     # (a) one more busy server cannot raise the chance that at most j survive:
-    # with tails[i, m] = P(at least m of i finish) = P(at most i - m survive),
-    # tails[i+1, m+1] <= tails[i, m]
-    tails = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
-    rise = np.max(tails[2:, 2:] - tails[1:-1, 1:-1], initial=0.0)
+    # with cdf[i, j] = P(at most j of i survive), cdf[i+1, j] <= cdf[i, j]
+    rise = np.max(np.diff(np.cumsum(surv, axis=1), axis=0))
     if not rise <= 1e-9:
-        raise QuadratureFailure(f"departure tails rise by {rise:.2e} with one more busy server")
-    # (b) servers finish independently, so the mean departure count is linear
-    # in the busy count with slope alpha[1, 1]
-    gap = np.max(np.abs(np.diff(alpha @ np.arange(len(alpha))) - alpha[1, 1]))
+        raise QuadratureFailure(f"survivor CDF rises by {rise:.2e} with one more busy server")
+    # (b) servers finish independently, so the mean survivor count is linear
+    # in the busy count with slope surv[1, 1]
+    gap = np.max(np.abs(np.diff(surv @ np.arange(len(surv))) - surv[1, 1]))
     if not gap <= 1e-9:
-        raise QuadratureFailure(f"mean departures off linear by {gap:.2e}")
+        raise QuadratureFailure(f"mean survivors off linear by {gap:.2e}")
 
 
 def arrival_from_config(cfg: dict) -> InterarrivalDist:

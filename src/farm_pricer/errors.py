@@ -26,7 +26,12 @@ class DegenerateTransform(PricingError):
 
 
 class QuadratureFailure(PricingError):
-    """Numeric integration missed its tolerance or produced inconsistent rows."""
+    """The survivor matrix failed its checks, or the gap law has no recipe for it.
+
+    Raised when a row sums to one only within more than 1e-9, when the
+    structural survivor identities fail, and for a gap law that
+    `departure_matrix` cannot build.
+    """
 
 
 class NoFiniteMaximizer(PricingError):

@@ -3,24 +3,20 @@
 Sampling the system at arrival instants gives a Markov chain on the busy
 count i = 0..K that an arrival finds.  An arrival offered price p is
 admitted with probability Gbar(p) and pays p; admitted or not, the next
-arrival finds the survivors of one interarrival period
-(`stationary.embedded_chain`).  Pricing is an average-reward MDP on that
-chain, solved by Howard's policy iteration (Puterman, *Markov Decision
-Processes*, 1994, sec. 8.6).  Each iteration
+arrival finds the survivors of one interarrival period, drawn from row i
+or row i + 1 of the survivor matrix S (`stationary.embedded_chain`).
+Pricing is an average-reward MDP on that chain, solved by Howard's policy
+iteration (Puterman, *Markov Decision Processes*, 1994, sec. 8.6).  Each
+iteration
 
 * evaluates the current prices: one dense solve of h + g = r + P h with
   h(0) = 0, where r_i = Gbar(p_i) p_i and theta = lambda g;
-* improves them: p_i = u*(B_i) with B_i = E[h | reject] - E[h | admit],
-  which is the exact surplus map `eval_m`.
+* improves them: p_i = u*(B_i) with B_i = E[h | reject] - E[h | admit]
+  = (S[i] - S[i+1]) h, which is the exact surplus map `eval_m`.
 
-In terms of Delta(j) = h(j) - h(j+1), alpha_{i,j} and a_{i,j} =
-sum_{l<=j} alpha_{i,i-l}, the chance that at most j of i jobs survive a gap,
-
-    B_i = sum_{j<i} (a_{i,j} - a_{i+1,j}) Delta(j) + alpha_{i+1,0} Delta(i),
-
-and the Bellman equations are theta = lambda (m(B_i) + sum_{j<i} a_{i,j} Delta(j))
-for i < K and theta = lambda sum_{j<K} a_{K,j} Delta(j).  Their defects are
-the solve's certificate: it returns only when every defect is within
+The Bellman equations are theta = lambda (m(B_i) + (S h)_i - h(i)) for
+i < K and theta = lambda ((S h)_K - h(K)).  Their defects are the solve's
+certificate: it returns only when every defect is within
 1e-9 max(1, theta*), and raises NoConvergence otherwise.
 """
 
@@ -49,9 +45,9 @@ class GeneralSolveResult:
 
     deltas[i] = h(i) - h(i+1) are the relative-value differences and b_vals
     the arguments B_i, with prices = u*(b_vals).  residuals holds the
-    Bellman defects on the revenue-rate scale: lambda m(b_0) - theta, then
-    lambda (m(b_i) + sum_{j<i} a_{i,j} Delta(j)) - theta for 0 < i < K, and
-    lambda sum_{j<K} a_{K,j} Delta(j) - theta last.
+    Bellman defects on the revenue-rate scale, lambda (m(b_i) + (S h)_i - h(i))
+    - theta for i < K and lambda ((S h)_K - h(K)) - theta last, with S the
+    survivor matrix and h(0) = 0.
     """
 
     theta_star: float
@@ -71,28 +67,26 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     certificate does not hold when it stops.
     """
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
-    dep = departure_matrix(spec.arrival, spec.mu, k)
-    reject, admit = embedded_chain(dep)
-    a_below = np.tril(np.cumsum(reject, axis=1), -1)[:, :k]  # a_{i,j} for j < i
+    surv = departure_matrix(spec.arrival, spec.mu, k)
     prices = np.full(k, eval_m(val, 0.0).u_star)
     g_prev = -math.inf
     for _ in range(_MAX_ITERATIONS):
-        gbar = np.append(tail(val, prices), 0.0)[:, None]
-        lhs = np.eye(k + 1) - (1.0 - gbar) * reject - gbar * admit
+        gbar = np.append(tail(val, prices), 0.0)
+        lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
         lhs[:, 0] = 1.0  # h(0) = 0 frees its column for g
         try:
-            x = np.linalg.solve(lhs, np.append(gbar[:k, 0] * prices, 0.0))
+            x = np.linalg.solve(lhs, np.append(gbar[:k] * prices, 0.0))
         except np.linalg.LinAlgError as exc:
             raise SingularChain(f"policy evaluation failed on {k + 1} states: {exc}") from None
         g, h = x[0], np.append(0.0, x[1:])
         theta = float(lam * g)
 
-        b = (reject[:k] - admit[:k]) @ h
+        b = (surv[:k] - surv[1:]) @ h
         evs = [eval_m(val, bi) for bi in b]
         improved = np.array([e.u_star for e in evs])
         deltas = h[:-1] - h[1:]
         m_vals = np.array([e.m_val for e in evs] + [0.0])
-        residuals = lam * (m_vals + a_below @ deltas) - theta
+        residuals = lam * (m_vals + surv @ h - h) - theta
         defect = float(np.max(np.abs(residuals)))
         gate = 1e-9 * max(1.0, theta)
         done = (

@@ -6,7 +6,7 @@ identical whether sampled in time or at arrivals.  A renewal stream is
 sampled at arrival instants; that embedded chain P climbs at most one
 server per step, so censoring it to {0..n} (Grassmann, Taksar & Heyman,
 Oper. Res. 1985) balances the flow across the cut below n:
-r_n = P[n-1, n] / S_n, with S_n the mass row n of the censored chain sends
+r_n = P[n-1, n] / d_n, with d_n the mass row n of the censored chain sends
 below n.  The revenue rate is then sum_k pi_k lambda Gbar(p_k) p_k.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import DepartureMatrix, departure_matrix
+from .arrival import departure_matrix
 from .errors import SingularChain
 from .model import SystemSpec, price_array
 from .valuation import tail
@@ -63,38 +63,33 @@ def occupancy_poisson(spec: SystemSpec, prices) -> OccupancyDist:
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 
-def embedded_chain(dep: DepartureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Reject and admit one-step matrices of the chain embedded at arrivals.
+def embedded_chain(surv: np.ndarray, gbar: np.ndarray) -> np.ndarray:
+    """One-step matrix of the chain embedded at arrivals.
 
-    From state i (busy servers seen by an arrival) the next arrival finds j:
-    reject[i, j] = alpha[i, i-j] when the arrival is turned away, and
-    admit[i, j] = alpha[i+1, i+1-j] when it is admitted.  The full state K
-    admits no one, so its admit row is zero.
+    From state i (busy servers seen by an arrival) the next arrival finds the
+    survivors of one gap among i servers if the arrival is turned away, and
+    among i + 1 if it is admitted, which happens with probability gbar[i]:
+    P = (1 - gbar) S + gbar [S[1:]; 0].  The full state K admits no one, so
+    gbar[K] must be zero.
     """
-    k, alpha = dep.k, dep.alpha
-    i = np.arange(k + 1)[:, None]
-    j = np.arange(k + 1)[None, :]
-    reject = np.where(j <= i, alpha[i, np.maximum(i - j, 0)], 0.0)
-    up = np.minimum(i + 1, k)
-    admit = np.where((j <= i + 1) & (i < k), alpha[up, np.clip(i + 1 - j, 0, k)], 0.0)
-    return reject, admit
+    admit = np.vstack((surv[1:], np.zeros(len(surv))))
+    return (1.0 - gbar[:, None]) * surv + gbar[:, None] * admit
 
 
-def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> OccupancyDist:
+def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDist:
     """Busy-server distribution seen by arrivals under a renewal stream.
 
-    The censored product form, built top-down from nonnegative terms only:
-    row n of the chain on {0..n} sends row = P[n, :n] + P[n, n+1] row'[:n] /
-    S_{n+1} below n, row' being row n+1 on {0..n+1}, and S_n = sum(row).
-    States above a zero acceptance come out exactly zero.  Raises
-    SingularChain unless max |pi P - pi| <= 1e-8.
+    dep is the survivor matrix from `departure_matrix`.  The censored
+    product form, built top-down from nonnegative terms only: row n of the
+    chain on {0..n} sends row = P[n, :n] + P[n, n+1] row'[:n] / d_{n+1}
+    below n, row' being row n+1 on {0..n+1}, and d_n = sum(row).  States
+    above a zero acceptance come out exactly zero.  Raises SingularChain
+    unless max |pi P - pi| <= 1e-8.
     """
     k = spec.servers
-    gbar = tail(spec.valuation, price_array(spec, prices))[:, None]
-    reject, admit = embedded_chain(dep)
-    P = (1.0 - gbar) * reject + gbar * admit
+    P = embedded_chain(dep, tail(spec.valuation, price_array(spec, prices)))
 
-    down = np.empty(k + 1)  # down[n] = S_n for n >= 1
+    down = np.empty(k + 1)  # down[n] = d_n for n >= 1
     row = P[k, :k]
     down[k] = row.sum()
     for n in range(k - 1, 0, -1):
@@ -108,7 +103,7 @@ def occupancy_general(spec: SystemSpec, dep: DepartureMatrix, prices) -> Occupan
 
 
 def _occupancy_and_rate(
-    spec: SystemSpec, prices, dep: DepartureMatrix | None = None
+    spec: SystemSpec, prices, dep: np.ndarray | None = None
 ) -> tuple[OccupancyDist, float]:
     """Arrival-sampled occupancy and the revenue rate it earns; see revenue_rate."""
     p = price_array(spec, prices)
@@ -124,12 +119,13 @@ def _occupancy_and_rate(
     return occ, float(earned.sum())
 
 
-def revenue_rate(spec: SystemSpec, prices, dep: DepartureMatrix | None = None) -> float:
+def revenue_rate(spec: SystemSpec, prices, dep: np.ndarray | None = None) -> float:
     """Mean revenue per unit time at the given prices.
 
     sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
     each arrival pays the price posted for the state it finds, if admitted.
-    Given a departure matrix `dep`, the embedded chain is used, even for
-    Poisson arrivals; without one, Poisson arrivals use the closed form.
+    Given the survivor matrix `dep` from `departure_matrix`, the embedded
+    chain is used, even for Poisson arrivals; without one, Poisson arrivals
+    use the closed form.
     """
     return _occupancy_and_rate(spec, prices, dep)[1]

@@ -97,67 +97,67 @@ def test_beta_seq_validates():
 def test_departure_matrix_deterministic_half_life():
     # mu d = ln 2: each busy server flips a fair coin per interval
     mu = math.log(2.0)
-    dep = departure_matrix(Deterministic(rate=1.0), mu, 2)
-    assert dep.alpha[2, 1] == pytest.approx(0.5)
-    assert dep.alpha[2, 0] == pytest.approx(0.25)
-    assert dep.alpha[2, 2] == pytest.approx(0.25)
+    S = departure_matrix(Deterministic(rate=1.0), mu, 2)
+    assert S[2, 1] == pytest.approx(0.5)
+    assert S[2, 2] == pytest.approx(0.25)
+    assert S[2, 0] == pytest.approx(0.25)
 
 
 def test_departure_matrix_exponential_k1():
-    # alpha_{1,1} = mu/(lambda+mu)
-    dep = departure_matrix(Exponential(rate=25.0), 2.0, 1)
-    assert dep.alpha[1, 1] == pytest.approx(2.0 / 27.0, rel=1e-12)
-    assert dep.alpha[0, 0] == 1.0
+    # alpha_{1,1} = S[1, 0] = mu/(lambda+mu)
+    S = departure_matrix(Exponential(rate=25.0), 2.0, 1)
+    assert S[1, 0] == pytest.approx(2.0 / 27.0, rel=1e-12)
+    assert S[0, 0] == 1.0
 
 
 def test_departure_matrix_rows_and_identities():
     for d in ALL_DISTS:
-        dep = departure_matrix(d, 2.0, 6)
+        S = departure_matrix(d, 2.0, 6)
         # a_cum[i, j]: the chance that at most j of i busy servers survive
-        a_cum = [np.cumsum(dep.alpha[i, : i + 1][::-1]) for i in range(7)]
+        a_cum = [np.cumsum(S[i, : i + 1]) for i in range(7)]
         for k in range(7):
-            assert dep.alpha[k, : k + 1].sum() == pytest.approx(1.0, abs=1e-9)
+            assert S[k, : k + 1].sum() == pytest.approx(1.0, abs=1e-9)
             # a_cum is a CDF over survivor counts
             assert a_cum[k][k] == pytest.approx(1.0, abs=1e-9)
         for i in range(1, 7):
-            assert a_cum[i][i - 1] + dep.alpha[i, 0] == pytest.approx(1.0, abs=1e-9)
+            assert a_cum[i][i - 1] + S[i, i] == pytest.approx(1.0, abs=1e-9)
         for i in range(1, 6):
             assert np.all(a_cum[i + 1][:i] <= a_cum[i][:i] + 1e-9)
         for i in range(6):
             lhs = a_cum[i + 1][: i + 1].sum() - a_cum[i][:i].sum()
-            assert lhs == pytest.approx(dep.alpha[1, 1], abs=1e-9)
+            assert lhs == pytest.approx(S[1, 0], abs=1e-9)
 
 
 def test_survivor_identity_checks_reject_broken_rows():
-    # mu d = ln 2: each busy server finishes with probability 1/2, so row 3 is
+    # mu d = ln 2: each busy server survives with probability 1/2, so row 3 is
     # (1, 3, 3, 1) / 8 with mean 3/2
-    alpha = departure_matrix(Deterministic(rate=1.0), math.log(2.0), 3).alpha
-    _check_survivor_identities(alpha)
-    # same mean, but P(all 3 finish) = 1/2 exceeds P(both of 2 finish) = 1/4
-    spread = alpha.copy()
+    S = departure_matrix(Deterministic(rate=1.0), math.log(2.0), 3)
+    _check_survivor_identities(S)
+    # same mean, but P(none of 3 survive) = 1/2 exceeds P(none of 2 survive) = 1/4
+    spread = S.copy()
     spread[3] = [0.5, 0.0, 0.0, 0.5]
-    with pytest.raises(QuadratureFailure, match="tails rise"):
+    with pytest.raises(QuadratureFailure, match="CDF rises"):
         _check_survivor_identities(spread)
-    # still monotone in the busy count, but the mean drops to 11/8
-    fewer = alpha.copy()
-    fewer[3] = [0.25, 0.25, 0.375, 0.125]
-    with pytest.raises(QuadratureFailure, match="mean departures"):
-        _check_survivor_identities(fewer)
+    # still monotone in the busy count, but the mean survivor count shifts to 13/8
+    more = S.copy()
+    more[3] = [0.125, 0.375, 0.25, 0.25]
+    with pytest.raises(QuadratureFailure, match="mean survivors"):
+        _check_survivor_identities(more)
     # a NaN entry fails the checks instead of slipping past every comparison
-    fewer[2, 1] = math.nan
+    more[2, 1] = math.nan
     with pytest.raises(QuadratureFailure):
-        _check_survivor_identities(fewer)
+        _check_survivor_identities(more)
 
 
 def test_uniform_quadrature_matches_monte_carlo():
-    dep = departure_matrix(UniformInterval.from_rate(5.0), 2.0, 3)
+    S = departure_matrix(UniformInterval.from_rate(5.0), 2.0, 3)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 0.4, 400_000)
     for i in range(4):
         mc = np.mean(
             math.comb(3, i) * (1 - np.exp(-2 * x)) ** i * np.exp(-2 * x) ** (3 - i)
         )
-        assert dep.alpha[3, i] == pytest.approx(mc, abs=2e-3)
+        assert S[3, 3 - i] == pytest.approx(mc, abs=2e-3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 50])
@@ -168,8 +168,8 @@ def test_uniform_departure_matrix_is_exact(k):
     mu = 2.0
     dists = [UniformInterval.from_rate(lam) for lam in (0.5, 4.0, 25.0, 100.0)]
     for d in dists + [UniformInterval(0.3, 0.9)]:
-        alpha = departure_matrix(d, mu, k).alpha
-        want = np.zeros_like(alpha)
+        S = departure_matrix(d, mu, k)
+        want = np.zeros_like(S)
         want[0, 0] = 1.0
         for kk in range(1, k + 1):
             for i in range(kk + 1):
@@ -178,19 +178,21 @@ def test_uniform_departure_matrix_is_exact(k):
                 def integrand(x, i=i, kk=kk, c=c):
                     return c * (-math.expm1(-mu * x)) ** i * math.exp(-(kk - i) * mu * x)
 
-                want[kk, i] = quad(integrand, d.lo, d.hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-        assert np.max(np.abs(alpha - want)) <= 1e-13
-        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-12
+                want[kk, kk - i] = quad(
+                    integrand, d.lo, d.hi, epsabs=1e-14, epsrel=1e-12, limit=200
+                )[0]
+        assert np.max(np.abs(S - want)) <= 1e-13
+        assert np.max(np.abs(S.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
-    # alpha_{k,k} is 1 plus a cancelling sum; in heavy traffic it is far
+    # S[k, 0] is 1 plus a cancelling sum; in heavy traffic it is far
     # below rounding (1.5e-171 at k = 51, load 81.12) and must not go negative
     for k in (12, 39, 51, 94, 200):
         for load in (10.0, 30.0, 72.0, 81.12, 100.0):
             for mu in (0.22, 2.0):
-                dep = departure_matrix(UniformInterval.from_rate(load * k * mu), mu, k)
-                assert dep.alpha.min() >= 0.0, (k, load, mu)
+                S = departure_matrix(UniformInterval.from_rate(load * k * mu), mu, k)
+                assert S.min() >= 0.0, (k, load, mu)
 
 
 def test_uniform_departure_matrix_heavy_traffic_to_rounding():
@@ -199,7 +201,7 @@ def test_uniform_departure_matrix_heavy_traffic_to_rounding():
     # C(k,i)/(hi-lo) sum_l C(i,l) (-1)^l int e^{-(k-i+l) mu x} dx in 80 digits
     k, mu = 40, 2.0
     d = UniformInterval.from_rate(100.0 * k * mu)
-    alpha = departure_matrix(d, mu, k).alpha
+    S = departure_matrix(d, mu, k)
     with decimal.localcontext() as ctx:
         ctx.prec = 80
         lo, hi, dmu = (decimal.Decimal(v) for v in (d.lo, d.hi, mu))
@@ -211,7 +213,7 @@ def test_uniform_departure_matrix_heavy_traffic_to_rounding():
             for i in range(kk + 1):
                 s = sum(math.comb(i, l) * (-1) ** l * integral[kk - i + l] for l in range(i + 1))
                 ref = math.comb(kk, i) * s / (hi - lo)
-                worst = max(worst, float(abs(decimal.Decimal(alpha[kk, i]) - ref)))
+                worst = max(worst, float(abs(decimal.Decimal(S[kk, kk - i]) - ref)))
     assert worst <= 1e-15
 
 
@@ -240,21 +242,21 @@ def test_atom_laws_match_40_digit_reference(k, load):
     two = TwoPoint(x1=0.2 / lam, p1=0.5, x2=1.8 / lam)
     two_atoms = [(two.x1, two.p1), (two.x2, 1.0 - two.p1)]
     for dist, atoms in ((det, [(det.mean, 1.0)]), (two, two_atoms)):
-        alpha = departure_matrix(dist, mu, k).alpha
+        S = departure_matrix(dist, mu, k)
         ref = _alpha_40_digits(atoms, mu, k)
         worst = 0.0
         for kk in range(k + 1):
             for i in range(kk + 1):
                 if ref[kk][i] > decimal.Decimal("1e-300"):
-                    rel = abs(decimal.Decimal(alpha[kk, i]) / ref[kk][i] - 1)
+                    rel = abs(decimal.Decimal(S[kk, kk - i]) / ref[kk][i] - 1)
                     worst = max(worst, float(rel))
         assert worst <= 1e-13, (type(dist).__name__, worst)
 
 
 def test_exponential_closed_form_vs_binomial_mixture():
     # TwoPoint degenerating to a single atom must equal the Deterministic matrix
-    a1 = departure_matrix(TwoPoint(x1=0.04, p1=0.5, x2=0.04), 2.0, 4).alpha
-    a2 = departure_matrix(Deterministic(rate=25.0), 2.0, 4).alpha
+    a1 = departure_matrix(TwoPoint(x1=0.04, p1=0.5, x2=0.04), 2.0, 4)
+    a2 = departure_matrix(Deterministic(rate=25.0), 2.0, 4)
     np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 

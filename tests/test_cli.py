@@ -78,6 +78,15 @@ def test_evaluate_round_trip(tmp_path):
     assert sum(data["occupancy"]) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_evaluate_round_trip_renewal(tmp_path):
+    # renewal arrivals: evaluate goes through the embedded chain
+    argv = ["--k", "5", "--arrival", "det:25", "--mu", "2", "--valuation", "exp:1"]
+    solved = run_json(tmp_path, ["solve-general", *argv], "a.json")
+    prices = ",".join(f"{p:.17g}" for p in solved["prices"])
+    data = run_json(tmp_path, ["evaluate", *argv, "--prices", prices], "b.json")
+    assert data["revenue_rate"] == pytest.approx(solved["theta_star"], rel=1e-9)
+
+
 def test_uniform_command(tmp_path):
     data = run_json(tmp_path, ["uniform", *BASE])
     assert data["p_star_inf"] == pytest.approx(1.0, abs=1e-9)

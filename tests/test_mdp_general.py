@@ -41,8 +41,14 @@ def assert_certified(spec, res, rel=1e-10):
     """Bellman residuals, revenue_rate(prices) = theta* to rel and the uniform-price bounds."""
     theta = res.theta_star
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, theta)
-    dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    assert revenue_rate(spec, res.prices, dep) == pytest.approx(theta, rel=rel, abs=0.0)
+    S = departure_matrix(spec.arrival, spec.mu, spec.servers)
+    # the residuals again in the paper's form lambda (m(B_i) + sum_{j<i} a_{i,j}
+    # Delta(j)) - theta, with a_{i,j} the chance that at most j of i survive
+    a_below = np.tril(np.cumsum(S, axis=1), -1)[:, : spec.servers]
+    m_vals = np.array([eval_m(spec.valuation, b).m_val for b in res.b_vals] + [0.0])
+    paper = spec.arrival_rate * (m_vals + a_below @ res.deltas) - theta
+    assert np.max(np.abs(paper - res.residuals)) <= 1e-11 * max(1.0, theta)
+    assert revenue_rate(spec, res.prices, S) == pytest.approx(theta, rel=rel, abs=0.0)
     uni = optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
     # where blocking is negligible, theta*, the best uniform revenue and
     # gap_upper agree to the last bits, so both sides allow for rounding

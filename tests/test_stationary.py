@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from farm_pricer import (
-    DepartureMatrix,
     Deterministic,
     Exponential,
     ExponentialValuation,
@@ -123,7 +122,7 @@ def test_single_server_chain_closed_form():
     dep = departure_matrix(spec.arrival, spec.mu, 1)
     p0 = 0.8
     gamma = math.exp(-p0)
-    a10, a11 = dep.alpha[1, 0], dep.alpha[1, 1]
+    a10, a11 = dep[1, 1], dep[1, 0]
     occ = occupancy_general(spec, dep, [p0])
     denom = a11 + gamma * a10
     np.testing.assert_allclose(occ.pi, (a11 / denom, gamma * a10 / denom), rtol=1e-12)
@@ -140,20 +139,18 @@ def test_single_server_chain_closed_form():
 )
 def test_embedded_chain_matches_loop_reference(arrival, val):
     k = 12
-    dep = departure_matrix(arrival, 2.0, k)
+    S = departure_matrix(arrival, 2.0, k)
     prices = np.append(np.linspace(0.3, 2.5, k), np.inf)  # some above 2: Gbar = 0
-    reject, admit = embedded_chain(dep)
-    ref_reject, ref_admit = np.zeros((k + 1, k + 1)), np.zeros((k + 1, k + 1))
+    gbar = val.tail(prices)
+    P = embedded_chain(S, gbar)
+    ref = np.zeros((k + 1, k + 1))
     for i in range(k + 1):
         for j in range(i + 1):
-            ref_reject[i, j] = dep.alpha[i, i - j]
+            ref[i, j] += (1.0 - gbar[i]) * S[i, j]
         for j in range(i + 2 if i < k else 0):
-            ref_admit[i, j] = dep.alpha[i + 1, i + 1 - j]
-    assert np.array_equal(reject, ref_reject)
-    assert np.array_equal(admit, ref_admit)
-    # every row of the mixed one-step matrix is a distribution
-    gbar = val.tail(prices)[:, None]
-    P = (1.0 - gbar) * reject + gbar * admit
+            ref[i, j] += gbar[i] * S[i + 1, j]
+    assert np.array_equal(P, ref)
+    # every row of the one-step matrix is a distribution
     np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=1e-12)
 
 
@@ -179,8 +176,7 @@ def dense_occupancy(spec, dep, prices):
     p = price_array(spec, prices)
     gbar = spec.valuation.tail(p)
     n = int(np.flatnonzero(gbar == 0.0)[0]) + 1
-    reject, admit = embedded_chain(dep)
-    P = ((1.0 - gbar[:, None]) * reject + gbar[:, None] * admit)[:n, :n]
+    P = embedded_chain(dep, gbar)[:n, :n]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -213,9 +209,8 @@ def test_censored_product_form_matches_dense_solve():
 def test_stationarity_certificate_rejects_broken_departure_matrix():
     spec = SystemSpec(servers=4, mu=2.0, arrival=Deterministic(rate=5.0), valuation=VAL)
     dep = departure_matrix(spec.arrival, spec.mu, 4)
-    halved = DepartureMatrix(k=4, mu=2.0, alpha=0.5 * dep.alpha)
-    stuck = np.repeat(np.eye(1, 5), 5, axis=0)  # alpha[i, 0] = 1: nobody ever leaves
-    no_departures = DepartureMatrix(k=4, mu=2.0, alpha=stuck)
+    halved = 0.5 * dep
+    no_departures = np.eye(5)  # S[i, i] = 1: nobody ever leaves
     for broken in (halved, no_departures):
         with np.errstate(all="ignore"), pytest.raises(SingularChain):
             occupancy_general(spec, broken, [0.5] * 4)
