@@ -1,12 +1,17 @@
 """Discrete-event validation of the analytical revenue and occupancy results.
 
-Arrival-driven event loop: interarrival gaps, service durations and
-valuations are pre-sampled in chunks from three independent counter-based
-streams (Philox via numpy SeedSequence spawning), so a replication is fully
+Arrival-driven simulation: interarrival gaps, service durations and
+valuations come in chunks from three independent counter-based streams
+(Philox via numpy SeedSequence spawning), so a replication is fully
 reproducible and two runs that differ only in the service law consume
-identical arrival and valuation randomness.  Confidence intervals are
-Student-t across replications; per-state counters let callers hold the
-histogram bins against analytic occupancies with binomial error bars.
+identical arrival and valuation randomness.  Within a chunk only the
+candidates, arrivals whose valuation clears the lowest price, go through
+the heap-based event loop; every other arrival is refused in every state.
+The busy-server histogram is counted with numpy after that loop, and the
+results equal those of a loop over every arrival bit for bit.  Confidence
+intervals are Student-t across replications; per-state counters let
+callers hold the histogram bins against analytic occupancies with binomial
+error bars.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .model import SystemSpec, price_array
 
 ServiceLaw = Union[Exponential, Deterministic, UniformInterval]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 12  # arrivals per chunk, and the cap on one service draw
+_FIRST_DRAW = 1 << 10  # first service draw; each later one doubles up to _CHUNK
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,12 @@ class SimConfig:
     service_law: Optional[ServiceLaw] = None
 
     def __post_init__(self):
+        for name in ("horizon_arrivals", "warmup_arrivals", "replications"):
+            value = getattr(self, name)
+            if value is None and name == "warmup_arrivals":
+                continue  # resolved to 10% of the horizon
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         warm = self.resolved_warmup
         if not (self.horizon_arrivals > warm >= 0):
             raise ValueError(
@@ -87,6 +99,28 @@ class SimResult:
 
 
 def _run_replication(cfg: SimConfig, entropy) -> tuple:
+    """One replication: (revenue rate, arrivals seen per state, admissions per state).
+
+    Arrivals go in chunks of at most _CHUNK.  A chunk's arrival times are
+    one sequential accumulate over its gaps with the clock folded into the
+    first gap, so they equal the running sum t += gap bit for bit.  An
+    arrival whose valuation is below min(p_0..p_{K-1}) is refused in every
+    state, so only the other arrivals, the candidates, enter the event
+    loop.  Departures leave the heap lazily, at the next candidate, which
+    gives each candidate the busy count a loop over every arrival would
+    give it; admissions and the revenue sum (in arrival order) are
+    unchanged too.  Service times are drawn ahead of the loop, at least
+    one per candidate, in draws that double from _FIRST_DRAW to _CHUNK;
+    Philox draws do not depend on how a run of them is split.
+
+    The histogram is counted after the loop.  Arrival j finds busy the
+    servers held at the chunk start, plus the chunk's admissions before j,
+    minus the departures d <= t_j among both.  Times never decrease, so a
+    chunk admission i with d_i <= t_j has i < j, unless its service rounds
+    away (t_i + s_i == t_i).  Such a customer is gone before any later
+    arrival looks, so it is left out of both counts.  The warm-up is the
+    same loop over the first warm arrivals; the counters restart after it.
+    """
     ss_arr, ss_srv, ss_val = entropy.spawn(3)
     rng_a = np.random.Generator(np.random.Philox(ss_arr))
     rng_s = np.random.Generator(np.random.Philox(ss_srv))
@@ -94,45 +128,56 @@ def _run_replication(cfg: SimConfig, entropy) -> tuple:
 
     k = cfg.spec.servers
     prices = price_array(cfg.spec, cfg.prices).tolist()
+    floor = min(prices[:k])
     horizon, warm = cfg.horizon_arrivals, cfg.resolved_warmup
     arrival, service, valuation = cfg.spec.arrival, cfg.resolved_service, cfg.spec.valuation
 
     heap: list[float] = []
-    busy = 0
+    pending = np.empty(0)
+    draw = _FIRST_DRAW
     t = 0.0
-    warm_end_t = 0.0
-    revenue = 0.0
-    seen = [0] * (k + 1)
-    accepted = [0] * k
-    srv_buf = service.sample(rng_s, _CHUNK).tolist()
-    si = 0
-    n = 0
-    while n < horizon:
-        take = min(_CHUNK, horizon - n)
-        gaps = arrival.sample(rng_a, take).tolist()
-        vals = valuation.sample(rng_v, take).tolist()
-        for j in range(take):
-            t += gaps[j]
-            while heap and heap[0] <= t:
-                heappop(heap)
-                busy -= 1
-            counted = n >= warm
-            if counted:
-                seen[busy] += 1
-            if busy < k and vals[j] >= prices[busy]:
-                if counted:
+    for start, stop in ((0, warm), (warm, horizon)):
+        warm_end_t, revenue = t, 0.0
+        seen = np.zeros(k + 1, dtype=np.int64)
+        accepted = [0] * k
+        for n in range(start, stop, _CHUNK):
+            take = min(_CHUNK, stop - n)
+            gaps = arrival.sample(rng_a, take)
+            vals = valuation.sample(rng_v, take)
+            gaps[0] += t
+            times = np.add.accumulate(gaps)
+            t = float(times[-1])
+            held = np.array(heap)
+            cand = np.flatnonzero(vals >= floor)
+            while len(pending) < len(cand):
+                pending = np.concatenate((pending, service.sample(rng_s, draw)))
+                draw = min(2 * draw, _CHUNK)
+            srv = pending[: len(cand)].tolist()
+            si = 0
+            adm: list[int] = []
+            for j, tj, vj in zip(cand.tolist(), times[cand].tolist(), vals[cand].tolist()):
+                while heap and heap[0] <= tj:
+                    heappop(heap)
+                busy = len(heap)
+                if busy < k and vj >= prices[busy]:
                     revenue += prices[busy]
                     accepted[busy] += 1
-                if si == len(srv_buf):
-                    srv_buf = service.sample(rng_s, _CHUNK).tolist()
-                    si = 0
-                heappush(heap, t + srv_buf[si])
-                si += 1
-                busy += 1
-            n += 1
-            if n == warm:
-                warm_end_t = t
-    return revenue / (t - warm_end_t), seen, accepted
+                    heappush(heap, tj + srv[si])
+                    si += 1
+                    adm.append(j)
+            adm_j = np.array(adm, dtype=np.int64)
+            adm_t = times[adm_j]
+            deps = adm_t + pending[:si]
+            pending = pending[si:]
+            stays = deps > adm_t
+            gone = np.sort(np.concatenate((held, deps[stays])))
+            busy_at = (
+                len(held)
+                + np.searchsorted(adm_j[stays], np.arange(take))
+                - np.searchsorted(gone, times, side="right")
+            )
+            seen += np.bincount(busy_at, minlength=k + 1)
+    return revenue / (t - warm_end_t), seen.tolist(), accepted
 
 
 def simulate(cfg: SimConfig) -> SimResult:

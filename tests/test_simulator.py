@@ -1,6 +1,8 @@
 """Event-driven simulator versus every analytical prediction."""
 
 import math
+from dataclasses import fields, replace
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -10,9 +12,13 @@ from farm_pricer import (
     Exponential,
     ExponentialValuation,
     InsensitivityReport,
+    ParetoValuation,
     SimConfig,
     SimResult,
     SystemSpec,
+    TabulatedTail,
+    TwoPoint,
+    UniformInterval,
     UniformValuation,
     departure_matrix,
     fixed_point,
@@ -22,6 +28,8 @@ from farm_pricer import (
     simulate,
     solve_general,
 )
+from farm_pricer import simulator
+from farm_pricer.model import price_array
 
 VAL = ExponentialValuation(beta=1.0)
 
@@ -192,3 +200,184 @@ def test_result_counters_are_consistent():
     assert int(out.seen_counts.sum()) == per_rep_counted * cfg.replications
     assert np.all(out.accepted_counts <= out.seen_counts[:3])
     assert out.occupancy_hist.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+# ------------------------------------------- per-arrival loop as reference
+
+def loop_replication(cfg: SimConfig, entropy) -> tuple:
+    """Reference: one heap step per arrival, the simulator's loop before candidates."""
+    ss_arr, ss_srv, ss_val = entropy.spawn(3)
+    rng_a = np.random.Generator(np.random.Philox(ss_arr))
+    rng_s = np.random.Generator(np.random.Philox(ss_srv))
+    rng_v = np.random.Generator(np.random.Philox(ss_val))
+
+    chunk = 1 << 16
+    k = cfg.spec.servers
+    prices = price_array(cfg.spec, cfg.prices).tolist()
+    horizon, warm = cfg.horizon_arrivals, cfg.resolved_warmup
+    arrival, service, valuation = cfg.spec.arrival, cfg.resolved_service, cfg.spec.valuation
+
+    heap: list[float] = []
+    busy = 0
+    t = 0.0
+    warm_end_t = 0.0
+    revenue = 0.0
+    seen = [0] * (k + 1)
+    accepted = [0] * k
+    srv_buf = service.sample(rng_s, chunk).tolist()
+    si = 0
+    n = 0
+    while n < horizon:
+        take = min(chunk, horizon - n)
+        gaps = arrival.sample(rng_a, take).tolist()
+        vals = valuation.sample(rng_v, take).tolist()
+        for j in range(take):
+            t += gaps[j]
+            while heap and heap[0] <= t:
+                heappop(heap)
+                busy -= 1
+            counted = n >= warm
+            if counted:
+                seen[busy] += 1
+            if busy < k and vals[j] >= prices[busy]:
+                if counted:
+                    revenue += prices[busy]
+                    accepted[busy] += 1
+                if si == len(srv_buf):
+                    srv_buf = service.sample(rng_s, chunk).tolist()
+                    si = 0
+                heappush(heap, t + srv_buf[si])
+                si += 1
+                busy += 1
+            n += 1
+            if n == warm:
+                warm_end_t = t
+    return revenue / (t - warm_end_t), seen, accepted
+
+
+def reference_result(cfg: SimConfig, monkeypatch) -> SimResult:
+    with monkeypatch.context() as m:
+        m.delenv("FARM_PRICER_THREADS", raising=False)
+        m.setattr(simulator, "_run_replication", loop_replication)
+        return simulate(cfg)
+
+
+def assert_bit_identical(got: SimResult, want: SimResult) -> None:
+    for f in fields(SimResult):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+ARRIVALS = {
+    "exp": Exponential(rate=6.0),
+    "det": Deterministic(rate=6.0),
+    "uniform": UniformInterval.from_rate(6.0),
+    "two-point": TwoPoint(0.05, 0.5, 0.6),
+}
+SERVICES = {"exp": None, "det": Deterministic(rate=2.0), "uniform": UniformInterval.from_rate(2.0)}
+CH = simulator._CHUNK
+HORIZON = 2 * CH + 123  # both phases span more than one chunk
+WARMUPS = (0, None, CH + 17)  # None: the default 10 %; CH + 17 crosses a chunk boundary
+
+
+@pytest.mark.parametrize("service", SERVICES, ids=list(SERVICES))
+@pytest.mark.parametrize("arrival", ARRIVALS, ids=list(ARRIVALS))
+def test_candidate_loop_matches_per_arrival_reference(arrival, service, monkeypatch):
+    combo = 0
+    for k in (1, 3, 50):
+        spec = SystemSpec(servers=k, mu=2.0, arrival=ARRIVALS[arrival], valuation=VAL)
+        optimal = solve_general(spec).prices
+        with_inf = optimal.copy()
+        with_inf[k // 2] = math.inf  # at K=1 no arrival is ever a candidate
+        for prices in (optimal, np.zeros(k), with_inf):
+            cfg = SimConfig(
+                spec=spec,
+                prices=prices,
+                horizon_arrivals=HORIZON,
+                warmup_arrivals=WARMUPS[combo % 3],
+                replications=1 + combo % 2,
+                seed=combo,
+                service_law=SERVICES[service],
+            )
+            assert_bit_identical(simulate(cfg), reference_result(cfg, monkeypatch))
+            combo += 1
+        combo += 1  # each K meets each warm-up under a different price vector
+
+
+def test_worker_pool_matches_per_arrival_reference(monkeypatch):
+    spec = poisson_spec(lam=6.0, k=3)
+    cfg = SimConfig(
+        spec=spec,
+        prices=fixed_point(spec).prices,
+        horizon_arrivals=HORIZON,
+        warmup_arrivals=CH + 17,
+        replications=3,
+        seed=21,
+    )
+    want = reference_result(cfg, monkeypatch)
+    monkeypatch.setenv("FARM_PRICER_THREADS", "2")
+    assert_bit_identical(simulate(cfg), want)
+
+
+@pytest.mark.parametrize(
+    "arrival, service, reps, idle",
+    [
+        (Exponential(rate=6.0), Deterministic(rate=1e300), 2, True),  # every service rounds away
+        (Exponential(rate=6.0), UniformInterval(0.0, 1e-16), 2, False),  # some round away
+        (Deterministic(rate=2.0), Deterministic(rate=2.0), 2, True),  # departures tie with arrivals
+        (UniformInterval(0.0, 1e-300), None, 1, False),  # tiny gaps: one rep, the rate is ~1e300
+        (UniformInterval(0.0, 1e-300), Deterministic(rate=1e300), 1, False),
+        (TwoPoint(1e-300, 0.9, 1.0), None, 2, False),  # gaps that vanish next to t: equal times
+    ],
+    ids=["det-rounds-away", "uniform-rounds-away", "ties", "tiny-gaps", "tiny-gaps-tiny-service",
+         "zero-gaps"],
+)
+def test_edge_timings_match_per_arrival_reference(arrival, service, reps, idle, monkeypatch):
+    spec = SystemSpec(servers=3, mu=2.0, arrival=arrival, valuation=VAL)
+    for prices in (np.zeros(3), np.array([0.2, 0.5, 1.0])):
+        cfg = SimConfig(
+            spec=spec,
+            prices=prices,
+            horizon_arrivals=CH + 500,
+            replications=reps,
+            seed=17,
+            service_law=service,
+        )
+        got = simulate(cfg)
+        assert_bit_identical(got, reference_result(cfg, monkeypatch))
+        if idle and not prices.any():
+            # every customer leaves by the next arrival, so each finds all servers free
+            assert got.occupancy_hist[0] == 1.0
+
+
+LAWS = [
+    Exponential(rate=3.0),
+    Deterministic(rate=3.0),
+    UniformInterval(0.1, 0.7),
+    TwoPoint(0.1, 0.3, 0.9),
+    ExponentialValuation(beta=1.5),
+    ParetoValuation(theta=0.5),
+    UniformValuation(lo=0.0, hi=2.0),
+    TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3)),
+]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=[type(law).__name__ for law in LAWS])
+def test_sample_does_not_depend_on_how_draws_are_split(law):
+    # the simulator draws service times in doubling pieces and arrivals in
+    # chunks; that is only bit-identical if a split changes no draw
+    pieces = (1, 2, 1023, 5000, 3)
+    whole = law.sample(np.random.Generator(np.random.Philox(99)), sum(pieces))
+    rng = np.random.Generator(np.random.Philox(99))
+    split = np.concatenate([law.sample(rng, n) for n in pieces])
+    assert np.array_equal(whole, split)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("warmup_arrivals", 10_000.5), ("horizon_arrivals", 2000.0), ("replications", True)],
+)
+def test_config_rejects_non_integral_counts(field, value):
+    base = SimConfig(spec=poisson_spec(k=2), prices=np.zeros(2), horizon_arrivals=20_000)
+    with pytest.raises(ValueError, match=field):
+        replace(base, **{field: value})
+    replace(base, **{field: np.int64(3)})  # numpy integers are accepted
