@@ -1,5 +1,5 @@
-"""Scalar numerics on the standard library: last-float bisection and the
-Student-t quantile.
+"""Scalar numerics on the standard library: last-float bisection, the
+Student-t quantile and the positive-integer check for counts.
 
 `t_quantile` inverts the finite-series Student-t CDF for integer degrees of
 freedom (Abramowitz & Stegun 26.7.3-4).
@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int; ValueError unless it is an Integral >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def bisect(below, lo: float, hi: float) -> float:

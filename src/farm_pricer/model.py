@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import positive_int
 from .arrival import Exponential, InterarrivalDist, arrival_from_config
 from .errors import ConfigError
 from .valuation import ValuationDist, valuation_from_config
@@ -26,8 +27,7 @@ class SystemSpec:
     valuation: ValuationDist
 
     def __post_init__(self):
-        if not (isinstance(self.servers, int) and self.servers >= 1):
-            raise ValueError(f"servers must be a positive integer, got {self.servers}")
+        object.__setattr__(self, "servers", positive_int("servers", self.servers))
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
@@ -74,12 +74,12 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     """
     if not isinstance(cfg, dict):
         raise ConfigError("system", "expected an object")
+    if "servers" not in cfg:
+        raise ConfigError("servers", "missing")
     try:
-        servers = int(cfg["servers"])
-    except KeyError:
-        raise ConfigError("servers", "missing") from None
-    except (TypeError, ValueError):
-        raise ConfigError("servers", f"not an integer: {cfg.get('servers')!r}") from None
+        servers = positive_int("servers", cfg["servers"])
+    except ValueError as exc:
+        raise ConfigError("servers", str(exc)) from None
     try:
         mu = float(cfg["mu"])
     except KeyError:

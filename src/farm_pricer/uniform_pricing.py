@@ -20,6 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from ._numeric import positive_int
 from .arrival import (
     Exponential,
     InterarrivalDist,
@@ -29,7 +30,9 @@ from .arrival import (
     rare_unit_gap_family,
 )
 from .errors import NoFiniteMaximizer
-from .valuation import ValuationDist, _golden_max, eval_m, tail
+from .valuation import ValuationDist, eval_m, tail
+
+_BLOCK_FLOATS = 2**15  # float64 entries per log-sum-exp block: 256 KB
 
 
 @dataclass(frozen=True)
@@ -50,25 +53,31 @@ class UniformPricingResult:
 
 
 def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
-    """p -> (Gbar(p), pi_K(p)) over an array of prices.
+    """p -> (Gbar(p), pi_K(p)) over a price or an array of prices.
 
-    log C(K,j) + log beta_j is built once here; each call then costs one
-    (len(p) x K+1) log-sum-exp.
+    log C(K,j) + log beta_j is built once here; each call then runs the
+    log-sum-exp over blocks of max(1, 2**15 // (K+1)) prices, so no
+    temporary exceeds 256 KB.  Every step reduces along a row, so a price
+    gets the same bits in any block.
     """
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!
     terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
     j = np.arange(k + 1)
+    rows = max(1, _BLOCK_FLOATS // (k + 1))
 
     def curve(p):
         gbar = np.asarray(tail(val, p), dtype=float)
         # Gbar(p) = 0: nobody joins, the system drains and is never full
         joins = gbar > 0.0
-        x = np.multiply.outer(np.log(np.where(joins, gbar, 1.0)), -j)
-        x += terms
-        top = x.max(axis=-1, keepdims=True)
-        x -= top
-        log_sum = top[..., 0] + np.log(np.exp(x, out=x).sum(axis=-1))
-        return gbar, np.where(joins, np.exp(-log_sum), 0.0)
+        log_g = np.log(np.where(joins, gbar, 1.0)).ravel()
+        log_sum = np.empty_like(log_g)
+        for s in range(0, log_g.size, rows):
+            x = np.multiply.outer(log_g[s : s + rows], -j)
+            x += terms
+            top = x.max(axis=-1, keepdims=True)
+            x -= top
+            log_sum[s : s + rows] = top[:, 0] + np.log(np.exp(x, out=x).sum(axis=-1))
+        return gbar, np.where(joins, np.exp(-log_sum.reshape(gbar.shape)), 0.0)
 
     return curve
 
@@ -88,6 +97,9 @@ def blocking_prob(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Long-run fraction of admitted-willing arrivals that find all servers busy."""
+    k = positive_int("k", k)
+    if math.isnan(p):
+        raise ValueError("price must not be NaN")
     if float(tail(val, p)) <= 0.0:
         # nobody joins, the system drains and is never full
         return 0.0
@@ -98,7 +110,8 @@ def revenue_uniform(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Mean revenue rate lambda * p * Gbar(p) * (1 - pi_K(p)) at uniform price p."""
-    if p < 0:
+    k = positive_int("k", k)
+    if not p >= 0:  # NaN included
         raise ValueError(f"price must be >= 0, got {p}")
     if float(tail(val, p)) <= 0.0:
         return 0.0
@@ -110,12 +123,15 @@ def optimize_uniform(
 ) -> UniformPricingResult:
     """Maximize the uniform-price revenue over p.
 
-    512-point log grid on (0, Q(1e-9)] followed by golden-section
-    refinement; the revenue curve is not provably unimodal, so the grid
-    does the global work and the section search only polishes.  On a flat
-    maximum p_star_K is reproducible only to about 1.5e-8 (rounding-level
-    revenue differences steer the polish); revenue_K to about 1e-15.
+    A 512-point log grid on (0, Q(1e-9)] followed by a vector zoom: each
+    pass evaluates 17 evenly spaced prices of the bracket around the best
+    so far and keeps the two neighbours of the first maximum, until the
+    bracket is 1e-8 wide.  The revenue curve is not provably unimodal, so
+    the grid does the global work and the zoom only polishes.  On a flat
+    maximum p_star_K is reproducible only to about 5e-8 (rounding-level
+    revenue differences steer the zoom); revenue_K to about 1e-15.
     """
+    k = positive_int("k", k)
     inf_eval = eval_m(val, 0.0)
     p_inf = inf_eval.u_star
     lam = 1.0 / dist.mean
@@ -144,12 +160,17 @@ def optimize_uniform(
             f"no finite optimal price detected"
         )
 
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    p_star = _golden_max(lambda p: float(revenue(p)), lo, hi, 1e-8)
-    r_star = float(revenue(p_star))
-    if rev[i] > r_star:
-        p_star, r_star = float(grid[i]), float(rev[i])
+    p_star, r_star = float(grid[i]), float(rev[i])
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    while hi - lo > 1e-8:
+        ps = np.linspace(lo, hi, 17)
+        rs = revenue(ps)
+        j = int(np.argmax(rs))  # the first maximum: ties go to the smaller price
+        if rs[j] > r_star:
+            p_star, r_star = float(ps[j]), float(rs[j])
+        lo, hi, width = ps[max(j - 1, 0)], ps[min(j + 1, 16)], hi - lo
+        if hi - lo >= width:  # the bracket is down to adjacent floats
+            break
 
     gap_upper = r_star / (1.0 - float(curve(p_inf)[1]))
     beta1 = float(np.exp(_log_beta_seq(dist, mu, 1)[1]))

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, NoFiniteMaximizer
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio section
-
 
 def _as_float_or_array(u):
     arr = np.asarray(u, dtype=float)
@@ -187,25 +185,6 @@ class AuxEval:
     B: float
     u_star: float
     m_val: float
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> float:
-    """Golden-section maximum of fn on [a, b]; ties resolve leftward."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc >= fd:  # >= keeps plateau walks moving toward smaller u
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def _knots(dist: ValuationDist) -> tuple[np.ndarray, np.ndarray]:

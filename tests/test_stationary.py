@@ -10,6 +10,7 @@ from farm_pricer import (
     Exponential,
     ExponentialValuation,
     OccupancyDist,
+    ConfigError,
     SingularChain,
     SystemSpec,
     TabulatedTail,
@@ -22,6 +23,7 @@ from farm_pricer import (
     occupancy_general,
     occupancy_poisson,
     price_array,
+    spec_from_config,
     revenue_rate,
     solve_general,
 )
@@ -266,6 +268,27 @@ def test_price_vector_validation():
         price_array(spec, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         price_array(spec, [1.0, math.nan, 3.0])
+
+
+def test_server_count_is_a_positive_integer():
+    spec = SystemSpec(np.int64(5), 2.0, Exponential(rate=25.0), VAL)
+    assert spec.servers == 5 and type(spec.servers) is int
+    for bad in (5.7, 5.0, True, 0, -3, "5"):
+        with pytest.raises(ValueError, match="servers"):
+            SystemSpec(bad, 2.0, Exponential(rate=25.0), VAL)
+
+
+def test_config_server_count_is_a_positive_integer():
+    cfg = {"mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponential", "beta": 1.0}}
+    spec = spec_from_config({**cfg, "servers": np.int64(5)})
+    assert spec.servers == 5 and type(spec.servers) is int
+    for bad in (5.7, 5.0, True, False, 0, "5", None):
+        with pytest.raises(ConfigError) as err:
+            spec_from_config({**cfg, "servers": bad})
+        assert err.value.key == "servers"
+    with pytest.raises(ConfigError) as err:
+        spec_from_config(cfg)
+    assert err.value.key == "servers"
 
 
 def test_occupancy_dist_must_be_probability():

@@ -1,6 +1,7 @@
 """Uniform-price revenue, blocking, gap bounds, asymptotic diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from farm_pricer import (
     optimize_uniform,
     revenue_uniform,
 )
+from farm_pricer.arrival import _log_beta_seq
 from farm_pricer.uniform_pricing import _blocking_curve
+from farm_pricer.valuation import tail
 
 
 def erlang_b(k: int, a: float) -> float:
@@ -79,6 +82,32 @@ def test_revenue_edges():
     assert revenue_uniform(d, v0, 2.0, 3, 1.5) == 0.0
     with pytest.raises(ValueError):
         revenue_uniform(d, VAL, 2.0, 3, -0.1)
+
+
+def test_nan_price_and_bad_server_counts_are_rejected():
+    d = Exponential(rate=10.0)
+    with pytest.raises(ValueError, match="NaN"):
+        blocking_prob(d, VAL, 2.0, 3, math.nan)
+    with pytest.raises(ValueError, match="price must be >= 0, got nan"):
+        revenue_uniform(d, VAL, 2.0, 3, math.nan)
+    for k in (0, -1, True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            blocking_prob(d, VAL, 2.0, k, 1.0)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            revenue_uniform(d, VAL, 2.0, k, 1.0)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            optimize_uniform(d, VAL, 2.0, k)
+
+
+def test_numpy_server_count_and_infinite_price():
+    d = Exponential(rate=10.0)
+    k = np.int64(3)
+    assert blocking_prob(d, VAL, 2.0, k, 1.0) == blocking_prob(d, VAL, 2.0, 3, 1.0)
+    assert revenue_uniform(d, VAL, 2.0, k, 1.0) == revenue_uniform(d, VAL, 2.0, 3, 1.0)
+    assert optimize_uniform(d, VAL, 2.0, k) == optimize_uniform(d, VAL, 2.0, 3)
+    # p = +inf: nobody joins
+    assert blocking_prob(d, VAL, 2.0, 3, math.inf) == 0.0
+    assert revenue_uniform(d, VAL, 2.0, 3, math.inf) == 0.0
 
 
 def test_revenue_formula_matches_erlang_oracle():
@@ -268,3 +297,49 @@ def test_optimize_uniform_pinned_values(case):
     revenue, gap_upper = PINNED[case]
     assert res.revenue_K == pytest.approx(revenue, rel=1e-12)
     assert res.gap_upper == pytest.approx(gap_upper, rel=1e-12)
+
+
+# ---------------------------------------------------------------- row blocks
+
+def one_shot_curve(dist, val, mu, k):
+    """The blocking curve as one (len(p) x K+1) log-sum-exp, as before row blocks."""
+    lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
+    terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
+    j = np.arange(k + 1)
+
+    def curve(p):
+        gbar = np.asarray(tail(val, p), dtype=float)
+        joins = gbar > 0.0
+        x = np.multiply.outer(np.log(np.where(joins, gbar, 1.0)), -j)
+        x += terms
+        top = x.max(axis=-1, keepdims=True)
+        x -= top
+        log_sum = top[..., 0] + np.log(np.exp(x, out=x).sum(axis=-1))
+        return gbar, np.where(joins, np.exp(-log_sum), 0.0)
+
+    return curve
+
+
+@pytest.mark.parametrize("k", [1, 5, 200, 1000, 5000])
+@pytest.mark.parametrize("arrival", ["exp", "det", "two", "uni"])
+def test_row_blocks_match_one_shot_curve(arrival, k):
+    dist = arrival_law(arrival, rate_for(k))
+    blocked, reference = _blocking_curve(dist, TABLE7, 2.0, k), one_shot_curve(dist, TABLE7, 2.0, k)
+    grid = np.geomspace(TABLE7.tail_quantile(1e-9) * 1e-9, TABLE7.tail_quantile(1e-9), 512)
+    for p in (grid, 1.3, np.float64(4.5)):
+        got, want = blocked(p), reference(p)
+        assert np.shape(got[1]) == np.shape(want[1])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_optimize_uniform_memory_is_bounded():
+    dist = Exponential(rate=7200.0)
+    optimize_uniform(dist, VAL, 2.0, 4000)  # warm any lazy imports and caches
+    tracemalloc.start()
+    try:
+        optimize_uniform(dist, VAL, 2.0, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (512 x 4001) float64 matrix alone would take 15.6 MiB
+    assert peak < 2 * 2**20
