@@ -88,6 +88,8 @@ class UniformInterval:
     @classmethod
     def from_rate(cls, rate: float) -> "UniformInterval":
         """Symmetric-about-the-mean convention: U[0, 2/rate]."""
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         return cls(0.0, 2.0 / rate)
 
     @property
@@ -118,8 +120,8 @@ class TwoPoint:
     x2: float
 
     def __post_init__(self):
-        if not (self.x1 > 0 and self.x2 > 0):
-            raise ValueError("atoms must be positive")
+        if not (0 < self.x1 < math.inf and 0 < self.x2 < math.inf):
+            raise ValueError(f"atoms must be positive and finite, got {self.x1} and {self.x2}")
         if not (0.0 < self.p1 < 1.0):
             raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
 

@@ -30,7 +30,13 @@ def _write_text(path_like, text: str) -> Path:
 def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.10g}"
-    return str(x)
+    return "" if x is None else str(x)
+
+
+def _csv_text(header, rows) -> str:
+    """Comma-joined lines, floats to 10 significant digits and None blank."""
+    lines = [",".join(header)] + [",".join(_csv_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 _FIGURES = {}
@@ -135,6 +141,4 @@ def emit_figure_data(figure_id: str, out_path) -> Path:
     """Write the CSV behind one of the shipped result figures."""
     if figure_id not in _FIGURES:
         raise ConfigError("id", f"'{figure_id}' not in {sorted(_FIGURES)}")
-    header, rows = _FIGURES[figure_id]()
-    lines = [",".join(header)] + [",".join(_csv_cell(x) for x in row) for row in rows]
-    return _write_text(out_path, "\n".join(lines) + "\n")
+    return _write_text(out_path, _csv_text(*_FIGURES[figure_id]()))

@@ -126,9 +126,10 @@ def optimize_uniform(
     A 512-point log grid on (0, Q(1e-9)] followed by a vector zoom: each
     pass evaluates 17 evenly spaced prices of the bracket around the best
     so far and keeps the two neighbours of the first maximum, until the
-    bracket is 1e-8 wide.  The revenue curve is not provably unimodal, so
-    the grid does the global work and the zoom only polishes.  On a flat
-    maximum p_star_K is reproducible only to about 5e-8 (rounding-level
+    bracket is 1e-8 of its upper end wide, so every price scale gets the
+    same polish.  The revenue curve is not provably unimodal, so the grid
+    does the global work and the zoom only polishes.  On a flat maximum
+    p_star_K is reproducible only to about 5e-8 relative (rounding-level
     revenue differences steer the zoom); revenue_K to about 1e-15.
     """
     k = positive_int("k", k)
@@ -162,7 +163,7 @@ def optimize_uniform(
 
     p_star, r_star = float(grid[i]), float(rev[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    while hi - lo > 1e-8:
+    while hi - lo > 1e-8 * hi:
         ps = np.linspace(lo, hi, 17)
         rs = revenue(ps)
         j = int(np.argmax(rs))  # the first maximum: ties go to the smaller price

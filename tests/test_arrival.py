@@ -294,3 +294,17 @@ def test_arrival_from_config():
         arrival_from_config({"kind": "exponential"})
     with pytest.raises(ConfigError):
         arrival_from_config({"kind": "exponential", "rate": -3.0})
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+def test_uniform_from_rate_needs_positive_finite_rate(rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        UniformInterval.from_rate(rate)
+    with pytest.raises(ConfigError, match="rate must be positive and finite"):
+        arrival_from_config({"kind": "uniform", "rate": rate})
+
+
+@pytest.mark.parametrize("atoms", [(math.inf, 0.01), (0.01, math.inf), (math.nan, 0.01)])
+def test_two_point_needs_finite_atoms(atoms):
+    with pytest.raises(ValueError, match="atoms must be positive and finite"):
+        TwoPoint(x1=atoms[0], p1=0.5, x2=atoms[1])

@@ -103,6 +103,50 @@ def test_compare_matches_figure_bars(tmp_path):
     assert revs["state-dependent"] == pytest.approx(6.54, abs=0.02)
 
 
+SIM = ["--arrivals", "2000", "--reps", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["solve-poisson", *BASE],
+         ["theta_star", "deltas", "prices", "iterations", "bracket_width"]),
+        (["solve-general", *BASE], ["theta_star", "deltas", "b", "prices", "residuals"]),
+        (["uniform", *BASE],
+         ["p_star_K", "revenue_K", "p_star_inf", "revenue_inf_bound", "gap_lower",
+          "gap_upper", "coarse_gap"]),
+        (["evaluate", *BASE, "--prices", "1.2,1.2,1.3,1.45,1.8"],
+         ["revenue_rate", "occupancy", "blocking", "view"]),
+        (["simulate", *BASE, *SIM],
+         ["revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac", "occupancy_hist",
+          "accepted_frac_by_state", "prices", "theta_analytic"]),
+        (["simulate", *BASE, *SIM, "--prices", "1.2,1.2,1.3,1.45,1.8"],
+         ["revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac", "occupancy_hist",
+          "accepted_frac_by_state", "prices"]),
+        (["compare", *BASE], ["rows"]),
+    ],
+    ids=["solve-poisson", "solve-general", "uniform", "evaluate", "simulate",
+         "simulate-prices", "compare"],
+)  # fmt: skip
+def test_json_keys_in_order(tmp_path, argv, keys):
+    assert list(run_json(tmp_path, argv)) == keys
+
+
+def test_row_keys_in_order(tmp_path):
+    rows = run_json(tmp_path, ["compare", *BASE], "c.json")["rows"]
+    assert [list(r) for r in rows] == [["policy", "price", "revenue"]] * 3
+    assert [r["policy"] for r in rows] == [
+        "uniform-infinite-server-price", "uniform-best", "state-dependent"
+    ]
+    assert rows[2]["price"] is None
+    sweep = ["sweep", *BASE, "--vary", "K", "--grid", "3,4", "--format", "json"]
+    rows = run_json(tmp_path, sweep, "s.json")
+    assert [list(r) for r in rows] == [
+        ["param", "value", "theta_star", "theta_over_value", "prices"]
+    ] * 2
+    assert [len(r["prices"]) for r in rows] == [3, 4]
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_csv(tmp_path):
@@ -137,6 +181,12 @@ def test_every_figure_emits(tmp_path, fid):
     assert run(["figure", "--id", fid, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) >= 4
+
+
+def test_figure_command_writes_the_library_csv(tmp_path):
+    assert run(["figure", "--id", "mu-rev", "--out", str(tmp_path / "cli.csv")]) == 0
+    lib = emit_figure_data("mu-rev", tmp_path / "lib.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == lib.read_bytes()
 
 
 def test_rev_vs_k_converges_to_infinite_server_level(tmp_path):
@@ -182,6 +232,14 @@ def test_config_file_and_flag_override(tmp_path):
     assert overridden["theta_star"] < base["theta_star"]
 
 
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert run(["uniform", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config key 'system': config file must hold an object\n"
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_exit_code_on_bad_config():
@@ -213,6 +271,35 @@ def test_bad_service_law_is_reported_under_service(capsys):
     assert run(["simulate", *BASE, "--service", "det:0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: config key 'service': rate must be positive")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["solve-general", *BASE, "--arrival", "uniform:0"],
+         "config key 'arrival': rate must be positive and finite, got 0.0"),
+        (["simulate", *BASE, "--service", "uniform:0"],
+         "config key 'service': rate must be positive and finite, got 0.0"),
+        (["simulate", *BASE, *SIM, "--arrival", "two_point:inf:0.5:0.01"],
+         "config key 'arrival': atoms must be positive and finite, got inf and 0.01"),
+        (["uniform", *BASE, "--arrival", "two_point:inf:0.5:0.01"],
+         "config key 'arrival': atoms must be positive and finite, got inf and 0.01"),
+    ],
+    ids=["uniform-rate-0", "service-rate-0", "simulate-infinite-atom", "uniform-infinite-atom"],
+)  # fmt: skip
+def test_unrepresentable_interval_laws_are_config_errors(argv, err, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_config_uniform_rate_zero_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "u.json"
+    cfg.write_text(json.dumps({"system": {
+        "servers": 3, "mu": 2.0, "arrival": {"kind": "uniform", "rate": 0},
+        "valuation": {"kind": "exponential", "beta": 1.0},
+    }}))  # fmt: skip
+    assert run(["solve-general", "--config", str(cfg)]) == 2
+    assert "rate must be positive and finite" in capsys.readouterr().err
 
 
 def test_format_only_on_sweep_and_compare(tmp_path):

@@ -130,6 +130,16 @@ def test_optimize_uniform_five_servers():
     assert res.revenue_K <= res.revenue_inf_bound
 
 
+def test_optimize_uniform_is_scale_invariant():
+    # scaling every valuation by 1/beta scales the optimal price and its
+    # revenue by 1/beta; the zoom must polish a price of 1e-10 as finely
+    ref = optimize_uniform(Exponential(rate=25.0), VAL, 2.0, 5)
+    for beta in (1e-10, 1e10):
+        res = optimize_uniform(Exponential(rate=25.0), ExponentialValuation(beta=beta), 2.0, 5)
+        assert res.p_star_K * beta == pytest.approx(ref.p_star_K, rel=1e-9), beta
+        assert res.revenue_K * beta == pytest.approx(ref.revenue_K, rel=1e-12), beta
+
+
 def test_optimize_uniform_pinned_heavier_load():
     # K=5, lambda=25, mu=2
     res = optimize_uniform(Exponential(rate=25.0), VAL, 2.0, 5)
