@@ -3,7 +3,8 @@
 The same classes describe interarrival times (rate lambda) and, in the
 simulator, service times (rate mu): each is a positive random interval with
 a prescribed mean.  Analytical work needs the Laplace-Stieltjes transform
-phi(s) = E exp(-s U); the blocking formula needs the products
+phi(s) = E exp(-s U), which each law gives as log phi(s) and log(1 - phi(s))
+so that neither underflows; the blocking formula needs the products
 
     beta_j = prod_{m=1}^{j} (1 - phi(m mu)) / phi(m mu),
 
@@ -46,8 +47,9 @@ class Exponential:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def lst(self, s: float) -> float:
-        return self.rate / (self.rate + s)
+    def log_lst(self, s: float) -> tuple[float, float]:
+        ph = self.rate / (self.rate + s)
+        return math.log(ph), (math.log1p(-ph) if ph < 1.0 else -math.inf)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
@@ -67,8 +69,9 @@ class Deterministic:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def lst(self, s: float) -> float:
-        return math.exp(-s / self.rate)
+    def log_lst(self, s: float) -> tuple[float, float]:
+        x = s / self.rate
+        return -x, _log(-math.expm1(-x))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, 1.0 / self.rate)
@@ -100,12 +103,13 @@ class UniformInterval:
     def rate(self) -> float:
         return 1.0 / self.mean
 
-    def lst(self, s: float) -> float:
-        if s == 0.0:
-            return 1.0
+    def log_lst(self, s: float) -> tuple[float, float]:
         w = s * (self.hi - self.lo)
-        # exp(-s lo) - exp(-s hi) via expm1, stable for small s
-        return -math.exp(-s * self.lo) * math.expm1(-w) / w
+        if w == 0.0:
+            return 0.0, -math.inf
+        # phi = e^{-s lo} (1 - e^{-w}) / w via expm1, stable for small s
+        log_phi = math.log(-math.expm1(-w) / w) - s * self.lo
+        return log_phi, _log(-math.expm1(log_phi))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, n)
@@ -133,8 +137,12 @@ class TwoPoint:
     def rate(self) -> float:
         return 1.0 / self.mean
 
-    def lst(self, s: float) -> float:
-        return self.p1 * math.exp(-s * self.x1) + (1.0 - self.p1) * math.exp(-s * self.x2)
+    def log_lst(self, s: float) -> tuple[float, float]:
+        # factor out the shorter atom's e^{-s x}, so the sum left never underflows
+        (xa, pa), (xb, pb) = sorted(((self.x1, self.p1), (self.x2, 1.0 - self.p1)))
+        log_phi = math.log(pa + pb * math.exp(-s * (xb - xa))) - s * xa
+        done = -(pa * math.expm1(-s * xa) + pb * math.expm1(-s * xb))
+        return log_phi, _log(done)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.where(rng.random(n) < self.p1, self.x1, self.x2)
@@ -143,11 +151,15 @@ class TwoPoint:
 InterarrivalDist = Union[Exponential, Deterministic, UniformInterval, TwoPoint]
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def lst(dist: InterarrivalDist, s: float) -> float:
     """E[exp(-s U)], with a defensive range check."""
     if s < 0:
         raise ValueError(f"transform argument must be >= 0, got {s}")
-    value = dist.lst(s)
+    value = math.exp(dist.log_lst(s)[0])
     if not (0.0 < value <= 1.0):
         raise DegenerateTransform(f"phi({s}) = {value} outside (0, 1]")
     return value
@@ -158,12 +170,11 @@ def _log_beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     out[0] = 0.0
     acc = 0.0
     for j in range(1, k + 1):
-        ph = dist.lst(j * mu)
-        if not (0.0 < ph < 1.0):
-            raise DegenerateTransform(
-                f"phi({j * mu}) = {ph}; beta products need phi strictly inside (0, 1)"
-            )
-        acc += math.log1p(-ph) - math.log(ph)
+        log_phi, log_done = dist.log_lst(j * mu)
+        step = log_done - log_phi  # log((1 - phi) / phi), finite even where phi underflows
+        if not math.isfinite(step):
+            raise DegenerateTransform(f"phi({j * mu}) = {math.exp(log_phi)} is not inside (0, 1)")
+        acc += step
         out[j] = acc
     return out
 

@@ -164,9 +164,7 @@ def _cmd_solve_poisson(args) -> int:
         raise ConfigError(
             "arrival", "solve-poisson needs exponential interarrivals; use solve-general"
         )
-    if not args.precision > 0:
-        raise ConfigError("precision", f"must be > 0, got {args.precision}")
-    res = mdp_poisson.fixed_point(spec, delta_precision=args.precision)
+    res = mdp_poisson.fixed_point(spec)
     summary = f"theta* = {res.theta_star:.6f} after {res.iterations} bisection steps"
     _emit(args, _fields(res), summary)
     return 0
@@ -298,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     formats = {"choices": ["json", "csv"], "default": "json", "help": "output format"}
 
-    p = command("solve-poisson", _cmd_solve_poisson, "state-dependent optimum, Poisson arrivals")
-    p.add_argument("--precision", type=float, default=1e-9, help="theta bisection tolerance")
+    command("solve-poisson", _cmd_solve_poisson, "state-dependent optimum, Poisson arrivals")
     command("solve-general", _cmd_solve_general, "state-dependent optimum, renewal arrivals")
     command("uniform", _cmd_uniform, "best single price and optimality-gap bounds")
 

@@ -29,6 +29,9 @@ from .model import SystemSpec
 from .stationary import revenue_rate
 from .valuation import eval_m, tail
 
+_RVI_TOL = 1e-8  # span of the relative value iteration's theta estimates
+_RVI_MAX_SWEEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PoissonSolveResult:
@@ -63,22 +66,23 @@ def g_chain(spec: SystemSpec, theta: float) -> np.ndarray:
     return g
 
 
-def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolveResult:
-    """Bisect theta = lambda m(g_0(theta)) to within delta_precision.
+def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
+    """Bisect theta = lambda m(g_0(theta)) to a width of 1e-12 lambda m(0).
 
-    Bracket update per iteration, with v = lambda m(g_0(midpoint)):
-    the new lower end is max(old, min(mid, v)), the new upper end
-    min(old, max(mid, v)).  Either way the width halves and the ends never
-    cross; once they are adjacent floats the width stops shrinking, and a
-    delta_precision below that spacing raises NoConvergence after 2000 steps.
-    The prices must earn theta* (revenue_rate) within delta_precision + 1e-9
-    max(1, theta*); the chain amplifies any error in theta, so until they do
-    bisection goes on, raising NoConvergence at adjacent floats or overflow.
+    lambda m(0), the infinite-server revenue, bounds theta* above, so the
+    width is relative to the problem's own revenue scale and theta* comes
+    out the same in any unit of the valuations.  Bracket update per
+    iteration, with v = lambda m(g_0(midpoint)): the new lower end is
+    max(old, min(mid, v)), the new upper end min(old, max(mid, v)).  Either
+    way the width halves and the ends never cross.  The prices must earn
+    theta* (revenue_rate) within that width + 1e-9 theta*; the chain
+    amplifies any error in theta, so until they do bisection goes on,
+    raising NoConvergence at adjacent floats, after 2000 steps or on overflow.
     """
     _require_poisson(spec)
-    if not delta_precision > 0:
-        raise ValueError(f"delta_precision must be > 0, got {delta_precision}")
     lam, val = spec.arrival_rate, spec.valuation
+    cap = infinite_server_limit(spec)[0]
+    tol = 1e-12 * cap
 
     with np.errstate(over="ignore"):  # lam m(g_0) may overflow; inf is handled below
         lo = 0.0
@@ -88,16 +92,16 @@ def fixed_point(spec: SystemSpec, delta_precision: float = 1e-9) -> PoissonSolve
                 raise NoFiniteMaximizer(f"initial upper end {hi}")
         except NoFiniteMaximizer:
             # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
-            hi = lam * eval_m(val, 0.0).m_val
+            hi = cap
 
         iterations = 0
         while True:
             mid = 0.5 * (lo + hi)
             deltas = g_chain(spec, mid)
-            if hi - lo <= delta_precision:
+            if hi - lo <= tol:
                 prices = np.array([eval_m(val, d).u_star for d in deltas])
                 rate = revenue_rate(spec, prices)
-                if abs(rate - mid) <= delta_precision + 1e-9 * max(1.0, mid):
+                if abs(rate - mid) <= tol + 1e-9 * mid:
                     break
                 if not lo < mid < hi:
                     raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
@@ -126,9 +130,7 @@ def infinite_server_limit(spec: SystemSpec) -> tuple[float, float]:
     return spec.arrival_rate * ev.m_val, ev.u_star
 
 
-def value_iteration_oracle(
-    spec: SystemSpec, tol: float = 1e-8, max_sweeps: int = 1_000_000
-) -> float:
+def value_iteration_oracle(spec: SystemSpec) -> float:
     """Average revenue rate by relative value iteration on the uniformized chain.
 
     Controls live on a 4096-point price grid over [0, Q(1e-9)], then the
@@ -142,7 +144,7 @@ def value_iteration_oracle(
     q_hi = val.tail_quantile(1e-9)
 
     grid = np.linspace(0.0, q_hi, 4096)
-    h, theta, spans_ok = _rvi(grid, spec, big_lambda, tol, max_sweeps)
+    h, theta, spans_ok = _rvi(grid, spec, big_lambda)
 
     # refine near the maximizers the current solution points at
     dh = h[:-1] - h[1:]  # estimated Delta(i)
@@ -152,13 +154,13 @@ def value_iteration_oracle(
         u = eval_m(val, float(d)).u_star
         extra.append(np.linspace(max(u - 3 * step, 0.0), u + 3 * step, 64))
     grid2 = np.unique(np.concatenate([grid, *extra]))
-    _, theta2, spans_ok2 = _rvi(grid2, spec, big_lambda, tol, max_sweeps)
+    _, theta2, spans_ok2 = _rvi(grid2, spec, big_lambda)
     if not (spans_ok and spans_ok2):
-        raise NoConvergence(f"value-iteration span above {tol} after {max_sweeps} sweeps")
+        raise NoConvergence(f"value-iteration span above {_RVI_TOL} after {_RVI_MAX_SWEEPS} sweeps")
     return theta2
 
 
-def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float, tol: float, max_sweeps: int):
+def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
     qs = lam * np.asarray(tail(val, grid)) / big_lambda
     rs = grid * qs
@@ -166,7 +168,7 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float, tol: float, max_
     i_arr = np.arange(k)
     down = i_arr * mu / big_lambda
     theta = math.nan
-    for _ in range(max_sweeps):
+    for _ in range(_RVI_MAX_SWEEPS):
         th = np.empty(k + 1)
         dh = h[1:] - h[:-1]
         # max over the price grid of q(u) * (u + h(i+1) - h(i)), per state
@@ -177,7 +179,7 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float, tol: float, max_
         lbl, ubl = float(np.min(diff)), float(np.max(diff))
         theta = big_lambda * 0.5 * (lbl + ubl)
         h = th - th[0]
-        if big_lambda * (ubl - lbl) <= tol:
+        if big_lambda * (ubl - lbl) <= _RVI_TOL:
             return h, theta, True
     return h, theta, False
 

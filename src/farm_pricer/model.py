@@ -46,7 +46,7 @@ class SystemSpec:
 
 
 def price_array(spec: SystemSpec, prices) -> np.ndarray:
-    """Validate a state-dependent price vector p_0..p_{K-1} (+inf allowed).
+    """Validate a state-dependent price vector p_0..p_{K-1} (+inf allowed, NaN and -inf not).
 
     Accepts length K (price at state K is implicitly +inf: full system
     blocks) or length K+1 with p_K = +inf.
@@ -57,8 +57,8 @@ def price_array(spec: SystemSpec, prices) -> np.ndarray:
         raise ValueError(f"expected {k} or {k + 1} prices, got shape {p.shape}")
     if p.shape[0] == k + 1 and not math.isinf(p[k]):
         raise ValueError(f"price at the full state must be +inf, got {p[k]}")
-    if np.any(np.isnan(p)):
-        raise ValueError("prices must not be NaN")
+    if np.any(np.isnan(p) | (p == -math.inf)):
+        raise ValueError("prices must not be NaN or -inf")
     out = np.empty(k + 1)
     out[:k] = p[:k]
     out[k] = math.inf

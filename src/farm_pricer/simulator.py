@@ -17,7 +17,6 @@ error bars.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Optional, Union
@@ -32,6 +31,8 @@ ServiceLaw = Union[Exponential, Deterministic, UniformInterval]
 
 _CHUNK = 1 << 12  # arrivals per chunk, and the cap on one service draw
 _FIRST_DRAW = 1 << 10  # first service draw; each later one doubles up to _CHUNK
+_CHECK_SEED = 20240  # insensitivity_check's seed and replication count
+_CHECK_REPS = 10
 
 
 @dataclass(frozen=True)
@@ -181,22 +182,13 @@ def _run_replication(cfg: SimConfig, entropy) -> tuple:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run all replications and aggregate.
+    """Run the replications in order and aggregate.
 
-    Replications are farmed out to processes when FARM_PRICER_THREADS asks
-    for more than one worker; aggregation order is fixed by replication
-    index either way, so results are bit-identical for a given seed.
+    One replication gives no spread to estimate, so its confidence
+    half-width is inf.
     """
     reps = cfg.replications
-    streams = np.random.SeedSequence(cfg.seed).spawn(reps)
-    workers = int(os.environ.get("FARM_PRICER_THREADS", "1"))
-    if workers > 1 and reps > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
-            outs = list(pool.map(_run_replication, [cfg] * reps, streams))
-    else:
-        outs = [_run_replication(cfg, s) for s in streams]
+    outs = [_run_replication(cfg, s) for s in np.random.SeedSequence(cfg.seed).spawn(reps)]
 
     k = cfg.spec.servers
     rates = np.array([o[0] for o in outs])
@@ -209,7 +201,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     if reps > 1:
         half = float(t_quantile(reps - 1, 0.975) * rates.std(ddof=1) / math.sqrt(reps))
     else:
-        half = 0.0
+        half = math.inf
     total_seen = int(seen.sum())
     acc_frac = np.where(seen[:k] > 0, accepted / np.maximum(seen[:k], 1), 0.0)
     return SimResult(
@@ -243,19 +235,14 @@ class InsensitivityReport:
 
 
 def insensitivity_check(
-    spec: SystemSpec,
-    prices,
-    alt_service_law: ServiceLaw,
-    budget: int,
-    seed: int = 20240,
-    replications: int = 10,
+    spec: SystemSpec, prices, alt_service_law: ServiceLaw, budget: int
 ) -> InsensitivityReport:
     """Compare occupancy and revenue across service laws of equal mean.
 
     For Poisson arrivals the stationary busy-server distribution should
     depend on the service law only through its mean, so the two histograms
     must agree up to simulation noise.  `budget` is the total number of
-    arrivals, split evenly over replications.
+    arrivals, split evenly over _CHECK_REPS replications.
     """
     if not spec.is_poisson:
         raise ValueError("the service-law comparison requires Poisson arrivals")
@@ -263,28 +250,22 @@ def insensitivity_check(
         raise ValueError(
             f"alternative service law has mean {alt_service_law.mean}, expected {1.0 / spec.mu}"
         )
-    horizon = max(budget // replications, 100)
     cfg = SimConfig(
         spec=spec,
         prices=np.asarray(prices, dtype=float),
-        horizon_arrivals=horizon,
-        replications=replications,
-        seed=seed,
+        horizon_arrivals=max(budget // _CHECK_REPS, 100),
+        replications=_CHECK_REPS,
+        seed=_CHECK_SEED,
     )
     base = simulate(cfg)
     alt = simulate(replace(cfg, service_law=alt_service_law))
     gap = float(np.max(np.abs(base.occupancy_hist - alt.occupancy_hist)))
     h_base = base.rep_seen_counts / base.rep_seen_counts.sum(axis=1, keepdims=True)
     h_alt = alt.rep_seen_counts / alt.rep_seen_counts.sum(axis=1, keepdims=True)
-    diffs = h_base - h_alt
-    if replications > 1:
-        sigmas = diffs.std(axis=0, ddof=1) / math.sqrt(replications)
-    else:
-        sigmas = np.full(diffs.shape[1], math.inf)
     return InsensitivityReport(
         base=base,
         alt=alt,
         max_hist_gap=gap,
-        hist_gap_sigmas=sigmas,
+        hist_gap_sigmas=(h_base - h_alt).std(axis=0, ddof=1) / math.sqrt(_CHECK_REPS),
         revenue_gap=abs(base.revenue_rate_mean - alt.revenue_rate_mean),
     )

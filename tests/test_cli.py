@@ -60,15 +60,6 @@ def test_solve_general_with_arrival_flag(tmp_path):
     assert max(abs(r) for r in data["residuals"]) < 1e-8
 
 
-def test_precision_only_on_solve_poisson(tmp_path):
-    general = ["solve-general", "--k", "5", "--arrival", "det:25", "--mu", "2",
-               "--valuation", "exp:1", "--precision", "1e-6"]
-    assert run(general + ["--out", str(tmp_path / "g.json")]) == 2
-    data = run_json(tmp_path, ["solve-poisson", *BASE, "--precision", "1e-6"])
-    assert 1e-9 < data["bracket_width"] <= 1e-6
-    assert data["theta_star"] == pytest.approx(7.7261906, abs=1e-6)
-
-
 def test_evaluate_round_trip(tmp_path):
     solved = run_json(tmp_path, ["solve-poisson", *BASE], "a.json")
     prices = ",".join(f"{p:.12g}" for p in solved["prices"])
@@ -170,6 +161,12 @@ def test_simulate_deterministic_output(tmp_path):
     assert abs(a["revenue_rate_mean"] - a["theta_analytic"]) < 0.5
 
 
+def test_simulate_one_replication_has_no_interval(tmp_path, capsys):
+    data = run_json(tmp_path, ["simulate", *BASE, "--arrivals", "2000", "--reps", "1"])
+    assert data["revenue_rate_ci_half"] == "inf"
+    assert "+/- inf (95% CI, 1 reps)" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ figure
 
 @pytest.mark.parametrize(
@@ -255,12 +252,12 @@ def test_exit_code_on_bad_config():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve-poisson", *BASE, "--precision", "0"],
         ["solve-poisson", *BASE, "--arrival", "det:25"],
         ["simulate", *BASE, "--reps", "0"],
         ["simulate", *BASE, "--arrivals", "10", "--warmup", "20"],
+        ["evaluate", *BASE, "--prices", "1,1,1,1,-inf"],
     ],
-    ids=["zero-precision", "renewal-arrivals", "zero-reps", "warmup-past-horizon"],
+    ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price"],
 )
 def test_invalid_input_is_a_config_error(argv, capsys):
     assert run(argv) == 2

@@ -147,14 +147,27 @@ def test_chain_input_validation():
         g_chain(det, 1.0)
     with pytest.raises(ValueError):
         fixed_point(det)
-    with pytest.raises(ValueError):
-        fixed_point(base_spec(), delta_precision=0.0)
 
 
-def test_unreachable_precision_is_no_convergence():
-    # the bracket stops shrinking at adjacent floats, so the step cap ends it
-    with pytest.raises(NoConvergence, match="after 2001 steps"):
-        fixed_point(base_spec(), delta_precision=1e-300)
+@pytest.mark.parametrize("scale", [1e-10, 1e-8, 1e-6, 1.0, 1e6, 1e10])
+def test_theta_is_the_same_in_any_valuation_unit(scale):
+    # valuations scaled by `scale` scale theta* by it too; the bisection width
+    # is relative to lambda m(0), so no unit is too small or too large for it
+    spec = SystemSpec(
+        servers=5, mu=2.0, arrival=Exponential(rate=25.0),
+        valuation=ExponentialValuation(beta=1.0 / scale),
+    )  # fmt: skip
+    assert fixed_point(spec).theta_star / scale == pytest.approx(THETA_REF, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-6, 1e-3])
+def test_light_traffic_theta_is_certified(lam):
+    # theta* falls with lambda, so an absolute width of 1e-9 would exceed it
+    spec = base_spec(lam=lam, k=3)
+    res = fixed_point(spec)
+    uniform = gap_bound(spec.arrival, spec.valuation, spec.mu, spec.servers)[0]
+    assert res.theta_star >= uniform * (1.0 - 1e-11)
+    assert abs(revenue_rate(spec, res.prices) - res.theta_star) <= 1e-11 * res.theta_star
 
 
 @pytest.mark.parametrize("k, lam", [(300, 300.0), (400, 720.0), (1000, 154.2621070932341)])

@@ -268,6 +268,8 @@ def test_price_vector_validation():
         price_array(spec, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         price_array(spec, [1.0, math.nan, 3.0])
+    with pytest.raises(ValueError):
+        price_array(spec, [1.0, 2.0, -math.inf])
 
 
 def test_server_count_is_a_positive_integer():

@@ -140,6 +140,15 @@ def test_optimize_uniform_is_scale_invariant():
         assert res.revenue_K * beta == pytest.approx(ref.revenue_K, rel=1e-12), beta
 
 
+@pytest.mark.parametrize("k", [200, 1000])
+@pytest.mark.parametrize("arrival", [Deterministic(rate=0.5), TwoPoint(2.0, 0.5, 2.0)])
+def test_optimize_uniform_where_phi_underflows(arrival, k):
+    # phi(j mu) = e^{-4 j} underflows from j = 187 on; the beta products are
+    # summed from log phi, so blocking is nil and revenue is lambda max p e^{-p}
+    res = optimize_uniform(arrival, VAL, 2.0, k)
+    assert res.revenue_K == pytest.approx(0.5 / math.e, rel=1e-12)
+
+
 def test_optimize_uniform_pinned_heavier_load():
     # K=5, lambda=25, mu=2
     res = optimize_uniform(Exponential(rate=25.0), VAL, 2.0, 5)
