@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from ._numeric import bisect
 from .errors import ConfigError, DegenerateTransform, QuadratureFailure
+
+if TYPE_CHECKING:
+    from .simulator import _Stream
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class Exponential:
         ph = self.rate / (self.rate + s)
         return math.log(ph), (math.log1p(-ph) if ph < 1.0 else -math.inf)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
 
 
@@ -73,7 +76,7 @@ class Deterministic:
         x = s / self.rate
         return -x, _log(-math.expm1(-x))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return np.full(n, 1.0 / self.rate)
 
 
@@ -111,7 +114,7 @@ class UniformInterval:
         log_phi = math.log(-math.expm1(-w) / w) - s * self.lo
         return log_phi, _log(-math.expm1(log_phi))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, n)
 
 
@@ -144,7 +147,7 @@ class TwoPoint:
         done = -(pa * math.expm1(-s * xa) + pb * math.expm1(-s * xb))
         return log_phi, _log(done)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return np.where(rng.random(n) < self.p1, self.x1, self.x2)
 
 

@@ -2,7 +2,8 @@
 
 Arrival-driven simulation: interarrival gaps, service durations and
 valuations come in chunks from three independent counter-based streams
-(Philox via numpy SeedSequence spawning), so a replication is fully
+(draw i of a stream is the SplitMix64 finaliser of key + i * gamma, the
+key hashed from seed, replication and stream), so a replication is fully
 reproducible and two runs that differ only in the service law consume
 identical arrival and valuation randomness.  Within a chunk only the
 candidates, arrivals whose valuation clears the lowest price, go through
@@ -33,6 +34,61 @@ _CHUNK = 1 << 12  # arrivals per chunk, and the cap on one service draw
 _FIRST_DRAW = 1 << 10  # first service draw; each later one doubles up to _CHUNK
 _CHECK_SEED = 20240  # insensitivity_check's seed and replication count
 _CHECK_REPS = 10
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2**64 / golden ratio
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a uint64 array.
+
+    Array arithmetic wraps modulo 2**64 silently; numpy scalar arithmetic
+    would warn on the overflow, so keys are 1-element arrays too.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class _Stream:
+    """Uniforms on (0, 1) from a counter: draw i is made from mix64(key + i * gamma).
+
+    The key folds in every 64-bit word of the seed, then the replication
+    and the stream number, through the same mixer.  A draw depends only on
+    its index, so how a run of draws is split never changes them.  Only
+    the top 52 bits are kept, so u = (bits + 1/2) 2**-52 is exact and never
+    0 or 1.  The three methods are the ones the laws' sample(rng, n) call.
+    """
+
+    def __init__(self, seed: int, rep: int, which: int):
+        words = [seed >> b & 0xFFFFFFFFFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 64)]
+        key = np.zeros(1, dtype=np.uint64)
+        for w in (*words, rep, which):
+            key = _mix64((key ^ np.uint64(w)) + _GAMMA)
+        self._key = key
+        self._next = 0
+
+    def random(self, n: int) -> np.ndarray:
+        z = np.arange(self._next, self._next + n, dtype=np.uint64)
+        self._next += n
+        z *= _GAMMA
+        z += self._key
+        u = (_mix64(z) >> np.uint64(12)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-52
+        return u
+
+    def exponential(self, scale: float, n: int) -> np.ndarray:
+        u = np.log(self.random(n))
+        u *= -scale
+        return u
+
+    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
+        u = self.random(n)
+        u *= hi - lo
+        u += lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -40,8 +96,8 @@ class SimConfig:
     """One simulation experiment.
 
     service_law defaults to exponential at spec.mu; warmup_arrivals
-    defaults to 10% of the horizon.  The seed feeds a SeedSequence whose
-    spawns give each replication three private substreams.
+    defaults to 10% of the horizon.  The seed is any integer >= 0; with the
+    replication index it keys each replication's three private streams.
     """
 
     spec: SystemSpec
@@ -53,7 +109,7 @@ class SimConfig:
     service_law: Optional[ServiceLaw] = None
 
     def __post_init__(self):
-        for name in ("horizon_arrivals", "warmup_arrivals", "replications"):
+        for name in ("horizon_arrivals", "warmup_arrivals", "replications", "seed"):
             value = getattr(self, name)
             if value is None and name == "warmup_arrivals":
                 continue  # resolved to 10% of the horizon
@@ -66,6 +122,8 @@ class SimConfig:
             )
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def resolved_warmup(self) -> int:
@@ -99,7 +157,7 @@ class SimResult:
     accepted_counts: np.ndarray
 
 
-def _run_replication(cfg: SimConfig, entropy) -> tuple:
+def _run_replication(cfg: SimConfig, rep: int) -> tuple:
     """One replication: (revenue rate, arrivals seen per state, admissions per state).
 
     Arrivals go in chunks of at most _CHUNK.  A chunk's arrival times are
@@ -112,7 +170,7 @@ def _run_replication(cfg: SimConfig, entropy) -> tuple:
     give it; admissions and the revenue sum (in arrival order) are
     unchanged too.  Service times are drawn ahead of the loop, at least
     one per candidate, in draws that double from _FIRST_DRAW to _CHUNK;
-    Philox draws do not depend on how a run of them is split.
+    counter-based draws do not depend on how a run of them is split.
 
     The histogram is counted after the loop.  Arrival j finds busy the
     servers held at the chunk start, plus the chunk's admissions before j,
@@ -122,10 +180,7 @@ def _run_replication(cfg: SimConfig, entropy) -> tuple:
     arrival looks, so it is left out of both counts.  The warm-up is the
     same loop over the first warm arrivals; the counters restart after it.
     """
-    ss_arr, ss_srv, ss_val = entropy.spawn(3)
-    rng_a = np.random.Generator(np.random.Philox(ss_arr))
-    rng_s = np.random.Generator(np.random.Philox(ss_srv))
-    rng_v = np.random.Generator(np.random.Philox(ss_val))
+    rng_a, rng_s, rng_v = (_Stream(int(cfg.seed), rep, which) for which in range(3))
 
     k = cfg.spec.servers
     prices = price_array(cfg.spec, cfg.prices).tolist()
@@ -188,7 +243,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     half-width is inf.
     """
     reps = cfg.replications
-    outs = [_run_replication(cfg, s) for s in np.random.SeedSequence(cfg.seed).spawn(reps)]
+    outs = [_run_replication(cfg, rep) for rep in range(reps)]
 
     k = cfg.spec.servers
     rates = np.array([o[0] for o in outs])

@@ -25,7 +25,6 @@ from .arrival import (
     Exponential,
     InterarrivalDist,
     _log_beta_seq,
-    lst,
     rare_long_gap_family,
     rare_unit_gap_family,
 )
@@ -231,4 +230,5 @@ def asymptotic_mu_tilde(
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or len(lams) == 0 or np.any(np.diff(lams) <= 0):
         raise ValueError("lambdas must be a nonempty strictly increasing grid")
-    return np.array([lam * (1.0 - lst(maker(lam), mu)) for lam in lams])
+    # 1 - phi from the law's log(1 - phi), which stays exact when phi underflows
+    return np.array([lam * math.exp(maker(lam).log_lst(mu)[1]) for lam in lams])

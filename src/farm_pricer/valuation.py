@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import ConfigError, NoFiniteMaximizer
+
+if TYPE_CHECKING:
+    from .simulator import _Stream
 
 
 def _as_float_or_array(u):
@@ -60,7 +63,7 @@ class ExponentialValuation:
         """Price above which fewer than a fraction eps of customers buy."""
         return -math.log(eps) / self.beta
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.beta, n)
 
 
@@ -92,7 +95,7 @@ class ParetoValuation:
     def tail_quantile(self, eps: float) -> float:
         return self.theta / eps
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         # inverse transform: P{theta/U >= x} = theta/x for U uniform on (0,1]
         return self.theta / (1.0 - rng.random(n))
 
@@ -120,7 +123,7 @@ class UniformValuation:
     def tail_quantile(self, eps: float) -> float:
         return self.hi - eps * (self.hi - self.lo)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, n)
 
 
@@ -165,7 +168,7 @@ class TabulatedTail:
             return self.xs[-1]
         return float(np.interp(eps, self.gs[::-1], self.xs[::-1]))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: _Stream, n: int) -> np.ndarray:
         w = rng.random(n)
         return np.interp(w, self.gs[::-1], self.xs[::-1])
 

@@ -256,8 +256,10 @@ def test_exit_code_on_bad_config():
         ["simulate", *BASE, "--reps", "0"],
         ["simulate", *BASE, "--arrivals", "10", "--warmup", "20"],
         ["evaluate", *BASE, "--prices", "1,1,1,1,-inf"],
+        ["simulate", *BASE, *SIM, "--seed", "-1"],
     ],
-    ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price"],
+    ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price",
+         "negative-seed"],  # fmt: skip
 )
 def test_invalid_input_is_a_config_error(argv, capsys):
     assert run(argv) == 2

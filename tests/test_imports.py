@@ -1,8 +1,8 @@
 """Public names and the import budget: no library or CLI path loads any
-scipy module.
+scipy module, and the simulator loads no numpy.random module.
 
-The scipy cases run in a fresh interpreter, because this test process may
-already hold scipy from other tests.
+The budget cases run in a fresh interpreter, because this test process may
+already hold those modules from other tests.
 """
 
 import json
@@ -113,3 +113,23 @@ for argv in (
 assert len(fp.figures._FIGURES) == 7
 """
     assert _run(NUMPY_ONLY_PATH + every_command + SCIPY_LOADED) == []
+
+
+def test_simulate_loads_no_numpy_random():
+    code = """
+import json, sys, tempfile
+from pathlib import Path
+
+import farm_pricer as fp
+from farm_pricer import cli
+
+spec = fp.SystemSpec(5, 2.0, fp.Exponential(rate=25.0), fp.ExponentialValuation(beta=1.0))
+cfg = fp.SimConfig(spec, fp.fixed_point(spec).prices, horizon_arrivals=2000, replications=3)
+assert fp.simulate(cfg).revenue_rate_ci_half > 0.0
+out = str(Path(tempfile.mkdtemp()) / "out")
+argv = ["simulate", "--k", "5", "--mu", "2", "--valuation", "exp:1", "--arrivals", "2000"]
+assert cli.run([*argv, "--lambda", "25", "--service", "uniform:2", "--out", out]) == 0
+assert cli.run([*argv, "--arrival", "two_point:0.01:0.5:0.07", "--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.random"))))
+"""
+    assert _run(code) == []

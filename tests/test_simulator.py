@@ -60,6 +60,14 @@ def test_different_seed_different_sample():
     assert simulate(cfg).revenue_rate_mean != c.revenue_rate_mean
 
 
+def test_seeds_a_multiple_of_2_64_apart_differ():
+    # every 64-bit word of the seed keys the streams
+    spec = poisson_spec()
+    cfg = SimConfig(spec=spec, prices=np.full(5, 1.2), horizon_arrivals=2000, seed=7)
+    wide = simulate(replace(cfg, seed=7 + 2**64)).rep_revenue_rates
+    assert not np.any(simulate(cfg).rep_revenue_rates == wide)
+
+
 def test_one_replication_has_no_interval():
     spec = poisson_spec(k=3)
     cfg = SimConfig(spec=spec, prices=np.full(3, 1.0), horizon_arrivals=10_000, replications=1)
@@ -76,11 +84,13 @@ def test_occupancy_and_acceptance_match_closed_form():
     cfg = SimConfig(spec=spec, prices=prices, horizon_arrivals=60_000, replications=10, seed=11)
     out = simulate(cfg)
     pi = occupancy_poisson(spec, prices).pi
-    n = int(out.seen_counts.sum())
     # consecutive arrival states are autocorrelated, so the iid binomial
-    # sigma undershoots; double it and add a total-variation cap
+    # sigma undershoots (here by 1.6-3.2x); hold each bin to 3 standard
+    # errors across replications instead, and add a total-variation cap
+    hist = out.rep_seen_counts / out.rep_seen_counts.sum(axis=1, keepdims=True)
+    rep_se = hist.std(axis=0, ddof=1) / math.sqrt(cfg.replications)
     for k in range(6):
-        assert abs(out.occupancy_hist[k] - pi[k]) < 2 * three_sigma(pi[k], n)
+        assert abs(out.occupancy_hist[k] - pi[k]) < 3 * rep_se[k]
     assert 0.5 * np.abs(out.occupancy_hist - pi).sum() < 0.006
     for k in range(5):
         gbar = math.exp(-prices[k])
@@ -200,12 +210,9 @@ def test_result_counters_are_consistent():
 
 # ------------------------------------------- per-arrival loop as reference
 
-def loop_replication(cfg: SimConfig, entropy) -> tuple:
+def loop_replication(cfg: SimConfig, rep: int) -> tuple:
     """Reference: one heap step per arrival, the simulator's loop before candidates."""
-    ss_arr, ss_srv, ss_val = entropy.spawn(3)
-    rng_a = np.random.Generator(np.random.Philox(ss_arr))
-    rng_s = np.random.Generator(np.random.Philox(ss_srv))
-    rng_v = np.random.Generator(np.random.Philox(ss_val))
+    rng_a, rng_s, rng_v = (simulator._Stream(int(cfg.seed), rep, which) for which in range(3))
 
     chunk = 1 << 16
     k = cfg.spec.servers
@@ -346,16 +353,19 @@ def test_sample_does_not_depend_on_how_draws_are_split(law):
     # the simulator draws service times in doubling pieces and arrivals in
     # chunks; that is only bit-identical if a split changes no draw
     pieces = (1, 2, 1023, 5000, 3)
-    whole = law.sample(np.random.Generator(np.random.Philox(99)), sum(pieces))
-    rng = np.random.Generator(np.random.Philox(99))
-    split = np.concatenate([law.sample(rng, n) for n in pieces])
-    assert np.array_equal(whole, split)
+    for stream in (lambda: simulator._Stream(99, 0, 0),
+                   lambda: np.random.Generator(np.random.Philox(99))):  # fmt: skip
+        whole = law.sample(stream(), sum(pieces))
+        rng = stream()
+        split = np.concatenate([law.sample(rng, n) for n in pieces])
+        assert np.array_equal(whole, split)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("warmup_arrivals", 10_000.5), ("horizon_arrivals", 2000.0), ("replications", True)],
-)
+    [("warmup_arrivals", 10_000.5), ("horizon_arrivals", 2000.0), ("replications", True),
+     ("seed", True), ("seed", -1)],
+)  # fmt: skip
 def test_config_rejects_non_integral_counts(field, value):
     base = SimConfig(spec=poisson_spec(k=2), prices=np.zeros(2), horizon_arrivals=20_000)
     with pytest.raises(ValueError, match=field):

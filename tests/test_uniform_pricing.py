@@ -226,6 +226,8 @@ def test_mu_tilde_rare_long_gap_collapses():
 def test_mu_tilde_accepts_callable_and_validates():
     vals = asymptotic_mu_tilde(lambda lam: Exponential(rate=lam), 1.0, [10.0, 100.0])
     assert vals[1] == pytest.approx(100.0 / 101.0 * 1.0, rel=1e-12)
+    # phi(2) = e^{-2000} underflows; 1 - phi does not
+    assert asymptotic_mu_tilde(lambda lam: Deterministic(rate=lam), 2.0, [1e-3])[0] == 1e-3
     with pytest.raises(ValueError):
         asymptotic_mu_tilde("poisson", 1.0, [100.0, 10.0])
     with pytest.raises(ValueError):
