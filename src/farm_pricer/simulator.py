@@ -30,8 +30,7 @@ from .model import SystemSpec, price_array
 
 ServiceLaw = Union[Exponential, Deterministic, UniformInterval]
 
-_CHUNK = 1 << 12  # arrivals per chunk, and the cap on one service draw
-_FIRST_DRAW = 1 << 10  # first service draw; each later one doubles up to _CHUNK
+_CHUNK = 1 << 12  # arrivals per chunk
 _CHECK_SEED = 20240  # insensitivity_check's seed and replication count
 _CHECK_REPS = 10
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2**64 / golden ratio
@@ -56,9 +55,10 @@ class _Stream:
 
     The key folds in every 64-bit word of the seed, then the replication
     and the stream number, through the same mixer.  A draw depends only on
-    its index, so how a run of draws is split never changes them.  Only
-    the top 52 bits are kept, so u = (bits + 1/2) 2**-52 is exact and never
-    0 or 1.  The three methods are the ones the laws' sample(rng, n) call.
+    its index, so how a run of draws is split never changes them, and _seek
+    can start a run at any index.  Only the top 52 bits are kept, so
+    u = (bits + 1/2) 2**-52 is exact and never 0 or 1.  The three public
+    methods are the ones the laws' sample(rng, n) call.
     """
 
     def __init__(self, seed: int, rep: int, which: int):
@@ -68,6 +68,10 @@ class _Stream:
             key = _mix64((key ^ np.uint64(w)) + _GAMMA)
         self._key = key
         self._next = 0
+
+    def _seek(self, i: int) -> _Stream:
+        self._next = i
+        return self
 
     def random(self, n: int) -> np.ndarray:
         z = np.arange(self._next, self._next + n, dtype=np.uint64)
@@ -168,9 +172,9 @@ def _run_replication(cfg: SimConfig, rep: int) -> tuple:
     loop.  Departures leave the heap lazily, at the next candidate, which
     gives each candidate the busy count a loop over every arrival would
     give it; admissions and the revenue sum (in arrival order) are
-    unchanged too.  Service times are drawn ahead of the loop, at least
-    one per candidate, in draws that double from _FIRST_DRAW to _CHUNK;
-    counter-based draws do not depend on how a run of them is split.
+    unchanged too.  Admission n takes service draw n: each chunk draws
+    one service time per candidate, starting at the first unused draw,
+    and the next chunk starts after the admissions it made.
 
     The histogram is counted after the loop.  Arrival j finds busy the
     servers held at the chunk start, plus the chunk's admissions before j,
@@ -189,8 +193,7 @@ def _run_replication(cfg: SimConfig, rep: int) -> tuple:
     arrival, service, valuation = cfg.spec.arrival, cfg.resolved_service, cfg.spec.valuation
 
     heap: list[float] = []
-    pending = np.empty(0)
-    draw = _FIRST_DRAW
+    served = 0
     t = 0.0
     for start, stop in ((0, warm), (warm, horizon)):
         warm_end_t, revenue = t, 0.0
@@ -205,10 +208,8 @@ def _run_replication(cfg: SimConfig, rep: int) -> tuple:
             t = float(times[-1])
             held = np.array(heap)
             cand = np.flatnonzero(vals >= floor)
-            while len(pending) < len(cand):
-                pending = np.concatenate((pending, service.sample(rng_s, draw)))
-                draw = min(2 * draw, _CHUNK)
-            srv = pending[: len(cand)].tolist()
+            draws = service.sample(rng_s._seek(served), len(cand))
+            srv = draws.tolist()
             si = 0
             adm: list[int] = []
             for j, tj, vj in zip(cand.tolist(), times[cand].tolist(), vals[cand].tolist()):
@@ -223,8 +224,8 @@ def _run_replication(cfg: SimConfig, rep: int) -> tuple:
                     adm.append(j)
             adm_j = np.array(adm, dtype=np.int64)
             adm_t = times[adm_j]
-            deps = adm_t + pending[:si]
-            pending = pending[si:]
+            deps = adm_t + draws[:si]
+            served += si
             stays = deps > adm_t
             gone = np.sort(np.concatenate((held, deps[stays])))
             busy_at = (

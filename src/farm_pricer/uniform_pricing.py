@@ -31,7 +31,7 @@ from .arrival import (
 from .errors import NoFiniteMaximizer
 from .valuation import ValuationDist, eval_m, tail
 
-_BLOCK_FLOATS = 2**15  # float64 entries per log-sum-exp block: 256 KB
+_BLOCK_FLOATS = 2**13  # float64 entries per log-sum-exp block: 64 KB
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: in
     """p -> (Gbar(p), pi_K(p)) over a price or an array of prices.
 
     log C(K,j) + log beta_j is built once here; each call then runs the
-    log-sum-exp over blocks of max(1, 2**15 // (K+1)) prices, so no
-    temporary exceeds 256 KB.  Every step reduces along a row, so a price
+    log-sum-exp over blocks of max(1, 2**13 // (K+1)) prices, so no
+    temporary exceeds 64 KB.  Every step reduces along a row, so a price
     gets the same bits in any block.
     """
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
@@ -181,8 +181,7 @@ def tail(dist: ValuationDist, u):
     return dist.tail(u)
 
 
-@dataclass(frozen=True)
-class AuxEval:
+class AuxEval(NamedTuple):
     """Result of maximizing f(B, u) = (u - B) * tail(u) over u."""
 
     B: float

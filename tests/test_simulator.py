@@ -350,8 +350,8 @@ LAWS = [
 
 @pytest.mark.parametrize("law", LAWS, ids=[type(law).__name__ for law in LAWS])
 def test_sample_does_not_depend_on_how_draws_are_split(law):
-    # the simulator draws service times in doubling pieces and arrivals in
-    # chunks; that is only bit-identical if a split changes no draw
+    # the simulator draws arrivals in chunks and service times from a moving
+    # start; that is only bit-identical if a split changes no draw
     pieces = (1, 2, 1023, 5000, 3)
     for stream in (lambda: simulator._Stream(99, 0, 0),
                    lambda: np.random.Generator(np.random.Philox(99))):  # fmt: skip
@@ -361,6 +361,13 @@ def test_sample_does_not_depend_on_how_draws_are_split(law):
         assert np.array_equal(whole, split)
 
 
+@pytest.mark.parametrize("law", LAWS, ids=[type(law).__name__ for law in LAWS])
+def test_seek_starts_a_run_at_any_draw(law):
+    whole = law.sample(simulator._Stream(99, 0, 1), 6000)
+    rng = simulator._Stream(99, 0, 1)
+    law.sample(rng, 40)  # then seek back over draws already taken
+    assert np.array_equal(law.sample(rng._seek(17), 5000), whole[17:5017])
+    assert np.array_equal(law.sample(rng, 983), whole[5017:])
 @pytest.mark.parametrize(
     "field, value",
     [("warmup_arrivals", 10_000.5), ("horizon_arrivals", 2000.0), ("replications", True),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from farm_pricer import (
+    AuxEval,
     ExponentialValuation,
     NoFiniteMaximizer,
     ParetoValuation,
@@ -122,6 +123,22 @@ def test_eval_m_pareto():
     assert ev.m_val == pytest.approx(3.0)  # theta - B
     with pytest.raises(NoFiniteMaximizer):
         eval_m(ParetoValuation(theta=2.0), 0.5)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [ExponentialValuation(1.0), ParetoValuation(2.0), UniformValuation(1.0, 3.0), ATOM],
+    ids=["exp", "pareto", "uniform", "tabulated"],
+)
+def test_eval_m_result_is_an_immutable_b_u_m_record(dist):
+    ev = eval_m(dist, -0.25)
+    assert isinstance(ev, AuxEval)
+    assert AuxEval._fields == ("B", "u_star", "m_val")
+    assert (ev.B, ev.u_star, ev.m_val) == tuple(ev)
+    assert ev.B == -0.25
+    for name in AuxEval._fields:
+        with pytest.raises(AttributeError):
+            setattr(ev, name, 0.0)
 
 
 # ---------------------------------------------------------------- m properties
