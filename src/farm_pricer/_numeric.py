@@ -1,5 +1,5 @@
 """Scalar numerics on the standard library: last-float bisection, the
-Student-t quantile and the positive-integer check for counts.
+Student-t quantile, and the checks for counts and for positive finite rates.
 
 `t_quantile` inverts the finite-series Student-t CDF for integer degrees of
 freedom (Abramowitz & Stegun 26.7.3-4).
@@ -16,6 +16,13 @@ def positive_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def positive_finite(name: str, value) -> float:
+    """value as a float; ValueError unless it is positive and finite (NaN is not)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def bisect(below, lo: float, hi: float) -> float:

@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ._numeric import bisect
-from .errors import ConfigError, DegenerateTransform, QuadratureFailure
+from ._numeric import bisect, positive_finite, positive_int
+from .errors import DegenerateTransform, QuadratureFailure
 
 if TYPE_CHECKING:
     from .simulator import _Stream
@@ -43,8 +43,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        positive_finite("rate", self.rate)
 
     @property
     def mean(self) -> float:
@@ -65,8 +64,7 @@ class Deterministic:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        positive_finite("rate", self.rate)
 
     @property
     def mean(self) -> float:
@@ -94,9 +92,7 @@ class UniformInterval:
     @classmethod
     def from_rate(cls, rate: float) -> "UniformInterval":
         """Symmetric-about-the-mean convention: U[0, 2/rate]."""
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ValueError(f"rate must be positive and finite, got {rate}")
-        return cls(0.0, 2.0 / rate)
+        return cls(0.0, 2.0 / positive_finite("rate", rate))
 
     @property
     def mean(self) -> float:
@@ -188,9 +184,8 @@ def beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     Accumulated in log space so long products neither underflow nor lose
     relative precision.
     """
-    if not (mu > 0 and k >= 1):
-        raise ValueError(f"need mu > 0 and k >= 1, got mu={mu}, k={k}")
-    return np.exp(_log_beta_seq(dist, mu, k))
+    positive_finite("mu", mu)
+    return np.exp(_log_beta_seq(dist, mu, positive_int("k", k)))
 
 
 def _survivors_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
@@ -264,8 +259,8 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     sums, so each sums to one to rounding; QuadratureFailure otherwise, or
     when the structural identities fail beyond tolerance.
     """
-    if not (k >= 1 and mu > 0):
-        raise ValueError(f"need k >= 1 and mu > 0, got k={k}, mu={mu}")
+    positive_finite("mu", mu)
+    k = positive_int("k", k)
     if isinstance(dist, Exponential):
         surv = _survivors_exponential(dist.rate, mu, k)
     else:
@@ -290,29 +285,6 @@ def _check_survivor_identities(surv: np.ndarray) -> None:
     gap = np.max(np.abs(np.diff(surv @ np.arange(len(surv))) - surv[1, 1]))
     if not gap <= 1e-9:
         raise QuadratureFailure(f"mean survivors off linear by {gap:.2e}")
-
-
-def arrival_from_config(cfg: dict) -> InterarrivalDist:
-    """Build an interval law from its JSON description."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("arrival", "expected an object with a 'kind' field")
-    kind = cfg["kind"]
-    try:
-        if kind in ("exponential", "exp", "poisson"):
-            return Exponential(rate=float(cfg["rate"]))
-        if kind in ("deterministic", "constant"):
-            return Deterministic(rate=float(cfg["rate"]))
-        if kind == "uniform":
-            if "lo" in cfg or "hi" in cfg:
-                return UniformInterval(lo=float(cfg["lo"]), hi=float(cfg["hi"]))
-            return UniformInterval.from_rate(float(cfg["rate"]))
-        if kind == "two_point":
-            return TwoPoint(x1=float(cfg["x1"]), p1=float(cfg["p1"]), x2=float(cfg["x2"]))
-    except KeyError as exc:
-        raise ConfigError(f"arrival.{exc.args[0]}", "missing parameter") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("arrival", str(exc)) from None
-    raise ConfigError("arrival.kind", f"unknown arrival kind '{kind}'")
 
 
 def rare_long_gap_family(rate: float) -> TwoPoint:

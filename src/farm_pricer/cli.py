@@ -20,45 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
-from .arrival import arrival_from_config
 from .errors import ConfigError, PricingError
 from .figures import _FIGURES, _csv_text, _write_text, emit_figure_data
-from .model import SystemSpec, price_array, spec_from_config
-
-# (shorthand name, number of parameters) -> (config kind, parameter names...)
-_SHORTHANDS = {
-    "valuation": {
-        **dict.fromkeys([("exp", 1), ("exponential", 1)], ("exponential", "beta")),
-        ("pareto", 1): ("pareto", "theta"),
-        ("uniform", 2): ("uniform", "lo", "hi"),
-    },
-    "arrival": {
-        **dict.fromkeys([("exp", 1), ("exponential", 1), ("poisson", 1)], ("exponential", "rate")),
-        **dict.fromkeys([("det", 1), ("deterministic", 1), ("constant", 1)], ("deterministic", "rate")),
-        ("uniform", 1): ("uniform", "rate"),
-        ("uniform", 2): ("uniform", "lo", "hi"),
-        ("two_point", 3): ("two_point", "x1", "p1", "x2"),
-    },
-}
-_SHORTHAND_USAGE = {
-    "valuation": "exp:beta, pareto:theta or uniform:lo:hi (tabulated tails need a config file)",
-    "arrival": "exp:rate, det:rate, uniform:rate, uniform:lo:hi or two_point:x1:p1:x2",
-}
-
-
-def _parse_shorthand(text: str, which: str) -> dict:
-    """'exp:1' / 'uniform:0:2' / 'two_point:1:0.5:2' -> config dict for key `which`."""
-    kind, *params = text.split(":")
-    try:
-        nums = [float(x) for x in params]
-    except ValueError:
-        raise ConfigError(which, f"non-numeric parameter in '{text}'") from None
-    law = "valuation" if which == "valuation" else "arrival"
-    try:
-        name, *keys = _SHORTHANDS[law][kind.lower(), len(nums)]
-    except KeyError:
-        raise ConfigError(which, f"cannot parse '{text}'; use {_SHORTHAND_USAGE[law]}") from None
-    return {"kind": name, **dict(zip(keys, nums))}
+from .model import SystemSpec, config_from_shorthand, law_from_config, price_array, spec_from_config
+from .model import shorthand_usage
 
 
 def _spec_from_args(args) -> SystemSpec:
@@ -81,9 +46,9 @@ def _spec_from_args(args) -> SystemSpec:
     if args.lam is not None:
         cfg["arrival"] = {"kind": "exponential", "rate": args.lam}
     if args.arrival is not None:
-        cfg["arrival"] = _parse_shorthand(args.arrival, "arrival")
+        cfg["arrival"] = config_from_shorthand("arrival", args.arrival)
     if args.valuation is not None:
-        cfg["valuation"] = _parse_shorthand(args.valuation, "valuation")
+        cfg["valuation"] = config_from_shorthand("valuation", args.valuation)
     return spec_from_config(cfg)
 
 
@@ -203,10 +168,8 @@ def _cmd_simulate(args) -> int:
         theta, prices = res.theta_star, res.prices
     service = None
     if args.service is not None:
-        try:
-            service = arrival_from_config(_parse_shorthand(args.service, "service"))
-        except ConfigError as exc:  # interval laws report their errors as 'arrival'
-            raise ConfigError("service", str(exc).split(": ", 1)[1]) from None
+        service = config_from_shorthand("arrival", args.service, "service")
+        service = law_from_config("arrival", service, "service")
     try:
         cfg = simulator.SimConfig(
             spec=spec,
@@ -286,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="number of servers")
         p.add_argument("--lambda", dest="lam", type=float, help="Poisson arrival rate")
         p.add_argument("--mu", type=float, help="per-server service rate")
-        p.add_argument("--valuation", help="valuation law, e.g. exp:1, pareto:2, uniform:0:2")
-        p.add_argument(
-            "--arrival", help="interarrival law, e.g. exp:25, det:25, uniform:25, two_point:1:0.5:2"
-        )
+        p.add_argument("--valuation", help=f"valuation law: {shorthand_usage('valuation')}")
+        p.add_argument("--arrival", help=f"interarrival law: {shorthand_usage('arrival')}")
         p.add_argument("--out", help="write structured output here instead of stdout")
         p.set_defaults(fn=fn)
         return p
@@ -309,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=None, help="warmup arrivals (default 10%%)")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--service", help="service law shorthand, e.g. det:2 (default exp at mu)")
+    p.add_argument("--service", help="service-time law, named as for --arrival (default exp:mu)")
 
     p = command("sweep", _cmd_sweep, "re-solve along a lambda/mu/K grid")
     p.add_argument("--vary", required=True, choices=["lambda", "mu", "K"])

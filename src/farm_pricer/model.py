@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import positive_int
-from .arrival import Exponential, InterarrivalDist, arrival_from_config
+from ._numeric import positive_finite, positive_int
+from .arrival import Deterministic, Exponential, InterarrivalDist, TwoPoint, UniformInterval
 from .errors import ConfigError
-from .valuation import ValuationDist, valuation_from_config
+from .valuation import ExponentialValuation, ParetoValuation, TabulatedTail, UniformValuation
+from .valuation import ValuationDist
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "servers", positive_int("servers", self.servers))
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        positive_finite("mu", self.mu)
 
     @property
     def arrival_rate(self) -> float:
@@ -65,12 +65,76 @@ def price_array(spec: SystemSpec, prices) -> np.ndarray:
     return out
 
 
+# Every law a config object or a flag can name: (kinds, constructor, parameters).
+# A kind with two forms takes the first whose parameters the object gives,
+# else its last.  Parameters are numbers, but for the tabulated knot lists,
+# which only a config object can give.
+_LISTS = ("xs", "gs")
+_LAWS = {
+    "arrival": (
+        (("exp", "exponential", "poisson"), Exponential, ("rate",)),
+        (("det", "deterministic", "constant"), Deterministic, ("rate",)),
+        (("uniform",), UniformInterval, ("lo", "hi")),
+        (("uniform",), UniformInterval.from_rate, ("rate",)),
+        (("two_point",), TwoPoint, ("x1", "p1", "x2")),
+    ),
+    "valuation": (
+        (("exp", "exponential"), ExponentialValuation, ("beta",)),
+        (("pareto",), ParetoValuation, ("theta",)),
+        (("uniform",), UniformValuation, ("lo", "hi")),
+        (("tabulated", "table"), TabulatedTail, _LISTS),
+    ),
+}
+
+
+def law_from_config(family: str, cfg, key: str | None = None):
+    """An 'arrival' or 'valuation' law from {"kind": name, parameter: value, ...}.
+
+    Kinds match case-insensitively; problems are ConfigErrors under `key`
+    (default: the family).
+    """
+    key = key or family
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(key, "expected an object with a 'kind' field")
+    kind = str(cfg["kind"]).lower()
+    forms = [(build, ps) for kinds, build, ps in _LAWS[family] if kind in kinds]
+    if not forms:
+        raise ConfigError(f"{key}.kind", f"unknown {family} kind '{cfg['kind']}'")
+    build, params = next((f for f in forms if any(p in cfg for p in f[1])), forms[-1])
+    try:
+        return build(*(cfg[p] if p in _LISTS else float(cfg[p]) for p in params))
+    except KeyError as exc:
+        raise ConfigError(f"{key}.{exc.args[0]}", "missing parameter") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+def config_from_shorthand(family: str, text: str, key: str | None = None) -> dict:
+    """'exp:1', 'uniform:0:2', 'two_point:1:0.5:2' -> the object law_from_config reads."""
+    key = key or family
+    kind, *params = text.split(":")
+    try:
+        nums = [float(x) for x in params]
+    except ValueError:
+        raise ConfigError(key, f"non-numeric parameter in '{text}'") from None
+    for kinds, _, ps in _LAWS[family]:
+        if kind.lower() in kinds and len(ps) == len(nums) and ps != _LISTS:
+            return {"kind": kind, **dict(zip(ps, nums))}
+    raise ConfigError(key, f"cannot parse '{text}'; use {shorthand_usage(family)}")
+
+
+def shorthand_usage(family: str) -> str:
+    """The kind:p1:p2 forms a flag can give, aliases joined by '|'."""
+    forms = (("|".join(kinds), *ps) for kinds, _, ps in _LAWS[family] if ps != _LISTS)
+    return ", ".join(map(":".join, forms))
+
+
 def spec_from_config(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from a JSON-style dict.
 
-    Shape: {"servers": K, "mu": mu, "arrival": {...}, "valuation": {...}}.
-    An arrival block may be replaced by {"lambda": rate} as shorthand for a
-    Poisson stream.
+    Shape: {"servers": K, "mu": mu, "arrival": {...}, "valuation": {...}},
+    each law an object law_from_config reads.  An arrival block may be
+    replaced by {"lambda": rate} as shorthand for a Poisson stream.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("system", "expected an object")
@@ -88,18 +152,15 @@ def spec_from_config(cfg: dict) -> SystemSpec:
         raise ConfigError("mu", f"not a number: {cfg.get('mu')!r}") from None
 
     if "arrival" in cfg:
-        arrival = arrival_from_config(cfg["arrival"])
+        arrival = law_from_config("arrival", cfg["arrival"])
     elif "lambda" in cfg:
-        try:
-            arrival = Exponential(rate=float(cfg["lambda"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("lambda", str(exc)) from None
+        arrival = law_from_config("arrival", {"kind": "exp", "rate": cfg["lambda"]}, "lambda")
     else:
         raise ConfigError("arrival", "missing (give 'arrival' or 'lambda')")
 
     if "valuation" not in cfg:
         raise ConfigError("valuation", "missing")
-    valuation = valuation_from_config(cfg["valuation"])
+    valuation = law_from_config("valuation", cfg["valuation"])
 
     try:
         return SystemSpec(servers=servers, mu=mu, arrival=arrival, valuation=valuation)

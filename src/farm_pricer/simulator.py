@@ -20,15 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ._numeric import t_quantile
-from .arrival import Deterministic, Exponential, UniformInterval
+from .arrival import Exponential, InterarrivalDist
 from .model import SystemSpec, price_array
-
-ServiceLaw = Union[Exponential, Deterministic, UniformInterval]
 
 _CHUNK = 1 << 12  # arrivals per chunk
 _CHECK_SEED = 20240  # insensitivity_check's seed and replication count
@@ -110,7 +108,7 @@ class SimConfig:
     warmup_arrivals: Optional[int] = None
     replications: int = 10
     seed: int = 0
-    service_law: Optional[ServiceLaw] = None
+    service_law: Optional[InterarrivalDist] = None
 
     def __post_init__(self):
         for name in ("horizon_arrivals", "warmup_arrivals", "replications", "seed"):
@@ -136,7 +134,7 @@ class SimConfig:
         return self.warmup_arrivals
 
     @property
-    def resolved_service(self) -> ServiceLaw:
+    def resolved_service(self) -> InterarrivalDist:
         return self.service_law or Exponential(rate=self.spec.mu)
 
 
@@ -291,7 +289,7 @@ class InsensitivityReport:
 
 
 def insensitivity_check(
-    spec: SystemSpec, prices, alt_service_law: ServiceLaw, budget: int
+    spec: SystemSpec, prices, alt_service_law: InterarrivalDist, budget: int
 ) -> InsensitivityReport:
     """Compare occupancy and revenue across service laws of equal mean.
 

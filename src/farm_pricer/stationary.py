@@ -26,8 +26,8 @@ from .valuation import tail
 class OccupancyDist:
     """Distribution of the busy-server count, with its sampling view.
 
-    view is 'arrival_sampled' (as seen by incoming customers) or
-    'time_stationary'; under Poisson arrivals the two coincide.
+    view is 'arrival_sampled': the count as incoming customers see it,
+    which under Poisson arrivals is also the time-stationary one.
     """
 
     pi: np.ndarray

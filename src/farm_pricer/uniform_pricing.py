@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._numeric import positive_int
+from ._numeric import positive_finite, positive_int
 from .arrival import (
     Exponential,
     InterarrivalDist,
@@ -96,6 +96,7 @@ def blocking_prob(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Long-run fraction of admitted-willing arrivals that find all servers busy."""
+    positive_finite("mu", mu)
     k = positive_int("k", k)
     if math.isnan(p):
         raise ValueError("price must not be NaN")
@@ -109,6 +110,7 @@ def revenue_uniform(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Mean revenue rate lambda * p * Gbar(p) * (1 - pi_K(p)) at uniform price p."""
+    positive_finite("mu", mu)
     k = positive_int("k", k)
     if not p >= 0:  # NaN included
         raise ValueError(f"price must be >= 0, got {p}")
@@ -131,6 +133,7 @@ def optimize_uniform(
     p_star_K is reproducible only to about 5e-8 relative (rounding-level
     revenue differences steer the zoom); revenue_K to about 1e-15.
     """
+    positive_finite("mu", mu)
     k = positive_int("k", k)
     inf_eval = eval_m(val, 0.0)
     p_inf = inf_eval.u_star
@@ -220,6 +223,7 @@ def asymptotic_mu_tilde(
     with mean 1/lambda and all gaps in [0, 1], rare-unit-gap among them,
     gives a value of at least 1 - e^{-mu} at every rate.
     """
+    positive_finite("mu", mu)
     if isinstance(family, str):
         key = family.replace("_", "-").lower()
         if key not in _FAMILIES:

@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, NoFiniteMaximizer
+from ._numeric import positive_finite
+from .errors import NoFiniteMaximizer
 
 if TYPE_CHECKING:
     from .simulator import _Stream
@@ -47,8 +48,7 @@ class ExponentialValuation:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        positive_finite("beta", self.beta)
 
     @property
     def mean_value(self) -> float:
@@ -80,8 +80,7 @@ class ParetoValuation:
     theta: float
 
     def __post_init__(self):
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        positive_finite("theta", self.theta)
 
     @property
     def mean_value(self) -> float:
@@ -231,24 +230,3 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
     f = (u - B) * dist.tail(u)
     i = int(np.argmax(f))  # argmax returns the first hit: smallest maximizer
     return AuxEval(B, float(u[i]), float(f[i]))
-
-
-def valuation_from_config(cfg: dict) -> ValuationDist:
-    """Build a valuation law from its JSON description."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("valuation", "expected an object with a 'kind' field")
-    kind = cfg["kind"]
-    try:
-        if kind in ("exponential", "exp"):
-            return ExponentialValuation(beta=float(cfg["beta"]))
-        if kind == "pareto":
-            return ParetoValuation(theta=float(cfg["theta"]))
-        if kind == "uniform":
-            return UniformValuation(lo=float(cfg["lo"]), hi=float(cfg["hi"]))
-        if kind in ("tabulated", "table"):
-            return TabulatedTail(xs=tuple(cfg["xs"]), gs=tuple(cfg["gs"]))
-    except KeyError as exc:
-        raise ConfigError(f"valuation.{exc.args[0]}", "missing parameter") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("valuation", str(exc)) from None
-    raise ConfigError("valuation.kind", f"unknown valuation kind '{kind}'")

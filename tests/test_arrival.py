@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,19 +10,23 @@ import pytest
 from farm_pricer import (
     Deterministic,
     Exponential,
+    ExponentialValuation,
     TwoPoint,
     UniformInterval,
     beta_seq,
     departure_matrix,
     lst,
+    optimize_uniform,
 )
 from farm_pricer.arrival import (
     _check_survivor_identities,
-    arrival_from_config,
     rare_long_gap_family,
     rare_unit_gap_family,
 )
-from farm_pricer.errors import ConfigError, QuadratureFailure
+from farm_pricer.errors import ConfigError, DegenerateTransform, QuadratureFailure
+from farm_pricer.model import law_from_config
+
+arrival_from_config = partial(law_from_config, "arrival")
 
 ALL_DISTS = [
     Exponential(rate=25.0),
@@ -83,6 +88,17 @@ def test_beta_seq_two_point_direct():
     b = beta_seq(d, 1.0, 1)
     assert b[0] == 1.0
     assert b[1] == pytest.approx((1 - phi1) / phi1, rel=1e-12)
+
+
+def test_degenerate_transforms_are_reported():
+    # phi(1) = 1e20 / (1e20 + 1) rounds to 1, so (1 - phi) / phi is 0 and its log -inf
+    with pytest.raises(DegenerateTransform, match=r"phi\(1.0\) = 1.0 is not inside"):
+        beta_seq(Exponential(rate=1e20), 1.0, 3)
+    with pytest.raises(DegenerateTransform, match=r"phi\(1.0\) = 1.0 is not inside"):
+        optimize_uniform(Exponential(rate=1e20), ExponentialValuation(beta=1.0), 1.0, 3)
+    # phi(1000) = e^-1000 underflows to 0
+    with pytest.raises(DegenerateTransform, match=r"phi\(1000.0\) = 0.0 outside"):
+        lst(Deterministic(rate=1.0), 1000.0)
 
 
 def test_beta_seq_validates():

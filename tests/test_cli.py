@@ -13,7 +13,8 @@ import pytest
 import farm_pricer
 import farm_pricer.cli
 from farm_pricer import ConfigError, emit_figure_data
-from farm_pricer.cli import run
+from farm_pricer.cli import _spec_from_args, build_parser, run
+from farm_pricer.model import _LAWS, _LISTS
 
 BASE = ["--k", "5", "--lambda", "25", "--mu", "2", "--valuation", "exp:1"]
 
@@ -235,6 +236,37 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert run(["uniform", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err == "config error: config key 'system': config file must hold an object\n"
+
+
+SAMPLE = {"rate": 4.0, "lo": 0.5, "hi": 1.5, "x1": 1.0, "p1": 0.25, "x2": 0.5,
+          "beta": 2.0, "theta": 3.0}  # fmt: skip
+OTHER = {"arrival": {"kind": "exp", "rate": 25.0}, "valuation": {"kind": "exp", "beta": 1.0}}
+NAMES = [(family, kind, params) for family, forms in _LAWS.items()
+         for kinds, _, params in forms if params != _LISTS for kind in kinds]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "family, kind, params", NAMES, ids=[f"{f}-{k}-{len(p)}" for f, k, p in NAMES]
+)
+def test_config_and_flags_name_the_same_laws(tmp_path, family, kind, params):
+    nums = [SAMPLE[p] for p in params]
+    cfg = tmp_path / "law.json"
+    law = {"kind": kind, **dict(zip(params, nums))}
+    cfg.write_text(json.dumps({"servers": 3, "mu": 2.0, **OTHER, family: law}))
+    flags = {"arrival": "exp:25", "valuation": "exp:1", family: ":".join([kind, *map(repr, nums)])}
+    from_file = _spec_from_args(build_parser().parse_args(["uniform", "--config", str(cfg)]))
+    from_flags = _spec_from_args(build_parser().parse_args(
+        ["uniform", "--k", "3", "--mu", "2", *(f"--{k}={v}" for k, v in flags.items())]
+    ))  # fmt: skip
+    assert from_file == from_flags
+
+
+def test_unparseable_shorthand_lists_the_table(capsys):
+    assert run(["uniform", *BASE[:-1], "tabulated:0:1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config key 'valuation': cannot parse 'tabulated:0:1'; "
+        "use exp|exponential:beta, pareto:theta, uniform:lo:hi\n"
+    )
 
 
 # -------------------------------------------------------------- exit codes

@@ -1,4 +1,5 @@
-"""The stdlib bisection, and the Student-t quantile against scipy.
+"""The stdlib bisection, the Student-t quantile against scipy, and the
+positive-finite check at every entry point that takes a service rate.
 
 scipy is only a test dependency: it serves here as the independent oracle.
 """
@@ -9,6 +10,17 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
+from farm_pricer import (
+    Exponential,
+    ExponentialValuation,
+    SystemSpec,
+    asymptotic_mu_tilde,
+    beta_seq,
+    blocking_prob,
+    departure_matrix,
+    optimize_uniform,
+    revenue_uniform,
+)
 from farm_pricer._numeric import bisect, t_quantile
 
 
@@ -49,3 +61,22 @@ def test_t_quantile_rejects_bad_df(df):
 def test_t_quantile_rejects_bad_q(q):
     with pytest.raises(ValueError):
         t_quantile(3, q)
+
+
+LAWS = (Exponential(rate=25.0), ExponentialValuation(beta=1.0))
+MU_ENTRY_POINTS = {
+    "optimize_uniform": lambda mu: optimize_uniform(*LAWS, mu, 5),
+    "blocking_prob": lambda mu: blocking_prob(*LAWS, mu, 5, 1.0),
+    "revenue_uniform": lambda mu: revenue_uniform(*LAWS, mu, 5, 1.0),
+    "asymptotic_mu_tilde": lambda mu: asymptotic_mu_tilde("poisson", mu, [1.0, 2.0]),
+    "departure_matrix": lambda mu: departure_matrix(Exponential(rate=3.0), mu, 3),
+    "beta_seq": lambda mu: beta_seq(Exponential(rate=3.0), mu, 3),
+    "SystemSpec": lambda mu: SystemSpec(5, mu, *LAWS),
+}
+
+
+@pytest.mark.parametrize("mu", [0.0, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(MU_ENTRY_POINTS))
+def test_service_rate_must_be_positive_and_finite(entry, mu):
+    with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+        MU_ENTRY_POINTS[entry](mu)

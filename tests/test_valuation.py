@@ -1,6 +1,7 @@
 """Valuation laws and the auxiliary maps m and u*."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from farm_pricer import (
     tail,
 )
 from farm_pricer.errors import ConfigError
-from farm_pricer.valuation import valuation_from_config
+from farm_pricer.model import law_from_config
+
+valuation_from_config = partial(law_from_config, "valuation")
 
 
 def brute_force_m(dist, B, lo=None, hi=None, n=200_001):
