@@ -24,7 +24,6 @@ from .errors import (
     QuadratureFailure,
     SingularChain,
 )
-from .figures import emit_figure_data
 from .mdp_general import GeneralSolveResult, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,
@@ -88,7 +87,6 @@ __all__ = [
     "beta_seq",
     "blocking_prob",
     "departure_matrix",
-    "emit_figure_data",
     "eval_m",
     "fixed_point",
     "g_chain",

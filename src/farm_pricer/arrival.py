@@ -156,7 +156,7 @@ def _log(x: float) -> float:
 
 def lst(dist: InterarrivalDist, s: float) -> float:
     """E[exp(-s U)], with a defensive range check."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"transform argument must be >= 0, got {s}")
     value = math.exp(dist.log_lst(s)[0])
     if not (0.0 < value <= 1.0):

@@ -5,7 +5,8 @@ sweep, compare, figure.  System parameters come from a JSON config file
 (--config) and/or flags (--k/--lambda/--mu/--valuation/--arrival), flags
 winning.  Structured output (JSON, or CSV where tabular) goes to --out or
 stdout; a one-line summary goes to stderr.  Exit codes: 0 success, 2
-configuration problem, 3 solver failure.
+configuration problem, 3 solver failure.  The tables `figure` writes are
+defined here; the library never imports this module.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
+from .arrival import Deterministic, Exponential, UniformInterval
 from .errors import ConfigError, PricingError
-from .figures import _FIGURES, _csv_text, _write_text, emit_figure_data
 from .model import SystemSpec, config_from_shorthand, law_from_config, price_array, spec_from_config
 from .model import shorthand_usage
+from .valuation import ExponentialValuation
 
 
 def _spec_from_args(args) -> SystemSpec:
@@ -94,12 +96,29 @@ def _fields(res) -> dict:
     return payload
 
 
+def _csv_cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.10g}"
+    return "" if x is None else str(x)
+
+
+def _csv_text(header, rows) -> str:
+    """Comma-joined lines, floats to 10 significant digits and None blank."""
+    lines = [",".join(header)] + [",".join(_csv_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, payload, summary: str) -> None:
     """Write payload (CSV text as is, else JSON) to --out or stdout; summary to stderr."""
     if not isinstance(payload, str):
         payload = json.dumps(_jsonable(payload), indent=2) + "\n"
     if args.out:
-        _write_text(args.out, payload)
+        out = Path(args.out)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(payload)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(payload)
     print(summary, file=sys.stderr)
@@ -121,6 +140,15 @@ def _emit_rows(args, rows: list[dict], summary: str, key: str | None = None) -> 
 def _optimum(spec: SystemSpec):
     """The optimal policy, by the formulation matching the arrival law."""
     return (mdp_poisson.fixed_point if spec.is_poisson else mdp_general.solve_general)(spec)
+
+
+def _revenues(spec: SystemSpec):
+    """The best uniform pricing, the revenue at its infinite-server price, and theta*."""
+    uni = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
+    at_inf_price = uniform_pricing.revenue_uniform(
+        spec.arrival, spec.valuation, spec.mu, spec.servers, uni.p_star_inf
+    )
+    return uni, at_inf_price, _optimum(spec).theta_star
 
 
 def _cmd_solve_poisson(args) -> int:
@@ -213,12 +241,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _spec_from_args(args)
-    uni = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
-    rev_at_inf_price = uniform_pricing.revenue_uniform(
-        spec.arrival, spec.valuation, spec.mu, spec.servers, uni.p_star_inf
-    )
-    theta = _optimum(spec).theta_star
+    uni, rev_at_inf_price, theta = _revenues(_spec_from_args(args))
     rows = [
         {"policy": "uniform-infinite-server-price", "price": uni.p_star_inf, "revenue": rev_at_inf_price},
         {"policy": "uniform-best", "price": uni.p_star_K, "revenue": uni.revenue_K},
@@ -229,9 +252,65 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _reference(k: int, lam: float) -> SystemSpec:
+    """The figures' system: Poisson(lam) arrivals, exp(1) valuations and mu = 2."""
+    return SystemSpec(k, 2.0, Exponential(rate=lam), ExponentialValuation(beta=1.0))
+
+
+def _fig_prices():
+    """Optimal prices per state for three interarrival laws at rate 25."""
+    laws = (Deterministic(rate=25.0), UniformInterval.from_rate(25.0), Exponential(rate=25.0))
+    solved = [_optimum(dataclasses.replace(_reference(5, 25.0), arrival=law)) for law in laws]
+    rows = [[i, *(res.prices[i] for res in solved)] for i in range(5)]
+    return ["state", "constant", "uniform", "exponential"], rows
+
+
+def _fig_sweep(vary: str, grid: list[float]):
+    """theta* and theta*/parameter along a grid around the 5-server system."""
+    rows = mdp_poisson.sweep(_reference(5, 25.0), vary, grid)
+    header = [vary, "theta_star", f"theta_over_{vary}"]
+    return header, [[r.value, r.theta_star, r.ratio] for r in rows]
+
+
+def _fig_loads(k: int, rhos: list[float]):
+    """The three revenues of `compare` across offered loads rho = lambda / mu."""
+    header = ["rho", "lambda", "revenue_uniform_inf_price", "revenue_uniform_best",
+              "revenue_optimal"]  # fmt: skip
+    rows = []
+    for rho in rhos:
+        lam = 2.0 * rho
+        uni, at_inf_price, theta = _revenues(_reference(k, lam))
+        rows.append([rho, lam, at_inf_price, uni.revenue_K, theta])
+    return header, rows
+
+
+def _fig_rev_vs_k():
+    """Finite-K optimal revenue closing on the infinite-server level lambda/e."""
+    spec = _reference(5, 20.0)
+    limit, _ = mdp_poisson.infinite_server_limit(spec)
+    rows = mdp_poisson.sweep(spec, "K", range(5, 11))
+    return ["servers", "theta_star", "infinite_server_revenue"], [
+        [r.value, r.theta_star, limit] for r in rows
+    ]
+
+
+# Each figure id builds (header, rows) for the CSV behind one results figure.
+_FIGURES = {
+    "opt-pri-exp": _fig_prices,
+    "lam-rev": lambda: _fig_sweep("lambda", [10, 15, 20, 25, 30]),
+    "mu-rev": lambda: _fig_sweep("mu", [1, 2, 3, 4, 5]),
+    "serv-rev": lambda: _fig_sweep("servers", [3, 4, 5, 6, 7]),
+    "five-servers": lambda: _fig_loads(5, [0.5, 1.0, 5.0, 10.0]),
+    "ten-servers": lambda: _fig_loads(10, [5.0, 10.0, 15.0, 25.0]),
+    "rev-vs-k": _fig_rev_vs_k,
+}
+
+
 def _cmd_figure(args) -> int:
-    path = emit_figure_data(args.id, args.out or f"{args.id}.csv")
-    print(f"wrote {path}", file=sys.stderr)
+    if args.id not in _FIGURES:
+        raise ConfigError("id", f"'{args.id}' not in {sorted(_FIGURES)}")
+    args.out = args.out or f"{args.id}.csv"
+    _emit(args, _csv_text(*_FIGURES[args.id]()), f"wrote {Path(args.out)}")
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -30,6 +31,8 @@ class SystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "servers", positive_int("servers", self.servers))
         positive_finite("mu", self.mu)
+        require_law("arrival", self.arrival, InterarrivalDist)
+        require_law("valuation", self.valuation, ValuationDist)
 
     @property
     def arrival_rate(self) -> float:
@@ -43,6 +46,14 @@ class SystemSpec:
     @property
     def is_poisson(self) -> bool:
         return isinstance(self.arrival, Exponential)
+
+
+def require_law(name: str, law, family) -> None:
+    """Raise ValueError naming `name` unless `law` is one of the classes in `family`."""
+    kinds = get_args(family)
+    if not isinstance(law, kinds):
+        names = ", ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be one of {names}, got {law!r}")
 
 
 def price_array(spec: SystemSpec, prices) -> np.ndarray:

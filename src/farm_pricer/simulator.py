@@ -26,7 +26,7 @@ import numpy as np
 
 from ._numeric import t_quantile
 from .arrival import Exponential, InterarrivalDist
-from .model import SystemSpec, price_array
+from .model import SystemSpec, price_array, require_law
 
 _CHUNK = 1 << 12  # arrivals per chunk
 _CHECK_SEED = 20240  # insensitivity_check's seed and replication count
@@ -126,6 +126,8 @@ class SimConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.service_law is not None:
+            require_law("service_law", self.service_law, InterarrivalDist)
 
     @property
     def resolved_warmup(self) -> int:

@@ -99,6 +99,10 @@ def test_degenerate_transforms_are_reported():
     # phi(1000) = e^-1000 underflows to 0
     with pytest.raises(DegenerateTransform, match=r"phi\(1000.0\) = 0.0 outside"):
         lst(Deterministic(rate=1.0), 1000.0)
+    # a bad argument is a ValueError, not a solver failure
+    for s in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="transform argument must be >= 0"):
+            lst(Exponential(rate=1.0), s)
 
 
 def test_beta_seq_validates():

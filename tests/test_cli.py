@@ -12,7 +12,6 @@ import pytest
 
 import farm_pricer
 import farm_pricer.cli
-from farm_pricer import ConfigError, emit_figure_data
 from farm_pricer.cli import _spec_from_args, build_parser, run
 from farm_pricer.model import _LAWS, _LISTS
 
@@ -50,7 +49,6 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(out.read_text())["theta_star"] == pytest.approx(7.7261906, abs=1e-5)
-    assert farm_pricer.cli.emit_figure_data is emit_figure_data
 
 
 def test_solve_general_with_arrival_flag(tmp_path):
@@ -93,6 +91,22 @@ def test_compare_matches_figure_bars(tmp_path):
     assert revs["uniform-infinite-server-price"] == pytest.approx(6.10, abs=0.02)
     assert revs["uniform-best"] == pytest.approx(6.46, abs=0.02)
     assert revs["state-dependent"] == pytest.approx(6.54, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "law, prices, revenues",
+    [(["--lambda", "25"], [1.0, 1.416164576904012],
+      [6.884360324400514, 7.6208012367775915, 7.726190669152491]),
+     (["--arrival", "det:25"], [1.0, 1.3798416818434838],
+      [7.152571660044435, 7.8086378000451715, 7.904174888462628])],
+    ids=["poisson", "det"],
+)  # fmt: skip
+def test_compare_rows_are_pinned(tmp_path, law, prices, revenues):
+    argv = ["compare", "--k", "5", "--mu", "2", "--valuation", "exp:1", *law]
+    rows = run_json(tmp_path, argv)["rows"]
+    assert [r["price"] for r in rows[:2]] == pytest.approx(prices, rel=1e-9)
+    assert rows[2]["price"] is None
+    assert [r["revenue"] for r in rows] == pytest.approx(revenues, rel=1e-9)
 
 
 SIM = ["--arrivals", "2000", "--reps", "2"]
@@ -170,25 +184,81 @@ def test_simulate_one_replication_has_no_interval(tmp_path, capsys):
 
 # ------------------------------------------------------------------ figure
 
-@pytest.mark.parametrize(
-    "fid",
-    ["opt-pri-exp", "lam-rev", "mu-rev", "serv-rev", "five-servers", "ten-servers", "rev-vs-k"],
-)
+# Every figure's CSV, pinned value by value to 1e-9 relative.
+FIGURE_CSV = {
+    "opt-pri-exp": """\
+state,constant,uniform,exponential
+0,1.151484738,1.159801156,1.174259882
+1,1.192208028,1.202561582,1.220417832
+2,1.259247267,1.27263404,1.295427589
+3,1.386370935,1.404544407,1.434875524
+4,1.703656456,1.729993395,1.772619067
+""",
+    "lam-rev": """\
+lambda,theta_star,theta_over_lambda
+10,3.598765171,0.3598765171
+15,5.174720147,0.3449813431
+20,6.54077225,0.3270386125
+25,7.726190669,0.3090476268
+30,8.766153922,0.2922051307
+""",
+    "mu-rev": """\
+mu,theta_star,theta_over_mu
+1,5.980073291,5.980073291
+2,7.726190669,3.863095335
+3,8.47854726,2.82618242
+4,8.827319252,2.206829813
+5,8.996912927,1.799382585
+""",
+    "serv-rev": """\
+servers,theta_star,theta_over_servers
+3,5.888007435,1.962669145
+4,6.950008167,1.737502042
+5,7.726190669,1.545238134
+6,8.277116766,1.379519461
+7,8.652535027,1.236076432
+""",
+    "five-servers": """\
+rho,lambda,revenue_uniform_inf_price,revenue_uniform_best,revenue_optimal
+0.5,1,0.3678789041,0.3678789041,0.3678789143
+1,2,0.7357302857,0.7357302976,0.7357314149
+5,10,3.575027541,3.588032064,3.598765171
+10,20,6.105309575,6.468048002,6.54077225
+""",
+    "ten-servers": """\
+rho,lambda,revenue_uniform_inf_price,revenue_uniform_best,revenue_optimal
+5,10,3.678722985,3.678723031,3.678730619
+10,20,7.334307847,7.335654235,7.340112831
+15,30,10.70839999,10.78428482,10.83386121
+25,50,15.13459786,16.46592715,16.69974213
+""",
+    "rev-vs-k": """\
+servers,theta_star,infinite_server_revenue
+5,6.54077225,7.357588823
+6,6.905541592,7.357588823
+7,7.126496787,7.357588823
+8,7.249676697,7.357588823
+9,7.311913319,7.357588823
+10,7.340112831,7.357588823
+""",
+}
+
+
+@pytest.mark.parametrize("fid", list(FIGURE_CSV))
 def test_every_figure_emits(tmp_path, fid):
     out = tmp_path / f"{fid}.csv"
     assert run(["figure", "--id", fid, "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) >= 4
-
-
-def test_figure_command_writes_the_library_csv(tmp_path):
-    assert run(["figure", "--id", "mu-rev", "--out", str(tmp_path / "cli.csv")]) == 0
-    lib = emit_figure_data("mu-rev", tmp_path / "lib.csv")
-    assert (tmp_path / "cli.csv").read_bytes() == lib.read_bytes()
+    (header, *got), (want_header, *want) = (
+        [line.split(",") for line in text.strip().splitlines()]
+        for text in (out.read_text(), FIGURE_CSV[fid])
+    )
+    assert header == want_header
+    np.testing.assert_allclose(np.array(got, float), np.array(want, float), rtol=1e-9, atol=0)
 
 
 def test_rev_vs_k_converges_to_infinite_server_level(tmp_path):
-    path = emit_figure_data("rev-vs-k", tmp_path / "r.csv")
+    path = tmp_path / "r.csv"
+    assert run(["figure", "--id", "rev-vs-k", "--out", str(path)]) == 0
     rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
     thetas = [float(r[1]) for r in rows]
     limit = float(rows[0][2])
@@ -198,10 +268,10 @@ def test_rev_vs_k_converges_to_infinite_server_level(tmp_path):
     assert limit - thetas[-1] < 0.03
 
 
-def test_unknown_figure(tmp_path):
+def test_unknown_figure(tmp_path, capsys):
     assert run(["figure", "--id", "no-such-plot", "--out", str(tmp_path / "x.csv")]) == 2
-    with pytest.raises(ConfigError):
-        emit_figure_data("no-such-plot", tmp_path / "y.csv")
+    assert "'no-such-plot' not in ['five-servers'," in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_out_path_creates_parent_dirs(tmp_path):

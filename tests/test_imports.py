@@ -1,5 +1,6 @@
 """Public names and the import budget: no library or CLI path loads any
-scipy module, and the simulator loads no numpy.random module.
+scipy module, the simulator loads no numpy.random module, and
+`import farm_pricer` loads no front-end module.
 
 The budget cases run in a fresh interpreter, because this test process may
 already hold those modules from other tests.
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import farm_pricer
+import farm_pricer.cli
 
 NUMPY_ONLY_PATH = """
 import json, sys, tempfile
@@ -66,14 +68,24 @@ def test_public_names_resolve_and_removed_names_are_gone():
         assert hasattr(farm_pricer, name), name
     # the upward recursion, its m^{-1}, the error only m^{-1} raised, the
     # bisection's crossed-bracket error, which no bracket update can trigger,
-    # an alias of NoFiniteMaximizer and the unknown-figure error (a ConfigError)
+    # an alias of NoFiniteMaximizer, the unknown-figure error (a ConfigError),
+    # and the library's figure module and writer (figures are the CLI's)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
-               farm_pricer.valuation, farm_pricer.errors, farm_pricer.figures)  # fmt: skip
+               farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
-               "NonFiniteObjective", "UnknownFigure")  # fmt: skip
+               "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_import_loads_no_front_end():
+    code = """
+import json, sys
+import farm_pricer
+print(json.dumps(sorted({"farm_pricer.cli", "farm_pricer.figures"} & set(sys.modules))))
+"""
+    assert _run(code) == []
 
 
 def test_poisson_and_uniform_paths_load_no_scipy():
@@ -107,10 +119,10 @@ for argv in (
     ["sweep", *base, "--vary", "K", "--grid", "3,4", "--format", "csv"],
     ["compare", *base],
     ["compare", *det],
-    *(["figure", "--id", fid] for fid in sorted(fp.figures._FIGURES)),
+    *(["figure", "--id", fid] for fid in sorted(cli._FIGURES)),
 ):
     assert cli.run([*argv, "--out", str(out / "out")]) == 0, argv
-assert len(fp.figures._FIGURES) == 7
+assert len(cli._FIGURES) == 7
 """
     assert _run(NUMPY_ONLY_PATH + every_command + SCIPY_LOADED) == []
 

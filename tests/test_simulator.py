@@ -195,6 +195,9 @@ def test_config_defaults_and_validation():
         SimConfig(spec=spec, prices=np.zeros(2), horizon_arrivals=100, warmup_arrivals=100)
     with pytest.raises(ValueError):
         SimConfig(spec=spec, prices=np.zeros(2), horizon_arrivals=100, replications=0)
+    # a valuation law is not a service-time law
+    with pytest.raises(ValueError, match="^service_law must be one of"):
+        SimConfig(spec, np.zeros(2), 100, service_law=ExponentialValuation(beta=0.5))
 
 
 def test_result_counters_are_consistent():

@@ -280,6 +280,17 @@ def test_server_count_is_a_positive_integer():
             SystemSpec(bad, 2.0, Exponential(rate=25.0), VAL)
 
 
+@pytest.mark.parametrize(
+    "field, law",
+    [("arrival", ExponentialValuation(beta=1.0)), ("valuation", Exponential(rate=1.0))],
+    ids=["arrival", "valuation"],
+)
+def test_laws_of_the_wrong_family_are_rejected(field, law):
+    laws = {"arrival": Exponential(rate=25.0), "valuation": VAL, field: law}
+    with pytest.raises(ValueError, match=f"^{field} must be one of"):
+        SystemSpec(5, 2.0, **laws)
+
+
 def test_config_server_count_is_a_positive_integer():
     cfg = {"mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponential", "beta": 1.0}}
     spec = spec_from_config({**cfg, "servers": np.int64(5)})
