@@ -256,6 +256,17 @@ def test_every_figure_emits(tmp_path, fid):
     np.testing.assert_allclose(np.array(got, float), np.array(want, float), rtol=1e-9, atol=0)
 
 
+def test_figure_command_writes_the_library_csv(tmp_path):
+    # mu-rev is the library's mdp_poisson.sweep over mu, which `sweep` writes too
+    assert run(["figure", "--id", "mu-rev", "--out", str(tmp_path / "fig.csv")]) == 0
+    assert run(["sweep", *BASE, "--vary", "mu", "--grid", "1,2,3,4,5", "--format", "csv",
+                "--out", str(tmp_path / "sweep.csv")]) == 0  # fmt: skip
+    fig, lib = ((tmp_path / name).read_text().splitlines() for name in ("fig.csv", "sweep.csv"))
+    assert fig[0] == "mu,theta_star,theta_over_mu"
+    assert lib[0].startswith("param,value,theta_star,theta_over_value,")
+    assert fig[1:] == [",".join(line.split(",")[1:4]) for line in lib[1:]]
+
+
 def test_rev_vs_k_converges_to_infinite_server_level(tmp_path):
     path = tmp_path / "r.csv"
     assert run(["figure", "--id", "rev-vs-k", "--out", str(path)]) == 0
