@@ -11,19 +11,10 @@ from .arrival import (
     Exponential,
     TwoPoint,
     UniformInterval,
-    beta_seq,
     departure_matrix,
-    lst,
+    log_beta_seq,
 )
-from .errors import (
-    ConfigError,
-    DegenerateTransform,
-    NoConvergence,
-    NoFiniteMaximizer,
-    PricingError,
-    QuadratureFailure,
-    SingularChain,
-)
+from .errors import ConfigError, NoConvergence, NoFiniteMaximizer, PricingError
 from .mdp_general import GeneralSolveResult, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,
@@ -60,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuxEval",
     "ConfigError",
-    "DegenerateTransform",
     "Deterministic",
     "Exponential",
     "ExponentialValuation",
@@ -72,10 +62,8 @@ __all__ = [
     "ParetoValuation",
     "PoissonSolveResult",
     "PricingError",
-    "QuadratureFailure",
     "SimConfig",
     "SimResult",
-    "SingularChain",
     "SweepRow",
     "SystemSpec",
     "TabulatedTail",
@@ -84,7 +72,6 @@ __all__ = [
     "UniformPricingResult",
     "UniformValuation",
     "asymptotic_mu_tilde",
-    "beta_seq",
     "blocking_prob",
     "departure_matrix",
     "eval_m",
@@ -93,7 +80,7 @@ __all__ = [
     "gap_bound",
     "infinite_server_limit",
     "insensitivity_check",
-    "lst",
+    "log_beta_seq",
     "occupancy_general",
     "occupancy_poisson",
     "optimize_uniform",

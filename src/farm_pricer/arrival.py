@@ -8,7 +8,9 @@ so that neither underflows; the blocking formula needs the products
 
     beta_j = prod_{m=1}^{j} (1 - phi(m mu)) / phi(m mu),
 
-and the arrival-sampled Markov chain needs the survivor-count law
+which `log_beta_seq` returns as logs, since beta_j overflows for long gaps
+(NoConvergence where some phi(m mu) rounds to 0 or 1); and the
+arrival-sampled Markov chain needs the survivor-count law
 
     S[k, s] = E[ C(k,s) e^{-s mu U} (1 - e^{-mu U})^{k-s} ],
 
@@ -18,7 +20,8 @@ alpha_{k,k-s}.  It has a closed form for exponential intervals; every
 other law is written as weighted atoms in y = e^{-mu U}, and S is the
 mixture of their binomial rows, grown one busy server at a time by
 Pascal's rule.  Two structural identities are checked on every
-constructed matrix.
+constructed matrix, and NoConvergence is raised when they or the row sums
+fail.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from ._numeric import bisect, positive_finite, positive_int
-from .errors import DegenerateTransform, QuadratureFailure
+from .errors import NoConvergence
 
 if TYPE_CHECKING:
     from .simulator import _Stream
@@ -51,7 +54,7 @@ class Exponential:
 
     def log_lst(self, s: float) -> tuple[float, float]:
         ph = self.rate / (self.rate + s)
-        return math.log(ph), (math.log1p(-ph) if ph < 1.0 else -math.inf)
+        return _log(ph), (math.log1p(-ph) if ph < 1.0 else -math.inf)
 
     def sample(self, rng: _Stream, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
@@ -154,38 +157,25 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def lst(dist: InterarrivalDist, s: float) -> float:
-    """E[exp(-s U)], with a defensive range check."""
-    if not s >= 0:
-        raise ValueError(f"transform argument must be >= 0, got {s}")
-    value = math.exp(dist.log_lst(s)[0])
-    if not (0.0 < value <= 1.0):
-        raise DegenerateTransform(f"phi({s}) = {value} outside (0, 1]")
-    return value
+def log_beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
+    """(log beta_0, ..., log beta_k) with beta_j = prod_{m<=j} (1 - phi(m mu)) / phi(m mu).
 
-
-def _log_beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
-    out = np.empty(k + 1)
+    Accumulated in log space so long products neither overflow nor lose
+    relative precision.  NoConvergence if some phi(m mu) is 0 or 1 in
+    floating point, where its log-odds are infinite.
+    """
+    positive_finite("mu", mu)
+    out = np.empty(positive_int("k", k) + 1)
     out[0] = 0.0
     acc = 0.0
     for j in range(1, k + 1):
         log_phi, log_done = dist.log_lst(j * mu)
         step = log_done - log_phi  # log((1 - phi) / phi), finite even where phi underflows
         if not math.isfinite(step):
-            raise DegenerateTransform(f"phi({j * mu}) = {math.exp(log_phi)} is not inside (0, 1)")
+            raise NoConvergence(f"phi({j * mu}) = {math.exp(log_phi)} is not inside (0, 1)")
         acc += step
         out[j] = acc
     return out
-
-
-def beta_seq(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
-    """(beta_0, ..., beta_k) with beta_j = prod_{m<=j} (1 - phi(m mu)) / phi(m mu).
-
-    Accumulated in log space so long products neither underflow nor lose
-    relative precision.
-    """
-    positive_finite("mu", mu)
-    return np.exp(_log_beta_seq(dist, mu, positive_int("k", k)))
 
 
 def _survivors_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
@@ -194,12 +184,14 @@ def _survivors_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     # S[k, k] = r / (r + k) and S[k, s-1] / S[k, s] = s / (r + s - 1).
     # The running product keeps each entry within a few ulps; differences of
     # log-gammas would lose digits as r grows.  It runs down from s = k.
+    # r + (s - 1) keeps all of r's digits at s = 1, where (r + s) - 1 would
+    # cancel them in light traffic.
     r = lam / mu
     surv = np.zeros((k_max + 1, k_max + 1))
     surv[0, 0] = 1.0
     for k in range(1, k_max + 1):
         s = np.arange(k, 0, -1)
-        surv[k, k::-1] = r / (r + k) * np.append(1.0, np.cumprod(s / (r + s - 1)))
+        surv[k, k::-1] = r / (r + k) * np.append(1.0, np.cumprod(s / (r + (s - 1))))
     return surv
 
 
@@ -227,7 +219,7 @@ def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarra
     elif isinstance(dist, TwoPoint):
         w, x = np.array([dist.p1, 1.0 - dist.p1]), np.array([dist.x1, dist.x2])
     else:
-        raise QuadratureFailure(f"no survivor-count recipe for {type(dist).__name__}")
+        raise ValueError(f"no survivor-count recipe for {type(dist).__name__}")
     return w, np.exp(-mu * x), -np.expm1(-mu * x)
 
 
@@ -256,7 +248,7 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     binomial rows over atoms in y = e^{-mu U} (the interval's own atoms, or
     an exact Gauss-Legendre rule for uniform ones), built row by row with
     Pascal's rule.  Rows within 1e-9 of summing to one are divided by their
-    sums, so each sums to one to rounding; QuadratureFailure otherwise, or
+    sums, so each sums to one to rounding; NoConvergence otherwise, or
     when the structural identities fail beyond tolerance.
     """
     positive_finite("mu", mu)
@@ -268,7 +260,7 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
 
     rows = surv.sum(axis=1)
     if not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too
-        raise QuadratureFailure(f"survivor rows sum to {rows}, expected 1")
+        raise NoConvergence(f"survivor rows sum to {rows}, expected 1")
     surv /= rows[:, None]
     _check_survivor_identities(surv)
     return surv
@@ -279,12 +271,12 @@ def _check_survivor_identities(surv: np.ndarray) -> None:
     # with cdf[i, j] = P(at most j of i survive), cdf[i+1, j] <= cdf[i, j]
     rise = np.max(np.diff(np.cumsum(surv, axis=1), axis=0))
     if not rise <= 1e-9:
-        raise QuadratureFailure(f"survivor CDF rises by {rise:.2e} with one more busy server")
+        raise NoConvergence(f"survivor CDF rises by {rise:.2e} with one more busy server")
     # (b) servers finish independently, so the mean survivor count is linear
     # in the busy count with slope surv[1, 1]
     gap = np.max(np.abs(np.diff(surv @ np.arange(len(surv))) - surv[1, 1]))
     if not gap <= 1e-9:
-        raise QuadratureFailure(f"mean survivors off linear by {gap:.2e}")
+        raise NoConvergence(f"mean survivors off linear by {gap:.2e}")
 
 
 def rare_long_gap_family(rate: float) -> TwoPoint:

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
-Every failure a caller can reasonably branch on gets its own class; all of
-them derive from PricingError so the CLI can map "our" errors to exit code 3
-(solver failure) while configuration problems map to exit code 2.
+A solve can fail in two ways a caller can act on: the problem has no finite
+optimum (NoFiniteMaximizer), or the numerics could not certify an answer
+(NoConvergence).  Both derive from PricingError, which the CLI maps to exit
+code 3 (solver failure); ConfigError, a bad input value, maps to exit code 2.
 """
 
 
@@ -21,19 +22,6 @@ class ConfigError(PricingError):
         super().__init__(f"config key '{key}': {message}")
 
 
-class DegenerateTransform(PricingError):
-    """Interarrival transform returned an unusable value (phi(s) outside (0, 1))."""
-
-
-class QuadratureFailure(PricingError):
-    """The survivor matrix failed its checks, or the gap law has no recipe for it.
-
-    Raised when a row sums to one only within more than 1e-9, when the
-    structural survivor identities fail, and for a gap law that
-    `departure_matrix` cannot build.
-    """
-
-
 class NoFiniteMaximizer(PricingError):
     """The objective keeps improving as its argument grows; no finite maximizer.
 
@@ -43,12 +31,11 @@ class NoFiniteMaximizer(PricingError):
 
 
 class NoConvergence(PricingError):
-    """Iterative scheme stopped short of its tolerance.
+    """The numerics could not certify an answer; no value is returned.
 
-    Raised when a step budget runs out, and when a solve stops with a
-    certificate (its Bellman defects) above tolerance; no vector is returned.
+    Raised when a step budget runs out or a solve stops with its Bellman
+    defects above tolerance; when an interarrival transform leaves (0, 1)
+    in floating point; when a survivor matrix fails its row sums or
+    structural identities; and when a policy evaluation is singular or an
+    occupancy misses stationarity.
     """
-
-
-class SingularChain(PricingError):
-    """Stationary equations are singular; chain reducible or ill-conditioned."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import departure_matrix
-from .errors import NoConvergence, SingularChain
+from .errors import NoConvergence
 from .model import SystemSpec
 from .stationary import embedded_chain
 from .valuation import eval_m, tail
@@ -64,7 +64,7 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     repeat, when the Bellman defects reach the rounding floor
     64 eps (K+1) theta, or when g stopped rising with the defects already
     within the certificate 1e-9 max(1, theta).  Raises NoConvergence if the
-    certificate does not hold when it stops.
+    certificate does not hold when it stops, or a policy evaluation is singular.
     """
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     surv = departure_matrix(spec.arrival, spec.mu, k)
@@ -77,7 +77,7 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
         try:
             x = np.linalg.solve(lhs, np.append(gbar[:k] * prices, 0.0))
         except np.linalg.LinAlgError as exc:
-            raise SingularChain(f"policy evaluation failed on {k + 1} states: {exc}") from None
+            raise NoConvergence(f"policy evaluation failed on {k + 1} states: {exc}") from None
         g, h = x[0], np.append(0.0, x[1:])
         theta = float(lam * g)
 

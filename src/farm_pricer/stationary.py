@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import departure_matrix
-from .errors import SingularChain
+from .errors import NoConvergence
 from .model import SystemSpec, price_array
 from .valuation import tail
 
@@ -83,7 +83,7 @@ def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDis
     product form, built top-down from nonnegative terms only: row n of the
     chain on {0..n} sends row = P[n, :n] + P[n, n+1] row'[:n] / d_{n+1}
     below n, row' being row n+1 on {0..n+1}, and d_n = sum(row).  States
-    above a zero acceptance come out exactly zero.  Raises SingularChain
+    above a zero acceptance come out exactly zero.  Raises NoConvergence
     unless max |pi P - pi| <= 1e-8.
     """
     k = spec.servers
@@ -98,7 +98,7 @@ def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDis
     pi = _product_form(np.diagonal(P, 1) / down[1:])
     defect = float(np.max(np.abs(pi @ P - pi)))
     if not defect <= 1e-8:
-        raise SingularChain(f"embedded chain occupancy off stationarity by {defect:.3g}")
+        raise NoConvergence(f"embedded chain occupancy off stationarity by {defect:.3g}")
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
 

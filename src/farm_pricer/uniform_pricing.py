@@ -24,7 +24,7 @@ from ._numeric import positive_finite, positive_int
 from .arrival import (
     Exponential,
     InterarrivalDist,
-    _log_beta_seq,
+    log_beta_seq,
     rare_long_gap_family,
     rare_unit_gap_family,
 )
@@ -60,7 +60,7 @@ def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: in
     gets the same bits in any block.
     """
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!
-    terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
+    terms = lf[k] - lf - lf[::-1] + log_beta_seq(dist, mu, k)
     j = np.arange(k + 1)
     rows = max(1, _BLOCK_FLOATS // (k + 1))
 
@@ -176,7 +176,8 @@ def optimize_uniform(
             break
 
     gap_upper = r_star / (1.0 - float(curve(p_inf)[1]))
-    beta1 = float(np.exp(_log_beta_seq(dist, mu, 1)[1]))
+    with np.errstate(over="ignore"):  # beta_1 = inf for long gaps, so coarse_gap = 0
+        beta1 = float(np.exp(log_beta_seq(dist, mu, 1)[1]))
     return UniformPricingResult(
         p_star_K=p_star,
         revenue_K=r_star,

@@ -13,17 +13,17 @@ from farm_pricer import (
     ExponentialValuation,
     TwoPoint,
     UniformInterval,
-    beta_seq,
     departure_matrix,
-    lst,
+    log_beta_seq,
     optimize_uniform,
 )
 from farm_pricer.arrival import (
     _check_survivor_identities,
+    _survivors_exponential,
     rare_long_gap_family,
     rare_unit_gap_family,
 )
-from farm_pricer.errors import ConfigError, DegenerateTransform, QuadratureFailure
+from farm_pricer.errors import ConfigError, NoConvergence
 from farm_pricer.model import law_from_config
 
 arrival_from_config = partial(law_from_config, "arrival")
@@ -38,27 +38,32 @@ ALL_DISTS = [
 
 # ---------------------------------------------------------------- transforms
 
+def phi(dist, s):
+    return math.exp(dist.log_lst(s)[0])
+
+
 def test_lst_values():
-    assert lst(Exponential(rate=25.0), 2.0) == pytest.approx(25.0 / 27.0)
-    assert lst(Deterministic(rate=25.0), 2.0) == pytest.approx(math.exp(-0.08))
+    assert phi(Exponential(rate=25.0), 2.0) == pytest.approx(25.0 / 27.0)
+    assert phi(Deterministic(rate=25.0), 2.0) == pytest.approx(math.exp(-0.08))
     for d in ALL_DISTS:
-        assert lst(d, 0.0) == 1.0
+        assert phi(d, 0.0) == 1.0
+        assert d.log_lst(0.0)[1] == -math.inf
 
 
 def test_lst_uniform_explicit():
     d = UniformInterval(0.0, 2.0)
     s = 3.0
     # (1 - e^{-s hi}) / (s hi) for lo = 0
-    assert lst(d, s) == pytest.approx((1 - math.exp(-6.0)) / 6.0)
+    assert phi(d, s) == pytest.approx((1 - math.exp(-6.0)) / 6.0)
     # small-s stability: phi(s) ~ 1 - s/lambda
-    assert lst(d, 1e-12) == pytest.approx(1.0 - 1e-12, abs=1e-15)
+    assert phi(d, 1e-12) == pytest.approx(1.0 - 1e-12, abs=1e-15)
 
 
 def test_lst_bounds_and_monotone():
     s_grid = np.linspace(0.0, 50.0, 200)
     for d in ALL_DISTS:
         lam = 1.0 / d.mean
-        vals = np.array([lst(d, s) for s in s_grid])
+        vals = np.array([phi(d, s) for s in s_grid])
         assert np.all(np.diff(vals) <= 1e-12)
         # Jensen: e^{-s E[U]} <= phi(s) <= 1
         assert np.all(vals <= 1.0 + 1e-12)
@@ -75,7 +80,7 @@ def test_mean_normalization():
 def test_beta_seq_poisson_closed_form():
     # beta_j = j! (mu/lambda)^j when phi(s) = lambda/(lambda+s)
     lam, mu = 25.0, 2.0
-    b = beta_seq(Exponential(rate=lam), mu, 4)
+    b = np.exp(log_beta_seq(Exponential(rate=lam), mu, 4))
     for j in range(5):
         assert b[j] == pytest.approx(math.factorial(j) * (mu / lam) ** j, rel=1e-12)
     assert b[2] == pytest.approx(0.0128)
@@ -85,31 +90,27 @@ def test_beta_seq_two_point_direct():
     m = 100.0
     d = TwoPoint(x1=math.sqrt(m), p1=1 / m, x2=1 / m)
     phi1 = 0.99 * math.exp(-0.01) + 0.01 * math.exp(-10.0)
-    b = beta_seq(d, 1.0, 1)
+    b = np.exp(log_beta_seq(d, 1.0, 1))
     assert b[0] == 1.0
     assert b[1] == pytest.approx((1 - phi1) / phi1, rel=1e-12)
 
 
 def test_degenerate_transforms_are_reported():
     # phi(1) = 1e20 / (1e20 + 1) rounds to 1, so (1 - phi) / phi is 0 and its log -inf
-    with pytest.raises(DegenerateTransform, match=r"phi\(1.0\) = 1.0 is not inside"):
-        beta_seq(Exponential(rate=1e20), 1.0, 3)
-    with pytest.raises(DegenerateTransform, match=r"phi\(1.0\) = 1.0 is not inside"):
+    with pytest.raises(NoConvergence, match=r"phi\(1.0\) = 1.0 is not inside"):
+        log_beta_seq(Exponential(rate=1e20), 1.0, 3)
+    with pytest.raises(NoConvergence, match=r"phi\(1.0\) = 1.0 is not inside"):
         optimize_uniform(Exponential(rate=1e20), ExponentialValuation(beta=1.0), 1.0, 3)
-    # phi(1000) = e^-1000 underflows to 0
-    with pytest.raises(DegenerateTransform, match=r"phi\(1000.0\) = 0.0 outside"):
-        lst(Deterministic(rate=1.0), 1000.0)
-    # a bad argument is a ValueError, not a solver failure
-    for s in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="transform argument must be >= 0"):
-            lst(Exponential(rate=1.0), s)
+    # phi(1e30) = 1e-300 / (1e-300 + 1e30) underflows to 0
+    with pytest.raises(NoConvergence, match=r"phi\(1e\+30\) = 0.0 is not inside"):
+        optimize_uniform(Exponential(rate=1e-300), ExponentialValuation(beta=1.0), 1e30, 3)
 
 
 def test_beta_seq_validates():
     with pytest.raises(ValueError):
-        beta_seq(Exponential(rate=1.0), -1.0, 3)
+        log_beta_seq(Exponential(rate=1.0), -1.0, 3)
     with pytest.raises(ValueError):
-        beta_seq(Exponential(rate=1.0), 1.0, 0)
+        log_beta_seq(Exponential(rate=1.0), 1.0, 0)
 
 
 # ---------------------------------------------------------------- departures
@@ -128,6 +129,19 @@ def test_departure_matrix_exponential_k1():
     S = departure_matrix(Exponential(rate=25.0), 2.0, 1)
     assert S[1, 0] == pytest.approx(2.0 / 27.0, rel=1e-12)
     assert S[0, 0] == 1.0
+
+
+def test_light_traffic_exponential_rows_sum_to_one():
+    # the unnormalised closed form; S[k, 0] carries nearly all the mass through
+    # its factor 1 / (r + 0), which must keep r's digits
+    for r in (1e-6, 1e-9, 1e-300):
+        S = _survivors_exponential(r, 1.0, 6)
+        assert np.max(np.abs(S.sum(axis=1) - 1.0)) <= 4 * np.finfo(float).eps, r
+
+
+def test_departure_matrix_rejects_a_law_without_survivor_recipe():
+    with pytest.raises(ValueError, match="no survivor-count recipe for ExponentialValuation"):
+        departure_matrix(ExponentialValuation(1.0), 2.0, 3)
 
 
 def test_departure_matrix_rows_and_identities():
@@ -156,16 +170,16 @@ def test_survivor_identity_checks_reject_broken_rows():
     # same mean, but P(none of 3 survive) = 1/2 exceeds P(none of 2 survive) = 1/4
     spread = S.copy()
     spread[3] = [0.5, 0.0, 0.0, 0.5]
-    with pytest.raises(QuadratureFailure, match="CDF rises"):
+    with pytest.raises(NoConvergence, match="CDF rises"):
         _check_survivor_identities(spread)
     # still monotone in the busy count, but the mean survivor count shifts to 13/8
     more = S.copy()
     more[3] = [0.125, 0.375, 0.25, 0.25]
-    with pytest.raises(QuadratureFailure, match="mean survivors"):
+    with pytest.raises(NoConvergence, match="mean survivors"):
         _check_survivor_identities(more)
     # a NaN entry fails the checks instead of slipping past every comparison
     more[2, 1] = math.nan
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(NoConvergence):
         _check_survivor_identities(more)
 
 
@@ -286,7 +300,7 @@ def test_rare_long_gap_family_mean_and_trend():
     for lam in (10.0, 100.0, 1000.0):
         d = rare_long_gap_family(lam)
         assert d.mean == pytest.approx(1.0 / lam, rel=1e-9)
-    v = [lam * (1 - lst(rare_long_gap_family(lam), 2.0)) for lam in (1e2, 1e3, 1e4)]
+    v = [lam * (1 - phi(rare_long_gap_family(lam), 2.0)) for lam in (1e2, 1e3, 1e4)]
     assert v[0] > v[1] > v[2]  # throughput potential collapses
 
 

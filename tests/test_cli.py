@@ -436,6 +436,13 @@ def test_exit_code_on_solver_failure():
                 "--valuation", "pareto:1"]) == 3
 
 
+@pytest.mark.parametrize("lam, mu, phi", [("1e20", "1", "1.0"), ("1e-300", "1e30", "0.0")])
+def test_transform_rounding_out_of_the_unit_interval_exits_3(lam, mu, phi, capsys):
+    assert run(["uniform", "--k", "3", "--lambda", lam, "--mu", mu,
+                "--valuation", "exp:1"]) == 3
+    assert f"= {phi} is not inside (0, 1)" in capsys.readouterr().err
+
+
 def test_overflowing_poisson_chain_exits_3(capsys):
     # the g-chain overflows the floats: a solver error, not a traceback
     assert run(["solve-poisson", "--k", "1000", "--lambda", "5000", "--mu", "2",

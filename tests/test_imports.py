@@ -69,11 +69,16 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # the upward recursion, its m^{-1}, the error only m^{-1} raised, the
     # bisection's crossed-bracket error, which no bracket update can trigger,
     # an alias of NoFiniteMaximizer, the unknown-figure error (a ConfigError),
-    # and the library's figure module and writer (figures are the CLI's)
+    # the library's figure module and writer (figures are the CLI's), three
+    # solver failures folded into NoConvergence, and the transform wrappers
+    # that log_lst and log_beta_seq replace
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
-               farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli)  # fmt: skip
+               farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
+               farm_pricer.arrival)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
-               "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data")  # fmt: skip
+               "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
+               "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
+               "beta_seq", "_log_beta_seq")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -78,6 +78,14 @@ def test_matches_fixed_point_single_server():
     assert res.deltas[0] == pytest.approx(res.theta_star / (3.0 * 2.0 / 5.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1e-6])
+def test_matches_fixed_point_in_light_traffic(lam):
+    # the survivor rows hold to rounding however small lambda / mu is
+    spec = spec_with(Exponential(rate=lam), k=3, mu=1.0)
+    ref = fixed_point(spec)
+    assert solve_general(spec).theta_star == pytest.approx(ref.theta_star, rel=1e-11, abs=0.0)
+
+
 def test_matches_fixed_point_numeric_valuation():
     # piecewise-linear tail: exercises the per-piece exact m inverse
     spec = spec_with(Exponential(rate=10.0), k=3, val=UniformValuation(lo=0.0, hi=2.0))
@@ -208,6 +216,15 @@ def test_heavy_traffic_uniform_arrivals_certify(k, lam):
     # or a 5e-11 to 1.5e-10 gap between revenue_rate(prices) and theta*
     spec = spec_with(UniformInterval.from_rate(lam), k=k, val=UniformValuation(lo=0.0, hi=2.0))
     assert_certified(spec, solve_general(spec), rel=1e-12)
+
+
+def test_singular_policy_evaluation_raises():
+    # gaps of 1e-18: a busy server finishes within one gap with chance 1e-18,
+    # which vanishes beside the order-one admission terms, so the evaluation
+    # matrix of h + g = r + P h is singular in floating point
+    spec = spec_with(Deterministic(rate=1e18), k=40, mu=1.0)
+    with pytest.raises(NoConvergence, match="policy evaluation failed on 41 states"):
+        solve_general(spec)
 
 
 def test_certificate_gate_raises_when_iterations_run_out(monkeypatch):

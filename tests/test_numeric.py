@@ -15,9 +15,9 @@ from farm_pricer import (
     ExponentialValuation,
     SystemSpec,
     asymptotic_mu_tilde,
-    beta_seq,
     blocking_prob,
     departure_matrix,
+    log_beta_seq,
     optimize_uniform,
     revenue_uniform,
 )
@@ -70,7 +70,7 @@ MU_ENTRY_POINTS = {
     "revenue_uniform": lambda mu: revenue_uniform(*LAWS, mu, 5, 1.0),
     "asymptotic_mu_tilde": lambda mu: asymptotic_mu_tilde("poisson", mu, [1.0, 2.0]),
     "departure_matrix": lambda mu: departure_matrix(Exponential(rate=3.0), mu, 3),
-    "beta_seq": lambda mu: beta_seq(Exponential(rate=3.0), mu, 3),
+    "beta_seq": lambda mu: log_beta_seq(Exponential(rate=3.0), mu, 3),
     "SystemSpec": lambda mu: SystemSpec(5, mu, *LAWS),
 }
 

@@ -11,7 +11,7 @@ from farm_pricer import (
     ExponentialValuation,
     OccupancyDist,
     ConfigError,
-    SingularChain,
+    NoConvergence,
     SystemSpec,
     TabulatedTail,
     TwoPoint,
@@ -214,7 +214,7 @@ def test_stationarity_certificate_rejects_broken_departure_matrix():
     halved = 0.5 * dep
     no_departures = np.eye(5)  # S[i, i] = 1: nobody ever leaves
     for broken in (halved, no_departures):
-        with np.errstate(all="ignore"), pytest.raises(SingularChain):
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence):
             occupancy_general(spec, broken, [0.5] * 4)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from farm_pricer import (
     asymptotic_mu_tilde,
     blocking_prob,
     gap_bound,
+    log_beta_seq,
     optimize_uniform,
     revenue_uniform,
 )
-from farm_pricer.arrival import _log_beta_seq
 from farm_pricer.uniform_pricing import _blocking_curve
 from farm_pricer.valuation import tail
 
@@ -209,6 +210,15 @@ def test_gap_bound_poisson_coarse_factor():
     assert lower + coarse == pytest.approx(lower * (1 + rho / k), rel=1e-9)
 
 
+def test_coarse_gap_is_zero_where_beta_1_overflows():
+    # beta_1 = (1 - phi(mu)) / phi(mu) = e^1000 - 1 for gaps of length 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_uniform(Deterministic(rate=0.001), VAL, 1.0, 3)
+    assert res.coarse_gap == 0.0
+    assert res.revenue_K == pytest.approx(0.001 / math.e, rel=1e-12)
+
+
 # ---------------------------------------------------------------- asymptotics
 
 def test_mu_tilde_poisson_family():
@@ -325,7 +335,7 @@ def test_optimize_uniform_pinned_values(case):
 def one_shot_curve(dist, val, mu, k):
     """The blocking curve as one (len(p) x K+1) log-sum-exp, as before row blocks."""
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
-    terms = lf[k] - lf - lf[::-1] + _log_beta_seq(dist, mu, k)
+    terms = lf[k] - lf - lf[::-1] + log_beta_seq(dist, mu, k)
     j = np.arange(k + 1)
 
     def curve(p):
