@@ -43,7 +43,6 @@ from .valuation import (
     TabulatedTail,
     UniformValuation,
     eval_m,
-    tail,
 )
 
 __version__ = "0.1.0"
@@ -91,6 +90,5 @@ __all__ = [
     "solve_general",
     "spec_from_config",
     "sweep",
-    "tail",
     "value_iteration_oracle",
 ]

@@ -101,10 +101,6 @@ class UniformInterval:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.mean
-
     def log_lst(self, s: float) -> tuple[float, float]:
         w = s * (self.hi - self.lo)
         if w == 0.0:
@@ -134,10 +130,6 @@ class TwoPoint:
     @property
     def mean(self) -> float:
         return self.p1 * self.x1 + (1.0 - self.p1) * self.x2
-
-    @property
-    def rate(self) -> float:
-        return 1.0 / self.mean
 
     def log_lst(self, s: float) -> tuple[float, float]:
         # factor out the shorter atom's e^{-s x}, so the sum left never underflows

@@ -3,10 +3,11 @@
 Subcommands: solve-poisson, solve-general, uniform, evaluate, simulate,
 sweep, compare, figure.  System parameters come from a JSON config file
 (--config) and/or flags (--k/--lambda/--mu/--valuation/--arrival), flags
-winning.  Structured output (JSON, or CSV where tabular) goes to --out or
-stdout; a one-line summary goes to stderr.  Exit codes: 0 success, 2
-configuration problem, 3 solver failure.  The tables `figure` writes are
-defined here; the library never imports this module.
+winning; --lambda and --arrival exclude each other.  Structured output
+(JSON, or CSV where tabular) goes to --out or stdout; a one-line summary
+goes to stderr.  Exit codes: 0 success, 2 configuration problem, 3 solver
+failure.  The tables `figure` writes are defined here; the library never
+imports this module.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _spec_from_args(args) -> SystemSpec:
         cfg["servers"] = args.k
     if args.mu is not None:
         cfg["mu"] = args.mu
+    if args.lam is not None and args.arrival is not None:
+        raise ConfigError("arrival", "--lambda and --arrival both name the arrival law; give one")
     if args.lam is not None:
         cfg["arrival"] = {"kind": "exponential", "rate": args.lam}
     if args.arrival is not None:
@@ -158,14 +161,14 @@ def _cmd_solve_poisson(args) -> int:
             "arrival", "solve-poisson needs exponential interarrivals; use solve-general"
         )
     res = mdp_poisson.fixed_point(spec)
-    summary = f"theta* = {res.theta_star:.6f} after {res.iterations} bisection steps"
+    summary = f"theta* = {res.theta_star:.6g} after {res.iterations} bisection steps"
     _emit(args, _fields(res), summary)
     return 0
 
 
 def _cmd_solve_general(args) -> int:
     res = mdp_general.solve_general(_spec_from_args(args))
-    summary = f"theta* = {res.theta_star:.6f}, max residual {np.max(np.abs(res.residuals)):.2e}"
+    summary = f"theta* = {res.theta_star:.6g}, max residual {np.max(np.abs(res.residuals)):.2e}"
     _emit(args, _fields(res), summary)
     return 0
 
@@ -173,7 +176,7 @@ def _cmd_solve_general(args) -> int:
 def _cmd_uniform(args) -> int:
     spec = _spec_from_args(args)
     res = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
-    _emit(args, _fields(res), f"best uniform price {res.p_star_K:.6f} earns {res.revenue_K:.6f}")
+    _emit(args, _fields(res), f"best uniform price {res.p_star_K:.6g} earns {res.revenue_K:.6g}")
     return 0
 
 
@@ -183,7 +186,7 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError("prices", "evaluate needs --prices p0,p1,...")
     occ, rate = stationary._occupancy_and_rate(spec, _prices(args, spec))
     payload = {"revenue_rate": rate, "occupancy": occ.pi, "blocking": occ.pi[-1], "view": occ.view}
-    _emit(args, payload, f"revenue rate {rate:.6f}, blocking {occ.pi[-1]:.6f}")
+    _emit(args, payload, f"revenue rate {rate:.6g}, blocking {occ.pi[-1]:.6g}")
     return 0
 
 
@@ -217,8 +220,8 @@ def _cmd_simulate(args) -> int:
     if theta is not None:
         payload["theta_analytic"] = theta
     summary = (
-        f"simulated revenue rate {res.revenue_rate_mean:.4f} "
-        f"+/- {res.revenue_rate_ci_half:.4f} (95% CI, {args.reps} reps)"
+        f"simulated revenue rate {res.revenue_rate_mean:.4g} "
+        f"+/- {res.revenue_rate_ci_half:.4g} (95% CI, {args.reps} reps)"
     )
     _emit(args, payload, summary)
     return 0
@@ -232,7 +235,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from None
     rows = [
-        {"param": r.param, "value": r.value, "theta_star": r.theta_star,
+        {"param": args.vary, "value": r.value, "theta_star": r.theta_star,
          "theta_over_value": r.ratio, "prices": r.result.prices}
         for r in solved
     ]  # fmt: skip
@@ -247,7 +250,7 @@ def _cmd_compare(args) -> int:
         {"policy": "uniform-best", "price": uni.p_star_K, "revenue": uni.revenue_K},
         {"policy": "state-dependent", "price": None, "revenue": theta},
     ]
-    summary = f"revenues {rev_at_inf_price:.4f} <= {uni.revenue_K:.4f} <= {theta:.4f}"
+    summary = f"revenues {rev_at_inf_price:.4g} <= {uni.revenue_K:.4g} <= {theta:.4g}"
     _emit_rows(args, rows, summary, key="rows")
     return 0
 

@@ -32,7 +32,7 @@ from .arrival import departure_matrix
 from .errors import NoConvergence
 from .model import SystemSpec
 from .stationary import embedded_chain
-from .valuation import eval_m, tail
+from .valuation import eval_m
 
 # Random specs took at most 6 iterations at K <= 40, load <= 5, and 13 at
 # K <= 200, load <= 100; the cap only ends a solve that cannot certify.
@@ -71,7 +71,7 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     prices = np.full(k, eval_m(val, 0.0).u_star)
     g_prev = -math.inf
     for _ in range(_MAX_ITERATIONS):
-        gbar = np.append(tail(val, prices), 0.0)
+        gbar = np.append(val.tail(prices), 0.0)
         lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
         lhs[:, 0] = 1.0  # h(0) = 0 frees its column for g
         try:

@@ -24,10 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .arrival import Exponential
-from .errors import NoConvergence, NoFiniteMaximizer
+from .errors import NoConvergence
 from .model import SystemSpec
 from .stationary import revenue_rate
-from .valuation import eval_m, tail
+from .valuation import eval_m
 
 _RVI_TOL = 1e-8  # span of the relative value iteration's theta estimates
 _RVI_MAX_SWEEPS = 1_000_000
@@ -86,11 +86,8 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
 
     with np.errstate(over="ignore"):  # lam m(g_0) may overflow; inf is handled below
         lo = 0.0
-        try:
-            hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
-            if not math.isfinite(hi):
-                raise NoFiniteMaximizer(f"initial upper end {hi}")
-        except NoFiniteMaximizer:
+        hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
+        if not math.isfinite(hi):
             # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
             hi = cap
 
@@ -162,7 +159,7 @@ def value_iteration_oracle(spec: SystemSpec) -> float:
 
 def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
-    qs = lam * np.asarray(tail(val, grid)) / big_lambda
+    qs = lam * val.tail(grid) / big_lambda
     rs = grid * qs
     h = np.zeros(k + 1)
     i_arr = np.arange(k)
@@ -188,7 +185,6 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
 class SweepRow:
     """One solved instance along a parameter sweep."""
 
-    param: str
     value: float
     result: PoissonSolveResult
 
@@ -224,5 +220,5 @@ def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SweepRow]:
             s = replace(spec, servers=int(v))
         else:
             raise ValueError(f"vary must be 'lambda', 'mu' or 'K', got '{vary}'")
-        rows.append(SweepRow(param=vary, value=v, result=fixed_point(s)))
+        rows.append(SweepRow(value=v, result=fixed_point(s)))
     return rows

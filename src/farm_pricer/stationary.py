@@ -19,7 +19,6 @@ import numpy as np
 from .arrival import departure_matrix
 from .errors import NoConvergence
 from .model import SystemSpec, price_array
-from .valuation import tail
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def occupancy_poisson(spec: SystemSpec, prices) -> OccupancyDist:
     if not spec.is_poisson:
         raise ValueError("occupancy_poisson needs exponential interarrivals")
     k = spec.servers
-    gbar = tail(spec.valuation, price_array(spec, prices)[:k])
+    gbar = spec.valuation.tail(price_array(spec, prices)[:k])
     pi = _product_form(spec.rho * gbar / np.arange(1, k + 1))
     return OccupancyDist(pi=pi, view="arrival_sampled")
 
@@ -87,7 +86,7 @@ def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDis
     unless max |pi P - pi| <= 1e-8.
     """
     k = spec.servers
-    P = embedded_chain(dep, tail(spec.valuation, price_array(spec, prices)))
+    P = embedded_chain(dep, spec.valuation.tail(price_array(spec, prices)))
 
     down = np.empty(k + 1)  # down[n] = d_n for n >= 1
     row = P[k, :k]
@@ -114,7 +113,7 @@ def _occupancy_and_rate(
             dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
         occ = occupancy_general(spec, dep, p)
     k = spec.servers
-    gbar = tail(spec.valuation, p[:k])
+    gbar = spec.valuation.tail(p[:k])
     earned = occ.pi[:k] * spec.arrival_rate * gbar * np.where(np.isfinite(p[:k]), p[:k], 0.0)
     return occ, float(earned.sum())
 

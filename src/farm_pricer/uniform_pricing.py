@@ -28,10 +28,11 @@ from .arrival import (
     rare_long_gap_family,
     rare_unit_gap_family,
 )
-from .errors import NoFiniteMaximizer
-from .valuation import ValuationDist, eval_m, tail
+from .errors import NoConvergence, NoFiniteMaximizer
+from .valuation import ValuationDist, eval_m
 
 _BLOCK_FLOATS = 2**13  # float64 entries per log-sum-exp block: 64 KB
+_GRID_DOUBLINGS = 16  # price doublings past Q(1e-9) before the grid end is given up
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: in
     rows = max(1, _BLOCK_FLOATS // (k + 1))
 
     def curve(p):
-        gbar = np.asarray(tail(val, p), dtype=float)
+        gbar = val.tail(p)
         # Gbar(p) = 0: nobody joins, the system drains and is never full
         joins = gbar > 0.0
         log_g = np.log(np.where(joins, gbar, 1.0)).ravel()
@@ -100,7 +101,7 @@ def blocking_prob(
     k = positive_int("k", k)
     if math.isnan(p):
         raise ValueError("price must not be NaN")
-    if float(tail(val, p)) <= 0.0:
+    if val.tail(p) <= 0.0:
         # nobody joins, the system drains and is never full
         return 0.0
     return float(_blocking_curve(dist, val, mu, k)(p)[1])
@@ -114,7 +115,7 @@ def revenue_uniform(
     k = positive_int("k", k)
     if not p >= 0:  # NaN included
         raise ValueError(f"price must be >= 0, got {p}")
-    if float(tail(val, p)) <= 0.0:
+    if val.tail(p) <= 0.0:
         return 0.0
     return float(_revenue_curve(dist, _blocking_curve(dist, val, mu, k))(p))
 
@@ -124,14 +125,17 @@ def optimize_uniform(
 ) -> UniformPricingResult:
     """Maximize the uniform-price revenue over p.
 
-    A 512-point log grid on (0, Q(1e-9)] followed by a vector zoom: each
-    pass evaluates 17 evenly spaced prices of the bracket around the best
-    so far and keeps the two neighbours of the first maximum, until the
-    bracket is 1e-8 of its upper end wide, so every price scale gets the
-    same polish.  The revenue curve is not provably unimodal, so the grid
-    does the global work and the zoom only polishes.  On a flat maximum
-    p_star_K is reproducible only to about 5e-8 relative (rounding-level
-    revenue differences steer the zoom); revenue_K to about 1e-15.
+    A 512-point log grid on (0, Q(1e-9)], extended past Q(1e-9) until no
+    price beyond its end can earn more than its best, then a vector zoom:
+    each pass evaluates 17 evenly spaced prices of the bracket around the
+    best so far and keeps the two neighbours of the first maximum, until
+    the bracket is 1e-8 of its upper end wide, so every price scale gets
+    the same polish.  The revenue curve is not provably unimodal, so the
+    grid does the global work and the zoom only polishes.  On a flat
+    maximum p_star_K is reproducible only to about 5e-8 relative
+    (rounding-level revenue differences steer the zoom); revenue_K to about
+    1e-15.  NoConvergence if 16 doublings leave the grid end uncertified, or
+    if 1 - pi_K(p_star_K) < 1e-9, where rounding picked the price.
     """
     positive_finite("mu", mu)
     k = positive_int("k", k)
@@ -141,7 +145,7 @@ def optimize_uniform(
     rev_inf = lam * inf_eval.m_val
 
     q_hi = val.tail_quantile(1e-9)
-    cap_at_hi = q_hi * float(tail(val, q_hi))
+    cap_at_hi = q_hi * val.tail(q_hi)
     if inf_eval.m_val > 0.0 and cap_at_hi >= (1.0 - 1e-6) * inf_eval.m_val:
         # p Gbar(p) never leaves its supremum, so raising p only sheds
         # blocking and the revenue sup is approached, never attained
@@ -154,14 +158,19 @@ def optimize_uniform(
     revenue = _revenue_curve(dist, curve)
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
     rev = revenue(grid)
+    # Past the grid end q, blocking only lowers revenue below lam p Gbar(p),
+    # and p Gbar(p) = (p - q) Gbar(p) + q Gbar(p) <= m(q) + q Gbar(q+): once
+    # lam times that is at most the best revenue, no later price can win.
+    # Until then the grid grows by doublings of 17 points, 2^(1/17) apart.
+    for doublings in range(_GRID_DOUBLINGS + 1):
+        q = grid[-1]
+        if lam * (eval_m(val, q).m_val + q * val.tail(np.nextafter(q, math.inf))) <= rev.max():
+            break
+        if doublings == _GRID_DOUBLINGS:
+            raise NoConvergence(f"revenue past p = {q:.6g} may still beat the best grid price")
+        more = q * 2.0 ** (np.arange(1, 18) / 17)
+        grid, rev = np.append(grid, more), np.append(rev, revenue(more))
     i = int(np.argmax(rev))
-    # test the tail just past the grid end: an atom at the end is a finite maximizer
-    past_end = np.nextafter(grid[-1], math.inf)
-    if i == len(grid) - 1 and rev[-1] > rev[-2] and tail(val, past_end) > 0:
-        raise NoFiniteMaximizer(
-            f"revenue still rising at p = {grid[-1]:.6g} (value {rev[-1]:.6g}); "
-            f"no finite optimal price detected"
-        )
 
     p_star, r_star = float(grid[i]), float(rev[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
@@ -175,8 +184,13 @@ def optimize_uniform(
         if hi - lo >= width:  # the bracket is down to adjacent floats
             break
 
-    gap_upper = r_star / (1.0 - float(curve(p_inf)[1]))
-    with np.errstate(over="ignore"):  # beta_1 = inf for long gaps, so coarse_gap = 0
+    admitted = 1.0 - float(curve(p_star)[1])
+    if admitted < 1e-9:  # its rounding error, not the revenue, picked the price
+        raise NoConvergence(f"1 - pi_K = {admitted:.3g} at p = {p_star:.6g} is below 1e-9")
+    # pi_K(p_inf) rounds to 1 in extreme traffic, so gap_upper = inf; beta_1 =
+    # inf for long gaps, so coarse_gap = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        gap_upper = float(r_star / (1.0 - curve(p_inf)[1]))
         beta1 = float(np.exp(log_beta_seq(dist, mu, 1)[1]))
     return UniformPricingResult(
         p_star_K=p_star,

@@ -36,11 +36,6 @@ if TYPE_CHECKING:
     from .simulator import _Stream
 
 
-def _as_float_or_array(u):
-    arr = np.asarray(u, dtype=float)
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class ExponentialValuation:
     """Exponential valuation with tail e^{-beta u}; mean 1/beta."""
@@ -55,9 +50,7 @@ class ExponentialValuation:
         return 1.0 / self.beta
 
     def tail(self, u):
-        arr, scalar = _as_float_or_array(u)
-        out = np.exp(-self.beta * np.maximum(arr, 0.0))
-        return float(out) if scalar else out
+        return np.exp(-self.beta * np.maximum(u, 0.0))
 
     def tail_quantile(self, eps: float) -> float:
         """Price above which fewer than a fraction eps of customers buy."""
@@ -87,9 +80,7 @@ class ParetoValuation:
         return math.inf
 
     def tail(self, u):
-        arr, scalar = _as_float_or_array(u)
-        out = np.minimum(1.0, self.theta / np.maximum(arr, self.theta))
-        return float(out) if scalar else out
+        return np.minimum(1.0, self.theta / np.maximum(u, self.theta))
 
     def tail_quantile(self, eps: float) -> float:
         return self.theta / eps
@@ -115,9 +106,7 @@ class UniformValuation:
         return 0.5 * (self.lo + self.hi)
 
     def tail(self, u):
-        arr, scalar = _as_float_or_array(u)
-        out = np.clip((self.hi - arr) / (self.hi - self.lo), 0.0, 1.0)
-        return float(out) if scalar else out
+        return np.clip((self.hi - np.asarray(u, dtype=float)) / (self.hi - self.lo), 0.0, 1.0)
 
     def tail_quantile(self, eps: float) -> float:
         return self.hi - eps * (self.hi - self.lo)
@@ -158,9 +147,7 @@ class TabulatedTail:
         return float(np.sum(np.diff(x) * 0.5 * (g[:-1] + g[1:])))
 
     def tail(self, u):
-        arr, scalar = _as_float_or_array(u)
-        out = np.interp(arr, self.xs, self.gs, left=1.0, right=0.0)
-        return float(out) if scalar else out
+        return np.interp(u, self.xs, self.gs, left=1.0, right=0.0)
 
     def tail_quantile(self, eps: float) -> float:
         if eps < self.gs[-1]:
@@ -175,15 +162,9 @@ class TabulatedTail:
 ValuationDist = Union[ExponentialValuation, ParetoValuation, UniformValuation, TabulatedTail]
 
 
-def tail(dist: ValuationDist, u):
-    """Acceptance probability at price u."""
-    return dist.tail(u)
-
-
 class AuxEval(NamedTuple):
     """Result of maximizing f(B, u) = (u - B) * tail(u) over u."""
 
-    B: float
     u_star: float
     m_val: float
 
@@ -210,13 +191,13 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
         raise ValueError(f"B must be finite, got {B}")
     if isinstance(dist, ExponentialValuation):
         u = max(B + 1.0 / dist.beta, 0.0)
-        return AuxEval(B, u, (u - B) * math.exp(-dist.beta * u))
+        return AuxEval(u, (u - B) * math.exp(-dist.beta * u))
     if isinstance(dist, ParetoValuation):
         if B > 0.0:
             raise NoFiniteMaximizer(
                 "Pareto tail: (u - B) * tail(u) increases toward theta for B > 0"
             )
-        return AuxEval(B, dist.theta, dist.theta - B)
+        return AuxEval(dist.theta, dist.theta - B)
     x, g = _knots(dist)
     # where the tail falls it is s (u - c) with slope s < 0, so f is a
     # parabola with its top at (B + c) / 2
@@ -229,4 +210,4 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
     u = np.sort(np.maximum(np.concatenate((x, tops)), max(B, 0.0)))
     f = (u - B) * dist.tail(u)
     i = int(np.argmax(f))  # argmax returns the first hit: smallest maximizer
-    return AuxEval(B, float(u[i]), float(f[i]))
+    return AuxEval(float(u[i]), float(f[i]))

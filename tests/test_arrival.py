@@ -302,6 +302,8 @@ def test_rare_long_gap_family_mean_and_trend():
         assert d.mean == pytest.approx(1.0 / lam, rel=1e-9)
     v = [lam * (1 - phi(rare_long_gap_family(lam), 2.0)) for lam in (1e2, 1e3, 1e4)]
     assert v[0] > v[1] > v[2]  # throughput potential collapses
+    with pytest.raises(ValueError, match="rate > 1"):
+        rare_long_gap_family(1.0)
 
 
 def test_rare_unit_gap_family_mean():
@@ -309,6 +311,8 @@ def test_rare_unit_gap_family_mean():
         d = rare_unit_gap_family(lam)
         assert d.mean == pytest.approx(1.0 / lam, rel=1e-12)
         assert d.x1 == 1.0
+    with pytest.raises(ValueError, match="rate > 1"):
+        rare_unit_gap_family(0.5)
 
 
 # ---------------------------------------------------------------- config

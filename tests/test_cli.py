@@ -16,6 +16,7 @@ from farm_pricer.cli import _spec_from_args, build_parser, run
 from farm_pricer.model import _LAWS, _LISTS
 
 BASE = ["--k", "5", "--lambda", "25", "--mu", "2", "--valuation", "exp:1"]
+NO_ARRIVAL = ["--k", "5", "--mu", "2", "--valuation", "exp:1"]  # BASE without --lambda
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -174,6 +175,19 @@ def test_simulate_deterministic_output(tmp_path):
     assert a == b
     assert a["theta_analytic"] == pytest.approx(7.7261906, abs=1e-5)
     assert abs(a["revenue_rate_mean"] - a["theta_analytic"]) < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [(["solve-poisson", "--k", "3", "--mu", "1", "--lambda", "1e-9", "--valuation", "exp:1"],
+      "theta* = 3.67879e-10 after 40 bisection steps\n"),
+     (["uniform", "--k", "3", "--mu", "1", "--lambda", "1", "--valuation", "exp:1e-300"],
+      "best uniform price 1.01489e+300 earns 3.65806e+299\n")],
+    ids=["light-traffic", "tiny-valuation-rate"],
+)  # fmt: skip
+def test_summary_keeps_significant_digits(tmp_path, capsys, argv, summary):
+    run_json(tmp_path, argv)
+    assert capsys.readouterr().err == summary
 
 
 def test_simulate_one_replication_has_no_interval(tmp_path, capsys):
@@ -363,20 +377,27 @@ def test_exit_code_on_bad_config():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, key",
     [
-        ["solve-poisson", *BASE, "--arrival", "det:25"],
-        ["simulate", *BASE, "--reps", "0"],
-        ["simulate", *BASE, "--arrivals", "10", "--warmup", "20"],
-        ["evaluate", *BASE, "--prices", "1,1,1,1,-inf"],
-        ["simulate", *BASE, *SIM, "--seed", "-1"],
+        (["solve-poisson", *NO_ARRIVAL, "--arrival", "det:25"], "arrival"),
+        (["simulate", *BASE, "--reps", "0"], "simulate"),
+        (["simulate", *BASE, "--arrivals", "10", "--warmup", "20"], "simulate"),
+        (["evaluate", *BASE, "--prices", "1,1,1,1,-inf"], "prices"),
+        (["simulate", *BASE, *SIM, "--seed", "-1"], "simulate"),
+        (["uniform", *BASE, "--arrival", "det:25"], "arrival"),
+        (["uniform", "--config", "no-such-dir/system.json"], "config"),
+        (["uniform", "--config", __file__], "config"),
+        (["sweep", *BASE, "--vary", "K", "--grid", "3,x"], "grid"),
+        (["sweep", *BASE, "--vary", "K", "--grid", "3.5"], "sweep"),
+        (["uniform", *BASE[:-1], "uniform:2:1"], "valuation"),
     ],
     ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price",
-         "negative-seed"],  # fmt: skip
-)
-def test_invalid_input_is_a_config_error(argv, capsys):
+         "negative-seed", "lambda-and-arrival", "unreadable-config", "config-not-json",
+         "non-numeric-grid", "fractional-server-count", "uniform-valuation-reversed"],
+)  # fmt: skip
+def test_invalid_input_is_a_config_error(argv, key, capsys):
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: config key '{key}': ")
 
 
 def test_bad_service_law_is_reported_under_service(capsys):
@@ -388,16 +409,21 @@ def test_bad_service_law_is_reported_under_service(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["solve-general", *BASE, "--arrival", "uniform:0"],
+        (["solve-general", *NO_ARRIVAL, "--arrival", "uniform:0"],
          "config key 'arrival': rate must be positive and finite, got 0.0"),
         (["simulate", *BASE, "--service", "uniform:0"],
          "config key 'service': rate must be positive and finite, got 0.0"),
-        (["simulate", *BASE, *SIM, "--arrival", "two_point:inf:0.5:0.01"],
+        (["simulate", *NO_ARRIVAL, *SIM, "--arrival", "two_point:inf:0.5:0.01"],
          "config key 'arrival': atoms must be positive and finite, got inf and 0.01"),
-        (["uniform", *BASE, "--arrival", "two_point:inf:0.5:0.01"],
+        (["uniform", *NO_ARRIVAL, "--arrival", "two_point:inf:0.5:0.01"],
          "config key 'arrival': atoms must be positive and finite, got inf and 0.01"),
+        (["uniform", *NO_ARRIVAL, "--arrival", "two_point:0.01:1.5:0.02"],
+         "config key 'arrival': p1 must lie in (0, 1), got 1.5"),
+        (["solve-general", *NO_ARRIVAL, "--arrival", "uniform:0.3:0.1"],
+         "config key 'arrival': need 0 <= lo < hi < inf, got [0.3, 0.1]"),
     ],
-    ids=["uniform-rate-0", "service-rate-0", "simulate-infinite-atom", "uniform-infinite-atom"],
+    ids=["uniform-rate-0", "service-rate-0", "simulate-infinite-atom", "uniform-infinite-atom",
+         "two-point-p1-above-1", "uniform-interval-reversed"],
 )  # fmt: skip
 def test_unrepresentable_interval_laws_are_config_errors(argv, err, capsys):
     assert run(argv) == 2

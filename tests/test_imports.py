@@ -6,6 +6,7 @@ The budget cases run in a fresh interpreter, because this test process may
 already hold those modules from other tests.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -71,17 +72,25 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # an alias of NoFiniteMaximizer, the unknown-figure error (a ConfigError),
     # the library's figure module and writer (figures are the CLI's), three
     # solver failures folded into NoConvergence, and the transform wrappers
-    # that log_lst and log_beta_seq replace
+    # that log_lst and log_beta_seq replace, and the pass-through to a law's
+    # own tail method with its scalar shim
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
                farm_pricer.arrival)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
                "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
                "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
-               "beta_seq", "_log_beta_seq")  # fmt: skip
+               "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert len(farm_pricer.__all__) == 43
+    # records keep only what the caller did not pass in
+    for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):
+        assert not hasattr(law, "rate")
+    assert farm_pricer.AuxEval._fields == ("u_star", "m_val")
+    fields = [f.name for f in dataclasses.fields(farm_pricer.SweepRow)]
+    assert fields == ["value", "result"]
 
 
 def test_package_import_loads_no_front_end():

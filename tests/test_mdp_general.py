@@ -1,6 +1,7 @@
 """Arrival-sampled solver: Poisson equivalence, frozen regressions, invariants, certificate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,8 +240,10 @@ def test_certificate_gate_raises_when_iterations_run_out(monkeypatch):
 def renewal_specs(draw):
     k = draw(st.integers(1, 40))
     lam = draw(st.floats(0.01, 5.0)) * k * 2.0  # load times K mu, with mu = 2
-    kind = draw(st.sampled_from(["det", "unif", "two_point"]))
-    if kind == "det":
+    kind = draw(st.sampled_from(["exp", "det", "unif", "two_point"]))
+    if kind == "exp":
+        arrival = Exponential(rate=lam)
+    elif kind == "det":
         arrival = Deterministic(rate=lam)
     elif kind == "unif":
         arrival = UniformInterval.from_rate(lam)
@@ -254,6 +257,10 @@ def renewal_specs(draw):
 @settings(max_examples=100, deadline=5000, derandomize=True, database=None)
 @given(renewal_specs())
 def test_certificate_on_random_renewal_specs(spec):
+    # every gap law, exponential included, solved by solve_general alone
     res = solve_general(spec)
     assert_certified(spec, res)
     assert np.all(np.diff(res.prices) >= -1e-10)
+    # one more server never earns less
+    more = solve_general(replace(spec, servers=spec.servers + 1))
+    assert more.theta_star >= res.theta_star * (1 - 1e-12)

@@ -270,6 +270,9 @@ def test_price_vector_validation():
         price_array(spec, [1.0, math.nan, 3.0])
     with pytest.raises(ValueError):
         price_array(spec, [1.0, 2.0, -math.inf])
+    renewal = SystemSpec(3, 2.0, Deterministic(rate=25.0), VAL)
+    with pytest.raises(ValueError, match="needs exponential interarrivals"):
+        occupancy_poisson(renewal, [1.0, 2.0, 3.0])
 
 
 def test_server_count_is_a_positive_integer():
@@ -302,6 +305,28 @@ def test_config_server_count_is_a_positive_integer():
     with pytest.raises(ConfigError) as err:
         spec_from_config(cfg)
     assert err.value.key == "servers"
+
+
+CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponential", "beta": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ([CFG], "system"),
+        ({k: v for k, v in CFG.items() if k != "mu"}, "mu"),
+        ({**CFG, "mu": "fast"}, "mu"),
+        ({k: v for k, v in CFG.items() if k != "lambda"}, "arrival"),
+        ({k: v for k, v in CFG.items() if k != "valuation"}, "valuation"),
+        ({**CFG, "mu": 0.0}, "system"),
+    ],
+    ids=["not-an-object", "missing-mu", "non-numeric-mu", "missing-arrival", "missing-valuation",
+         "zero-mu"],
+)  # fmt: skip
+def test_config_errors_name_their_key(cfg, key):
+    with pytest.raises(ConfigError) as err:
+        spec_from_config(cfg)
+    assert err.value.key == key
 
 
 def test_occupancy_dist_must_be_probability():

@@ -11,6 +11,7 @@ from farm_pricer import (
     Deterministic,
     Exponential,
     ExponentialValuation,
+    NoConvergence,
     NoFiniteMaximizer,
     ParetoValuation,
     TabulatedTail,
@@ -24,8 +25,8 @@ from farm_pricer import (
     optimize_uniform,
     revenue_uniform,
 )
+from farm_pricer import uniform_pricing
 from farm_pricer.uniform_pricing import _blocking_curve
-from farm_pricer.valuation import tail
 
 
 def erlang_b(k: int, a: float) -> float:
@@ -193,6 +194,52 @@ def test_no_finite_maximizer_for_heavy_tail():
         optimize_uniform(Exponential(rate=5.0), ParetoValuation(theta=1.0), 2.0, 2)
 
 
+@pytest.mark.parametrize(
+    "val, p_star, revenue",
+    [(VAL, 24.339983603052907, 70.21297371716108),
+     (UniformValuation(0.0, 2.0), 1.9999979983721345, 5.999988000076101)],
+    ids=["exp", "uniform"],
+)  # fmt: skip
+def test_grid_grows_until_no_price_past_its_end_can_win(val, p_star, revenue):
+    # 1e12 arrivals per unit time keep 3 servers full far past Q(1e-9), so
+    # the best price lies at or past the first grid's end
+    dist, q = Deterministic(rate=1e12), val.tail_quantile(1e-9)
+    res = optimize_uniform(dist, val, 1.0, 3)
+    assert res.p_star_K == pytest.approx(p_star, rel=1e-7)
+    assert res.revenue_K == pytest.approx(revenue, rel=1e-12)
+    assert res.revenue_K == revenue_uniform(dist, val, 1.0, 3, res.p_star_K)
+    ps = np.linspace(0.5 * q, 4.0 * q, 20001)
+    gbar, block = _blocking_curve(dist, val, 1.0, 3)(ps)
+    assert np.max(1e12 * ps * gbar * (1.0 - block)) <= res.revenue_K
+
+
+def test_grid_end_search_gives_up_after_its_doublings(monkeypatch):
+    monkeypatch.setattr(uniform_pricing, "_GRID_DOUBLINGS", 0)
+    with pytest.raises(NoConvergence, match="may still beat the best grid price"):
+        optimize_uniform(Deterministic(rate=1e12), VAL, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "rate, val",
+    [(1e20, UniformValuation(0.0, 2.0)), (1e300, VAL)],
+    ids=["uniform-1e20", "exp-1e300"],
+)
+def test_price_picked_by_rounding_is_no_convergence(rate, val):
+    # where 1 - pi_K is below 1e-9 its rounding error decides the comparison:
+    # at rate 1e300 the zoom settles on a price whose computed revenue is
+    # twice K mu p, more than any policy can earn
+    with pytest.raises(NoConvergence, match="1 - pi_K = .* is below 1e-9"):
+        optimize_uniform(Deterministic(rate=rate), val, 1.0, 3)
+
+
+def test_gap_upper_is_infinite_where_blocking_at_p_inf_rounds_to_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_uniform(Deterministic(rate=1e17), VAL, 1.0, 3)
+    assert res.gap_upper == math.inf
+    assert res.revenue_K == pytest.approx(103.64815931355344, rel=1e-12)
+
+
 # ---------------------------------------------------------------- gap bounds
 
 def test_gap_bound_orders():
@@ -339,7 +386,7 @@ def one_shot_curve(dist, val, mu, k):
     j = np.arange(k + 1)
 
     def curve(p):
-        gbar = np.asarray(tail(val, p), dtype=float)
+        gbar = np.asarray(val.tail(p), dtype=float)
         joins = gbar > 0.0
         x = np.multiply.outer(np.log(np.where(joins, gbar, 1.0)), -j)
         x += terms

@@ -14,7 +14,6 @@ from farm_pricer import (
     TabulatedTail,
     UniformValuation,
     eval_m,
-    tail,
 )
 from farm_pricer.errors import ConfigError
 from farm_pricer.model import law_from_config
@@ -49,16 +48,16 @@ PLATEAU = TabulatedTail(xs=(0.0, 1.0, 1.5, 2.5), gs=(1.0, 0.6, 0.6, 0.0))
 # ---------------------------------------------------------------- tails
 
 def test_tail_values():
-    assert tail(ExponentialValuation(beta=1.0), 0.0) == 1.0
-    assert tail(ExponentialValuation(beta=1.0), 1.0) == pytest.approx(math.exp(-1))
-    assert tail(ParetoValuation(theta=2.0), 4.0) == pytest.approx(0.5)
-    assert tail(ParetoValuation(theta=2.0), 1.0) == 1.0  # min(1, theta/u)
-    assert tail(UniformValuation(0.0, 1.0), 0.25) == pytest.approx(0.75)
+    assert ExponentialValuation(beta=1.0).tail(0.0) == 1.0
+    assert ExponentialValuation(beta=1.0).tail(1.0) == pytest.approx(math.exp(-1))
+    assert ParetoValuation(theta=2.0).tail(4.0) == pytest.approx(0.5)
+    assert ParetoValuation(theta=2.0).tail(1.0) == 1.0  # min(1, theta/u)
+    assert UniformValuation(0.0, 1.0).tail(0.25) == pytest.approx(0.75)
 
 
 def test_tail_clamps_negative_argument():
     for dist in (ExponentialValuation(1.0), ParetoValuation(2.0), UniformValuation(0, 1)):
-        assert tail(dist, -3.0) == 1.0
+        assert dist.tail(-3.0) == 1.0
 
 
 def test_tail_vectorized():
@@ -93,6 +92,12 @@ def test_eval_m_exponential_clamps_at_zero():
     assert ev.m_val == pytest.approx(5.0)
 
 
+def test_eval_m_needs_finite_b():
+    for B in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="B must be finite"):
+            eval_m(ExponentialValuation(beta=1.0), B)
+
+
 def test_eval_m_uniform():
     ev = eval_m(UniformValuation(0.0, 1.0), 0.0)
     assert ev.u_star == pytest.approx(0.5, abs=1e-6)
@@ -115,7 +120,7 @@ def test_eval_m_matches_brute_force():
             u_ref, m_ref = brute_force_m(dist, B)
             assert ev.m_val == pytest.approx(m_ref, abs=1e-6), (dist, B)
             # value at the reported maximizer must reproduce m_val
-            assert (ev.u_star - B) * float(tail(dist, ev.u_star)) == pytest.approx(
+            assert (ev.u_star - B) * float(dist.tail(ev.u_star)) == pytest.approx(
                 ev.m_val, abs=1e-12
             )
             assert abs(ev.u_star - u_ref) < 1e-3 or ev.m_val >= m_ref - 1e-9
@@ -136,9 +141,8 @@ def test_eval_m_pareto():
 def test_eval_m_result_is_an_immutable_b_u_m_record(dist):
     ev = eval_m(dist, -0.25)
     assert isinstance(ev, AuxEval)
-    assert AuxEval._fields == ("B", "u_star", "m_val")
-    assert (ev.B, ev.u_star, ev.m_val) == tuple(ev)
-    assert ev.B == -0.25
+    assert AuxEval._fields == ("u_star", "m_val")
+    assert (ev.u_star, ev.m_val) == tuple(ev)
     for name in AuxEval._fields:
         with pytest.raises(AttributeError):
             setattr(ev, name, 0.0)
@@ -184,6 +188,16 @@ def test_tabulated_requires_monotone_table():
         TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.6, 0.7))
     with pytest.raises(ValueError):
         TabulatedTail(xs=(0.0, 1.0), gs=(0.9, 0.5))  # must start at Gbar(0)=1
+    with pytest.raises(ValueError, match="need >= 2 knots"):
+        TabulatedTail(xs=(0.0, 1.0), gs=(1.0,))
+    with pytest.raises(ValueError, match="need >= 2 knots"):
+        TabulatedTail(xs=(0.0,), gs=(1.0,))
+    with pytest.raises(ValueError, match="nonincreasing and nonnegative"):
+        TabulatedTail(xs=(0.0, 1.0), gs=(1.0, -0.1))
+    with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
+        UniformValuation(1.0, 1.0)
+    with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
+        UniformValuation(0.0, math.inf)
 
 
 def test_tabulated_extrapolates_zero():
