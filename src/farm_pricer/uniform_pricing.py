@@ -145,12 +145,13 @@ def optimize_uniform(
     rev_inf = lam * inf_eval.m_val
 
     q_hi = val.tail_quantile(1e-9)
-    cap_at_hi = q_hi * val.tail(q_hi)
-    if inf_eval.m_val > 0.0 and cap_at_hi >= (1.0 - 1e-6) * inf_eval.m_val:
+    # 0 for a tail that ends in an atom at q_hi: nothing past it can earn more
+    cap_past_hi = q_hi * val.tail(np.nextafter(q_hi, math.inf))
+    if inf_eval.m_val > 0.0 and cap_past_hi >= (1.0 - 1e-6) * inf_eval.m_val:
         # p Gbar(p) never leaves its supremum, so raising p only sheds
         # blocking and the revenue sup is approached, never attained
         raise NoFiniteMaximizer(
-            f"p * Gbar(p) = {cap_at_hi:.6g} at the {1e-9:g} tail quantile "
+            f"p * Gbar(p) = {cap_past_hi:.6g} just past the {1e-9:g} tail quantile "
             f"p = {q_hi:.6g} is still at the supremum {inf_eval.m_val:.6g}; "
             f"no finite optimal price exists"
         )

@@ -13,8 +13,9 @@ nondecreasing; the solvers lean on all four properties, so the test suite
 checks them on random pairs for every supported law.
 
 Each law has one exact path for ``eval_m``.  The exponential and Pareto
-laws have closed forms.  Uniform and tabulated tails are piecewise linear,
-so f is a parabola in u on each segment and the maximum is exact per piece.
+laws have closed forms.  A tabulated tail, which the uniform law builds, is
+piecewise linear, so f is a parabola in u on each segment and the maximum is
+exact per piece.
 
 Since valuations are positive, tail(u) = 1 for u <= 0 and the maximization
 is effectively over u >= 0: for very negative B the maximizer clamps to 0
@@ -45,10 +46,6 @@ class ExponentialValuation:
     def __post_init__(self):
         positive_finite("beta", self.beta)
 
-    @property
-    def mean_value(self) -> float:
-        return 1.0 / self.beta
-
     def tail(self, u):
         return np.exp(-self.beta * np.maximum(u, 0.0))
 
@@ -75,10 +72,6 @@ class ParetoValuation:
     def __post_init__(self):
         positive_finite("theta", self.theta)
 
-    @property
-    def mean_value(self) -> float:
-        return math.inf
-
     def tail(self, u):
         return np.minimum(1.0, self.theta / np.maximum(u, self.theta))
 
@@ -91,36 +84,11 @@ class ParetoValuation:
 
 
 @dataclass(frozen=True)
-class UniformValuation:
-    """Valuation uniform on [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi and math.isfinite(self.hi)):
-            raise ValueError(f"need 0 <= lo < hi < inf, got [{self.lo}, {self.hi}]")
-
-    @property
-    def mean_value(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def tail(self, u):
-        return np.clip((self.hi - np.asarray(u, dtype=float)) / (self.hi - self.lo), 0.0, 1.0)
-
-    def tail_quantile(self, eps: float) -> float:
-        return self.hi - eps * (self.hi - self.lo)
-
-    def sample(self, rng: _Stream, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, n)
-
-
-@dataclass(frozen=True)
 class TabulatedTail:
     """Piecewise-linear tail through knots (x_j, g_j); zero beyond the last knot.
 
-    The table must start at (0, 1) and be nonincreasing.  A positive final
-    g value is allowed and represents an atom at the last knot.
+    The table must be finite, start at (0, 1) and be nonincreasing.  A
+    positive final g value is allowed and represents an atom at the last knot.
     """
 
     xs: tuple
@@ -133,18 +101,14 @@ class TabulatedTail:
         object.__setattr__(self, "gs", gs)
         if len(xs) != len(gs) or len(xs) < 2:
             raise ValueError("need >= 2 knots with matching lengths")
+        if not all(map(math.isfinite, xs + gs)):
+            raise ValueError("knots must be finite")
         if xs[0] != 0.0 or gs[0] != 1.0:
             raise ValueError("table must start at (0, 1)")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("x knots must be strictly increasing")
         if any(b > a for a, b in zip(gs, gs[1:])) or gs[-1] < 0.0:
             raise ValueError("tail values must be nonincreasing and nonnegative")
-
-    @property
-    def mean_value(self) -> float:
-        x = np.asarray(self.xs)
-        g = np.asarray(self.gs)
-        return float(np.sum(np.diff(x) * 0.5 * (g[:-1] + g[1:])))
 
     def tail(self, u):
         return np.interp(u, self.xs, self.gs, left=1.0, right=0.0)
@@ -159,7 +123,16 @@ class TabulatedTail:
         return np.interp(w, self.gs[::-1], self.xs[::-1])
 
 
-ValuationDist = Union[ExponentialValuation, ParetoValuation, UniformValuation, TabulatedTail]
+def UniformValuation(lo: float, hi: float) -> TabulatedTail:
+    """Valuation uniform on [lo, hi]: the tail through (0, 1), (lo, 1), (hi, 0)."""
+    if not (0.0 <= lo < hi and math.isfinite(hi)):
+        raise ValueError(f"need 0 <= lo < hi < inf, got [{lo}, {hi}]")
+    if lo == 0.0:
+        return TabulatedTail((0.0, hi), (1.0, 0.0))
+    return TabulatedTail((0.0, lo, hi), (1.0, 1.0, 0.0))
+
+
+ValuationDist = Union[ExponentialValuation, ParetoValuation, TabulatedTail]
 
 
 class AuxEval(NamedTuple):
@@ -169,23 +142,13 @@ class AuxEval(NamedTuple):
     m_val: float
 
 
-def _knots(dist: ValuationDist) -> tuple[np.ndarray, np.ndarray]:
-    # a uniform law is the piecewise-linear tail through (0,1), (lo,1), (hi,0)
-    if isinstance(dist, UniformValuation):
-        if dist.lo == 0.0:
-            return np.array([0.0, dist.hi]), np.array([1.0, 0.0])
-        return np.array([0.0, dist.lo, dist.hi]), np.array([1.0, 1.0, 0.0])
-    return np.asarray(dist.xs), np.asarray(dist.gs)
-
-
 def eval_m(dist: ValuationDist, B: float) -> AuxEval:
     """Maximize (u - B) * tail(u); smallest maximizer wins ties.
 
-    Closed forms for the exponential and Pareto kinds.  Uniform and
-    tabulated tails are piecewise linear, so f is a parabola on each
-    segment and the maximum sits at a knot, at a segment's parabola top
-    (clipped into the segment) or at u = max(B, 0); the candidates are
-    compared in one pass.
+    Closed forms for the exponential and Pareto kinds.  A tabulated tail
+    is piecewise linear, so f is a parabola on each segment and the
+    maximum sits at a knot, at a segment's parabola top (clipped into the
+    segment) or at u = max(B, 0); the candidates are compared in one pass.
     """
     if not math.isfinite(B):
         raise ValueError(f"B must be finite, got {B}")
@@ -198,7 +161,7 @@ def eval_m(dist: ValuationDist, B: float) -> AuxEval:
                 "Pareto tail: (u - B) * tail(u) increases toward theta for B > 0"
             )
         return AuxEval(dist.theta, dist.theta - B)
-    x, g = _knots(dist)
+    x, g = np.asarray(dist.xs), np.asarray(dist.gs)
     # where the tail falls it is s (u - c) with slope s < 0, so f is a
     # parabola with its top at (B + c) / 2
     s = np.diff(g) / np.diff(x)

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import farm_pricer
@@ -73,14 +74,14 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # the library's figure module and writer (figures are the CLI's), three
     # solver failures folded into NoConvergence, and the transform wrappers
     # that log_lst and log_beta_seq replace, and the pass-through to a law's
-    # own tail method with its scalar shim
+    # own tail method with its scalar shim, and the uniform law's knot table
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
                farm_pricer.arrival)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
                "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
                "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
-               "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array")  # fmt: skip
+               "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array", "_knots")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
@@ -88,6 +89,11 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # records keep only what the caller did not pass in
     for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):
         assert not hasattr(law, "rate")
+    assert isinstance(farm_pricer.UniformValuation(0, 2), farm_pricer.TabulatedTail)
+    assert len(typing.get_args(farm_pricer.valuation.ValuationDist)) == 3
+    for law in (farm_pricer.ExponentialValuation(1.0), farm_pricer.ParetoValuation(1.0),
+                farm_pricer.UniformValuation(0.5, 2.0)):  # fmt: skip
+        assert not hasattr(law, "mean_value")
     assert farm_pricer.AuxEval._fields == ("u_star", "m_val")
     fields = [f.name for f in dataclasses.fields(farm_pricer.SweepRow)]
     assert fields == ["value", "result"]

@@ -339,19 +339,20 @@ def test_edge_timings_match_per_arrival_reference(arrival, service, reps, idle, 
             assert got.occupancy_hist[0] == 1.0
 
 
-LAWS = [
-    Exponential(rate=3.0),
-    Deterministic(rate=3.0),
-    UniformInterval(0.1, 0.7),
-    TwoPoint(0.1, 0.3, 0.9),
-    ExponentialValuation(beta=1.5),
-    ParetoValuation(theta=0.5),
-    UniformValuation(lo=0.0, hi=2.0),
-    TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3)),
-]
+# keyed by constructor: UniformValuation builds a TabulatedTail
+LAWS = {
+    "Exponential": Exponential(rate=3.0),
+    "Deterministic": Deterministic(rate=3.0),
+    "UniformInterval": UniformInterval(0.1, 0.7),
+    "TwoPoint": TwoPoint(0.1, 0.3, 0.9),
+    "ExponentialValuation": ExponentialValuation(beta=1.5),
+    "ParetoValuation": ParetoValuation(theta=0.5),
+    "UniformValuation": UniformValuation(lo=0.0, hi=2.0),
+    "TabulatedTail": TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.3)),
+}
 
 
-@pytest.mark.parametrize("law", LAWS, ids=[type(law).__name__ for law in LAWS])
+@pytest.mark.parametrize("law", LAWS.values(), ids=list(LAWS))
 def test_sample_does_not_depend_on_how_draws_are_split(law):
     # the simulator draws arrivals in chunks and service times from a moving
     # start; that is only bit-identical if a split changes no draw
@@ -364,7 +365,7 @@ def test_sample_does_not_depend_on_how_draws_are_split(law):
         assert np.array_equal(whole, split)
 
 
-@pytest.mark.parametrize("law", LAWS, ids=[type(law).__name__ for law in LAWS])
+@pytest.mark.parametrize("law", LAWS.values(), ids=list(LAWS))
 def test_seek_starts_a_run_at_any_draw(law):
     whole = law.sample(simulator._Stream(99, 0, 1), 6000)
     rng = simulator._Stream(99, 0, 1)

@@ -319,9 +319,13 @@ CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponenti
         ({k: v for k, v in CFG.items() if k != "lambda"}, "arrival"),
         ({k: v for k, v in CFG.items() if k != "valuation"}, "valuation"),
         ({**CFG, "mu": 0.0}, "system"),
+        ({**CFG, "valuation": {"kind": "table", "xs": [0, math.nan, 2], "gs": [1, 0.5, 0]}},
+         "valuation"),
+        ({**CFG, "valuation": {"kind": "table", "xs": [0, 1, math.inf], "gs": [1, 0.5, 0]}},
+         "valuation"),
     ],
     ids=["not-an-object", "missing-mu", "non-numeric-mu", "missing-arrival", "missing-valuation",
-         "zero-mu"],
+         "zero-mu", "nan-knot", "infinite-knot"],
 )  # fmt: skip
 def test_config_errors_name_their_key(cfg, key):
     with pytest.raises(ConfigError) as err:

@@ -14,16 +14,19 @@ from farm_pricer import (
     NoConvergence,
     NoFiniteMaximizer,
     ParetoValuation,
+    SystemSpec,
     TabulatedTail,
     TwoPoint,
     UniformInterval,
     UniformValuation,
     asymptotic_mu_tilde,
     blocking_prob,
+    fixed_point,
     gap_bound,
     log_beta_seq,
     optimize_uniform,
     revenue_uniform,
+    solve_general,
 )
 from farm_pricer import uniform_pricing
 from farm_pricer.uniform_pricing import _blocking_curve
@@ -186,6 +189,16 @@ def test_optimize_uniform_price_on_final_atom():
     assert res.p_star_K == 2.0
     assert res.revenue_K == pytest.approx(12.350743274594699, rel=1e-9)
     assert res.revenue_K <= res.gap_upper
+    # with an atom of 0.4, p Gbar(p) peaks at the atom and is 0 just past it:
+    # a finite maximizer, and no state-dependent policy earns more
+    val = TabulatedTail(xs=(0.0, 1.0, 2.0), gs=(1.0, 0.5, 0.4))
+    for dist in (Exponential(rate=5.0), Deterministic(rate=5.0)):
+        res = optimize_uniform(dist, val, 2.0, 3)
+        theta = solve_general(SystemSpec(3, 2.0, dist, val)).theta_star
+        assert res.p_star_K == 2.0
+        assert res.revenue_K == pytest.approx(theta, rel=1e-12)
+    spec = SystemSpec(3, 2.0, Exponential(rate=5.0), val)
+    assert fixed_point(spec).theta_star == pytest.approx(3.75, rel=1e-9)
 
 
 def test_no_finite_maximizer_for_heavy_tail():

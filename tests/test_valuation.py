@@ -8,12 +8,16 @@ import pytest
 
 from farm_pricer import (
     AuxEval,
+    Exponential,
     ExponentialValuation,
     NoFiniteMaximizer,
     ParetoValuation,
+    SystemSpec,
     TabulatedTail,
     UniformValuation,
     eval_m,
+    fixed_point,
+    solve_general,
 )
 from farm_pricer.errors import ConfigError
 from farm_pricer.model import law_from_config
@@ -64,12 +68,6 @@ def test_tail_vectorized():
     d = ExponentialValuation(beta=2.0)
     u = np.array([-1.0, 0.0, 0.5, 3.0])
     np.testing.assert_allclose(d.tail(u), [1.0, 1.0, math.exp(-1), math.exp(-6)])
-
-
-def test_mean_values():
-    assert ExponentialValuation(beta=2.0).mean_value == pytest.approx(0.5)
-    assert UniformValuation(0.0, 2.0).mean_value == pytest.approx(1.0)
-    assert math.isinf(ParetoValuation(theta=1.0).mean_value)
 
 
 # ---------------------------------------------------------------- eval_m
@@ -194,6 +192,11 @@ def test_tabulated_requires_monotone_table():
         TabulatedTail(xs=(0.0,), gs=(1.0,))
     with pytest.raises(ValueError, match="nonincreasing and nonnegative"):
         TabulatedTail(xs=(0.0, 1.0), gs=(1.0, -0.1))
+    for xs, gs in (((0.0, math.nan, 2.0), (1.0, 0.5, 0.0)),
+                   ((0.0, 1.0, math.inf), (1.0, 0.5, 0.0)),
+                   ((0.0, 1.0, 2.0), (1.0, math.nan, 0.0))):  # fmt: skip
+        with pytest.raises(ValueError, match="knots must be finite"):
+            TabulatedTail(xs=xs, gs=gs)
     with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
         UniformValuation(1.0, 1.0)
     with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
@@ -216,13 +219,29 @@ def test_tabulated_sampling_matches_tail():
         assert emp == pytest.approx(float(t.tail(u)), abs=5e-3)
 
 
+@pytest.mark.parametrize("lo", [0.0, 0.5])
+def test_uniform_valuation_is_a_tabulated_tail(lo):
+    hi = 3.0
+    v = UniformValuation(lo, hi)
+    u = np.linspace(-1.0, 4.0, 8001)
+    exact = np.clip((hi - u) / (hi - lo), 0.0, 1.0)
+    np.testing.assert_allclose(v.tail(u), exact, rtol=0.0, atol=2.3e-16)
+    for B in np.linspace(-5.0, hi, 2001, endpoint=False):
+        assert eval_m(v, B).u_star == np.clip((hi + B) / 2, lo, hi), B
+    draws = v.sample(np.random.default_rng(5), 100_000)
+    assert lo <= draws.min() and draws.max() <= hi
+    assert abs(draws.mean() - (lo + hi) / 2) <= 4 * (hi - lo) / math.sqrt(12 * draws.size)
+    spec = SystemSpec(3, 2.0, Exponential(rate=5.0), v)
+    assert solve_general(spec).theta_star == pytest.approx(fixed_point(spec).theta_star, rel=1e-9)
+
+
 # ---------------------------------------------------------------- config
 
 def test_valuation_from_config():
     v = valuation_from_config({"kind": "exponential", "beta": 2.0})
     assert isinstance(v, ExponentialValuation) and v.beta == 2.0
     v = valuation_from_config({"kind": "uniform", "lo": 0.0, "hi": 2.0})
-    assert isinstance(v, UniformValuation)
+    assert v == TabulatedTail((0.0, 2.0), (1.0, 0.0))
     with pytest.raises(ConfigError):
         valuation_from_config({"kind": "gamma", "shape": 2})
     with pytest.raises(ConfigError):
