@@ -20,7 +20,6 @@ from .mdp_poisson import (
     PoissonSolveResult,
     SweepRow,
     fixed_point,
-    g_chain,
     infinite_server_limit,
     sweep,
     value_iteration_oracle,
@@ -75,7 +74,6 @@ __all__ = [
     "departure_matrix",
     "eval_m",
     "fixed_point",
-    "g_chain",
     "gap_bound",
     "infinite_server_limit",
     "insensitivity_check",

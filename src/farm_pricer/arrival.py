@@ -46,7 +46,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        positive_finite("rate", self.rate)
+        object.__setattr__(self, "rate", positive_finite("rate", self.rate))
 
     @property
     def mean(self) -> float:
@@ -67,7 +67,7 @@ class Deterministic:
     rate: float
 
     def __post_init__(self):
-        positive_finite("rate", self.rate)
+        object.__setattr__(self, "rate", positive_finite("rate", self.rate))
 
     @property
     def mean(self) -> float:

@@ -27,7 +27,7 @@ from .arrival import Exponential
 from .errors import NoConvergence
 from .model import SystemSpec
 from .stationary import revenue_rate
-from .valuation import eval_m
+from .valuation import ValuationDist, eval_m
 
 _RVI_TOL = 1e-8  # span of the relative value iteration's theta estimates
 _RVI_MAX_SWEEPS = 1_000_000
@@ -49,17 +49,12 @@ def _require_poisson(spec: SystemSpec) -> None:
         )
 
 
-def g_chain(spec: SystemSpec, theta: float) -> np.ndarray:
+def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> list[float]:
     """(g_0(theta), ..., g_{K-1}(theta)) by downward recursion; NoConvergence on overflow."""
-    _require_poisson(spec)
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    k, mu, lam = spec.servers, spec.mu, spec.arrival_rate
-    theta = float(theta)  # Python floats overflow to inf, caught below, with no warning
-    g = np.empty(k)
+    g = [0.0] * k
     gi = g[k - 1] = theta / (k * mu)
     for i in range(k - 1, 0, -1):
-        gi = (theta - lam * eval_m(spec.valuation, gi).m_val) / (i * mu)
+        gi = (theta - lam * eval_m(val, gi).m_val) / (i * mu)
         if not math.isfinite(gi):
             raise NoConvergence(f"g-chain overflows at state {i - 1} (theta = {theta:.9g})")
         g[i - 1] = gi
@@ -80,37 +75,36 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
     raising NoConvergence at adjacent floats, after 2000 steps or on overflow.
     """
     _require_poisson(spec)
-    lam, val = spec.arrival_rate, spec.valuation
+    k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
     cap = infinite_server_limit(spec)[0]
     tol = 1e-12 * cap
 
-    with np.errstate(over="ignore"):  # lam m(g_0) may overflow; inf is handled below
-        lo = 0.0
-        hi = lam * eval_m(val, g_chain(spec, 0.0)[0]).m_val
-        if not math.isfinite(hi):
-            # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
-            hi = cap
+    lo = 0.0
+    hi = lam * eval_m(val, _chain(0.0, k, mu, lam, val)[0]).m_val
+    if not math.isfinite(hi):
+        # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
+        hi = cap
 
-        iterations = 0
-        while True:
-            mid = 0.5 * (lo + hi)
-            deltas = g_chain(spec, mid)
-            if hi - lo <= tol:
-                prices = np.array([eval_m(val, d).u_star for d in deltas])
-                rate = revenue_rate(spec, prices)
-                if abs(rate - mid) <= tol + 1e-9 * mid:
-                    break
-                if not lo < mid < hi:
-                    raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
-            v = lam * eval_m(val, deltas[0]).m_val
-            lo = max(lo, min(mid, v))
-            hi = min(hi, max(mid, v))
-            iterations += 1
-            if iterations > 2000:
-                raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        deltas = _chain(mid, k, mu, lam, val)
+        if hi - lo <= tol:
+            prices = np.array([eval_m(val, d).u_star for d in deltas])
+            rate = revenue_rate(spec, prices)
+            if abs(rate - mid) <= tol + 1e-9 * mid:
+                break
+            if not lo < mid < hi:
+                raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
+        v = lam * eval_m(val, deltas[0]).m_val
+        lo = max(lo, min(mid, v))
+        hi = min(hi, max(mid, v))
+        iterations += 1
+        if iterations > 2000:
+            raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
     return PoissonSolveResult(
         theta_star=mid,
-        deltas=deltas,
+        deltas=np.array(deltas),
         prices=prices,
         iterations=iterations,
         bracket_width=hi - lo,

@@ -30,7 +30,7 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "servers", positive_int("servers", self.servers))
-        positive_finite("mu", self.mu)
+        object.__setattr__(self, "mu", positive_finite("mu", self.mu))
         require_law("arrival", self.arrival, InterarrivalDist)
         require_law("valuation", self.valuation, ValuationDist)
 

@@ -25,6 +25,7 @@ and m(B) = -B.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -44,7 +45,7 @@ class ExponentialValuation:
     beta: float
 
     def __post_init__(self):
-        positive_finite("beta", self.beta)
+        object.__setattr__(self, "beta", positive_finite("beta", self.beta))
 
     def tail(self, u):
         return np.exp(-self.beta * np.maximum(u, 0.0))
@@ -70,7 +71,7 @@ class ParetoValuation:
     theta: float
 
     def __post_init__(self):
-        positive_finite("theta", self.theta)
+        object.__setattr__(self, "theta", positive_finite("theta", self.theta))
 
     def tail(self, u):
         return np.minimum(1.0, self.theta / np.maximum(u, self.theta))
@@ -95,6 +96,9 @@ class TabulatedTail:
     gs: tuple
 
     def __post_init__(self):
+        # a str, bytes or mapping would iterate as characters, ints or keys
+        if any(isinstance(t, (str, bytes, Mapping)) for t in (self.xs, self.gs)):
+            raise ValueError("knots must be sequences of numbers")
         xs = tuple(float(x) for x in self.xs)
         gs = tuple(float(g) for g in self.gs)
         object.__setattr__(self, "xs", xs)

@@ -38,6 +38,20 @@ def spec_with(arrival, k=5, mu=2.0, val=VAL):
     return SystemSpec(servers=k, mu=mu, arrival=arrival, valuation=val)
 
 
+GAP_KINDS = ["exp", "det", "unif", "two_point"]
+
+
+def gap_law(kind, lam, p1, c):
+    """A gap law of rate lam; two_point: atom c / lam with chance p1, the other fixes the mean."""
+    if kind == "exp":
+        return Exponential(rate=lam)
+    if kind == "det":
+        return Deterministic(rate=lam)
+    if kind == "unif":
+        return UniformInterval.from_rate(lam)
+    return TwoPoint(x1=c / lam, p1=p1, x2=(1.0 - p1 * c) / ((1.0 - p1) * lam))
+
+
 def assert_certified(spec, res, rel=1e-10):
     """Bellman residuals, revenue_rate(prices) = theta* to rel and the uniform-price bounds."""
     theta = res.theta_star
@@ -164,6 +178,19 @@ def test_more_servers_earn_more():
     assert np.all(np.diff(thetas) > 0)
 
 
+@pytest.mark.parametrize("kind", GAP_KINDS)
+def test_more_servers_never_earn_less_on_every_gap_law(kind):
+    # theta* along K = 1..10 at fixed gaps, mu and valuations, four draws per
+    # gap law; one more server may lose only rounding
+    rng = np.random.default_rng(2026)
+    for _ in range(4):
+        lam = float(np.exp(rng.uniform(math.log(0.5), math.log(60.0))))
+        arrival = gap_law(kind, lam, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.05, 0.95)))
+        val = (VAL, UniformValuation(lo=0.0, hi=2.0), TABLE7)[rng.integers(3)]
+        thetas = [solve_general(spec_with(arrival, k=k, val=val)).theta_star for k in range(1, 11)]
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(thetas, thetas[1:])), (arrival, val, thetas)
+
+
 # ------------------------------------------------------------ light traffic
 
 def test_light_traffic_discards_clamped_roots():
@@ -240,16 +267,11 @@ def test_certificate_gate_raises_when_iterations_run_out(monkeypatch):
 def renewal_specs(draw):
     k = draw(st.integers(1, 40))
     lam = draw(st.floats(0.01, 5.0)) * k * 2.0  # load times K mu, with mu = 2
-    kind = draw(st.sampled_from(["exp", "det", "unif", "two_point"]))
-    if kind == "exp":
-        arrival = Exponential(rate=lam)
-    elif kind == "det":
-        arrival = Deterministic(rate=lam)
-    elif kind == "unif":
-        arrival = UniformInterval.from_rate(lam)
-    else:
+    kind = draw(st.sampled_from(GAP_KINDS))
+    p1, c = 0.5, 0.5  # read by two_point only
+    if kind == "two_point":
         p1, c = draw(st.floats(0.1, 0.9)), draw(st.floats(0.05, 0.95))
-        arrival = TwoPoint(x1=c / lam, p1=p1, x2=(1.0 - p1 * c) / ((1.0 - p1) * lam))
+    arrival = gap_law(kind, lam, p1, c)
     val = draw(st.sampled_from([VAL, UniformValuation(lo=0.0, hi=2.0), TABLE7]))
     return spec_with(arrival, k=k, val=val)
 

@@ -15,7 +15,6 @@ from farm_pricer import (
     UniformValuation,
     eval_m,
     fixed_point,
-    g_chain,
     gap_bound,
     infinite_server_limit,
     mdp_poisson,
@@ -45,6 +44,7 @@ def base_spec(lam=25.0, mu=2.0, k=5):
 
 def test_reference_system():
     res = fixed_point(base_spec())
+    assert type(res.theta_star) is float
     assert abs(res.theta_star - THETA_REF) < 2e-9
     assert res.bracket_width <= 1e-9
     np.testing.assert_allclose(res.prices, PAPER_PRICES, atol=5e-4)
@@ -131,20 +131,10 @@ def test_numeric_valuation_path():
 
 # ---------------------------------------------------------------- g chain
 
-def test_chain_at_zero_theta_is_nonpositive():
-    g = g_chain(base_spec(), 0.0)
-    assert g[-1] == 0.0
-    assert np.all(g[:-1] < 0)
-
-
 def test_chain_input_validation():
-    with pytest.raises(ValueError):
-        g_chain(base_spec(), -0.5)
     det = SystemSpec(
         servers=2, mu=1.0, arrival=Deterministic(rate=3.0), valuation=ExponentialValuation(beta=1.0)
     )
-    with pytest.raises(ValueError):
-        g_chain(det, 1.0)
     with pytest.raises(ValueError):
         fixed_point(det)
 
@@ -189,11 +179,32 @@ def test_uncertified_prices_are_no_convergence(monkeypatch):
         fixed_point(base_spec())
 
 
-@pytest.mark.parametrize("k, lam", [(1000, 5000.0), (400, 2560.0), (1000, 1800.0)])
-def test_overflowing_chain_is_no_convergence(k, lam):
+OVERFLOW_CELLS = [(1000, 5000.0), (400, 2560.0), (1000, 1800.0)]
+
+
+@pytest.mark.parametrize(
+    "val, k, lam",
+    [(ExponentialValuation(beta=1.0), k, lam) for k, lam in OVERFLOW_CELLS]
+    + [(UniformValuation(lo=0.0, hi=2.0), k, lam) for k, lam in OVERFLOW_CELLS],
+    ids=[f"{k}-{lam}" for k, lam in OVERFLOW_CELLS]
+    + [f"uniform-{k}-{lam}" for k, lam in OVERFLOW_CELLS],
+)
+def test_overflowing_chain_is_no_convergence(val, k, lam):
     # the chain overflows the floats; no RuntimeWarning may escape either
     with pytest.raises(NoConvergence, match="overflows"):
-        fixed_point(base_spec(lam=lam, k=k))
+        fixed_point(SystemSpec(servers=k, mu=2.0, arrival=Exponential(rate=lam), valuation=val))
+
+
+def test_numpy_scalar_parameters_overflow_cleanly():
+    # the laws keep their parameters as Python floats, so the overflow
+    # reaches the chain's isfinite check without a numpy RuntimeWarning
+    spec = SystemSpec(
+        servers=1000, mu=np.float64(2.0), arrival=Exponential(rate=np.float64(5000.0)),
+        valuation=ExponentialValuation(beta=np.float64(1.0)),
+    )  # fmt: skip
+    assert {type(spec.mu), type(spec.arrival.rate), type(spec.valuation.beta)} == {float}
+    with pytest.raises(NoConvergence, match="overflows"):
+        fixed_point(spec)
 
 
 # ---------------------------------------------------------------- oracle

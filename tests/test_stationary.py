@@ -323,9 +323,12 @@ CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponenti
          "valuation"),
         ({**CFG, "valuation": {"kind": "table", "xs": [0, 1, math.inf], "gs": [1, 0.5, 0]}},
          "valuation"),
+        ({**CFG, "valuation": {"kind": "table", "xs": "012", "gs": [1, 0.5, 0]}}, "valuation"),
+        ({**CFG, "valuation": {"kind": "table", "xs": {"0": 1, "1": 2, "2": 3}, "gs": [1, 0.5, 0]}},
+         "valuation"),
     ],
     ids=["not-an-object", "missing-mu", "non-numeric-mu", "missing-arrival", "missing-valuation",
-         "zero-mu", "nan-knot", "infinite-knot"],
+         "zero-mu", "nan-knot", "infinite-knot", "string-knots", "object-knots"],
 )  # fmt: skip
 def test_config_errors_name_their_key(cfg, key):
     with pytest.raises(ConfigError) as err:

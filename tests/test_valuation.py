@@ -197,6 +197,11 @@ def test_tabulated_requires_monotone_table():
                    ((0.0, 1.0, 2.0), (1.0, math.nan, 0.0))):  # fmt: skip
         with pytest.raises(ValueError, match="knots must be finite"):
             TabulatedTail(xs=xs, gs=gs)
+    # a string, bytes or a mapping would be read as characters, ints or keys
+    for xs, gs in (("012", (1.0, 0.5, 0.0)), ((0.0, 1.0, 2.0), b"\x01\x00\x00"),
+                   ({0: 1, 1: 2, 2: 3}, (1.0, 0.5, 0.0))):  # fmt: skip
+        with pytest.raises(ValueError, match="knots must be sequences of numbers"):
+            TabulatedTail(xs=xs, gs=gs)
     with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
         UniformValuation(1.0, 1.0)
     with pytest.raises(ValueError, match="need 0 <= lo < hi < inf"):
