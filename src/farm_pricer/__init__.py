@@ -31,7 +31,6 @@ from .uniform_pricing import (
     UniformPricingResult,
     asymptotic_mu_tilde,
     blocking_prob,
-    gap_bound,
     optimize_uniform,
     revenue_uniform,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "departure_matrix",
     "eval_m",
     "fixed_point",
-    "gap_bound",
     "infinite_server_limit",
     "insensitivity_check",
     "log_beta_seq",

@@ -1,5 +1,5 @@
 """Scalar numerics on the standard library: last-float bisection, the
-Student-t quantile, and the checks for counts and for positive finite rates.
+Student-t quantile, and the checks for numbers, counts and positive finite rates.
 
 `t_quantile` inverts the finite-series Student-t CDF for integer degrees of
 freedom (Abramowitz & Stegun 26.7.3-4).
@@ -11,6 +11,13 @@ import math
 from numbers import Integral
 
 
+def as_float(value) -> float:
+    """float(value), but TypeError for a bool, which float() reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def positive_int(name: str, value) -> int:
     """value as an int; ValueError unless it is an Integral >= 1 and not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
@@ -19,8 +26,8 @@ def positive_int(name: str, value) -> int:
 
 
 def positive_finite(name: str, value) -> float:
-    """value as a float; ValueError unless it is positive and finite (NaN is not)."""
-    if not (value > 0 and math.isfinite(value)):
+    """value as a float; ValueError unless it is a positive finite number, not a bool."""
+    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 

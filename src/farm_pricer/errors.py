@@ -25,8 +25,8 @@ class ConfigError(PricingError):
 class NoFiniteMaximizer(PricingError):
     """The objective keeps improving as its argument grows; no finite maximizer.
 
-    Raised for the surplus (u - B) * tail(u) and for the uniform-price
-    revenue still climbing at the search boundary.
+    eval_m raises it for a Pareto tail with B > 0, optimize_uniform when
+    p * Gbar(p) is still at its supremum just past the 1e-9 tail quantile.
     """
 
 

@@ -8,7 +8,7 @@ from typing import get_args
 
 import numpy as np
 
-from ._numeric import positive_finite, positive_int
+from ._numeric import as_float, positive_finite, positive_int
 from .arrival import Deterministic, Exponential, InterarrivalDist, TwoPoint, UniformInterval
 from .errors import ConfigError
 from .valuation import ExponentialValuation, ParetoValuation, TabulatedTail, UniformValuation
@@ -113,7 +113,7 @@ def law_from_config(family: str, cfg, key: str | None = None):
         raise ConfigError(f"{key}.kind", f"unknown {family} kind '{cfg['kind']}'")
     build, params = next((f for f in forms if any(p in cfg for p in f[1])), forms[-1])
     try:
-        return build(*(cfg[p] if p in _LISTS else float(cfg[p]) for p in params))
+        return build(*(cfg[p] if p in _LISTS else as_float(cfg[p]) for p in params))
     except KeyError as exc:
         raise ConfigError(f"{key}.{exc.args[0]}", "missing parameter") from None
     except (TypeError, ValueError) as exc:
@@ -156,7 +156,7 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     except ValueError as exc:
         raise ConfigError("servers", str(exc)) from None
     try:
-        mu = float(cfg["mu"])
+        mu = as_float(cfg["mu"])
     except KeyError:
         raise ConfigError("mu", "missing") from None
     except (TypeError, ValueError):

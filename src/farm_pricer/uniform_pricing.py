@@ -39,9 +39,9 @@ _GRID_DOUBLINGS = 16  # price doublings past Q(1e-9) before the grid end is give
 class UniformPricingResult:
     """Best single price for K servers, and the infinite-server benchmark.
 
-    gap_upper is an upper bound on the revenue of the best state-dependent
-    policy: revenue_K / (1 - pi_K(p_star_inf)).  coarse_gap bounds that
-    policy's excess over revenue_K by revenue_K / (beta_1 K).
+    The revenue R* of the best state-dependent policy lies in
+    [revenue_K, gap_upper], gap_upper = revenue_K / (1 - pi_K(p_star_inf)).
+    coarse_gap bounds R* - revenue_K by revenue_K / (beta_1 K).
     """
 
     p_star_K: float
@@ -52,18 +52,20 @@ class UniformPricingResult:
     coarse_gap: float
 
 
-def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
-    """p -> (Gbar(p), pi_K(p)) over a price or an array of prices.
+def _curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
+    """p -> (Gbar(p), pi_K(p), lambda p Gbar(p) (1 - pi_K(p))), and log beta_0..K.
 
-    log C(K,j) + log beta_j is built once here; each call then runs the
-    log-sum-exp over blocks of max(1, 2**13 // (K+1)) prices, so no
-    temporary exceeds 64 KB.  Every step reduces along a row, so a price
-    gets the same bits in any block.
+    log C(K,j) + log beta_j is built once; each call, on a price or an
+    array of prices, runs the log-sum-exp over blocks of max(1, 2**13 //
+    (K+1)) prices, so no temporary exceeds 64 KB.  Every step reduces along
+    a row, so a price gets the same bits in any block.
     """
+    log_beta = log_beta_seq(dist, mu, k)
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!
-    terms = lf[k] - lf - lf[::-1] + log_beta_seq(dist, mu, k)
+    terms = lf[k] - lf - lf[::-1] + log_beta
     j = np.arange(k + 1)
     rows = max(1, _BLOCK_FLOATS // (k + 1))
+    lam = 1.0 / dist.mean
 
     def curve(p):
         gbar = val.tail(p)
@@ -77,20 +79,18 @@ def _blocking_curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: in
             top = x.max(axis=-1, keepdims=True)
             x -= top
             log_sum[s : s + rows] = top[:, 0] + np.log(np.exp(x, out=x).sum(axis=-1))
-        return gbar, np.where(joins, np.exp(-log_sum.reshape(gbar.shape)), 0.0)
+        block = np.where(joins, np.exp(-log_sum.reshape(gbar.shape)), 0.0)
+        return gbar, block, lam * p * gbar * (1.0 - block)
 
-    return curve
+    return curve, log_beta
 
 
-def _revenue_curve(dist: InterarrivalDist, curve):
-    """p -> lambda p Gbar(p) (1 - pi_K(p)) over an array of finite prices."""
-    lam = 1.0 / dist.mean
-
-    def revenue(p):
-        gbar, block = curve(p)
-        return lam * p * gbar * (1.0 - block)
-
-    return revenue
+def _at(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float):
+    """(pi_K(p), revenue) at one price; where nobody joins (p = inf too) both are 0."""
+    if val.tail(p) <= 0.0:
+        return 0.0, 0.0
+    _, block, rev = _curve(dist, val, mu, k)[0](p)
+    return float(block), float(rev)
 
 
 def blocking_prob(
@@ -101,10 +101,8 @@ def blocking_prob(
     k = positive_int("k", k)
     if math.isnan(p):
         raise ValueError("price must not be NaN")
-    if val.tail(p) <= 0.0:
-        # nobody joins, the system drains and is never full
-        return 0.0
-    return float(_blocking_curve(dist, val, mu, k)(p)[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # _at's revenue may overflow; unread here
+        return _at(dist, val, mu, k, p)[0]
 
 
 def revenue_uniform(
@@ -115,9 +113,7 @@ def revenue_uniform(
     k = positive_int("k", k)
     if not p >= 0:  # NaN included
         raise ValueError(f"price must be >= 0, got {p}")
-    if val.tail(p) <= 0.0:
-        return 0.0
-    return float(_revenue_curve(dist, _blocking_curve(dist, val, mu, k))(p))
+    return _at(dist, val, mu, k, p)[1]
 
 
 def optimize_uniform(
@@ -142,7 +138,6 @@ def optimize_uniform(
     inf_eval = eval_m(val, 0.0)
     p_inf = inf_eval.u_star
     lam = 1.0 / dist.mean
-    rev_inf = lam * inf_eval.m_val
 
     q_hi = val.tail_quantile(1e-9)
     # 0 for a tail that ends in an atom at q_hi: nothing past it can earn more
@@ -155,10 +150,9 @@ def optimize_uniform(
             f"p = {q_hi:.6g} is still at the supremum {inf_eval.m_val:.6g}; "
             f"no finite optimal price exists"
         )
-    curve = _blocking_curve(dist, val, mu, k)
-    revenue = _revenue_curve(dist, curve)
+    curve, log_beta = _curve(dist, val, mu, k)
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
-    rev = revenue(grid)
+    rev = curve(grid)[2]
     # Past the grid end q, blocking only lowers revenue below lam p Gbar(p),
     # and p Gbar(p) = (p - q) Gbar(p) + q Gbar(p) <= m(q) + q Gbar(q+): once
     # lam times that is at most the best revenue, no later price can win.
@@ -170,14 +164,14 @@ def optimize_uniform(
         if doublings == _GRID_DOUBLINGS:
             raise NoConvergence(f"revenue past p = {q:.6g} may still beat the best grid price")
         more = q * 2.0 ** (np.arange(1, 18) / 17)
-        grid, rev = np.append(grid, more), np.append(rev, revenue(more))
+        grid, rev = np.append(grid, more), np.append(rev, curve(more)[2])
     i = int(np.argmax(rev))
 
     p_star, r_star = float(grid[i]), float(rev[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     while hi - lo > 1e-8 * hi:
         ps = np.linspace(lo, hi, 17)
-        rs = revenue(ps)
+        rs = curve(ps)[2]
         j = int(np.argmax(rs))  # the first maximum: ties go to the smaller price
         if rs[j] > r_star:
             p_star, r_star = float(ps[j]), float(rs[j])
@@ -192,29 +186,15 @@ def optimize_uniform(
     # inf for long gaps, so coarse_gap = 0
     with np.errstate(divide="ignore", over="ignore"):
         gap_upper = float(r_star / (1.0 - curve(p_inf)[1]))
-        beta1 = float(np.exp(log_beta_seq(dist, mu, 1)[1]))
+        beta1 = float(np.exp(log_beta[1]))
     return UniformPricingResult(
         p_star_K=p_star,
         revenue_K=r_star,
         p_star_inf=p_inf,
-        revenue_inf_bound=rev_inf,
+        revenue_inf_bound=lam * inf_eval.m_val,
         gap_upper=gap_upper,
         coarse_gap=r_star / (beta1 * k),
     )
-
-
-def gap_bound(
-    dist: InterarrivalDist, val: ValuationDist, mu: float, k: int
-) -> tuple[float, float, float]:
-    """Sandwich the optimal state-dependent revenue R*.
-
-    Returns (lower, upper, coarse_gap) from optimize_uniform: the best
-    uniform revenue is a lower bound, lower / (1 - pi_K(p_inf)) an upper
-    bound, and coarse_gap the weaker transform-only bound lower / (beta_1 K)
-    on R* - lower, which never needs a price search to state.
-    """
-    res = optimize_uniform(dist, val, mu, k)
-    return res.revenue_K, res.gap_upper, res.coarse_gap
 
 
 _FAMILIES: dict[str, Callable[[float], InterarrivalDist]] = {

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
-from ._numeric import positive_finite
+from ._numeric import as_float, positive_finite
 from .errors import NoFiniteMaximizer
 
 if TYPE_CHECKING:
@@ -99,8 +99,8 @@ class TabulatedTail:
         # a str, bytes or mapping would iterate as characters, ints or keys
         if any(isinstance(t, (str, bytes, Mapping)) for t in (self.xs, self.gs)):
             raise ValueError("knots must be sequences of numbers")
-        xs = tuple(float(x) for x in self.xs)
-        gs = tuple(float(g) for g in self.gs)
+        xs = tuple(map(as_float, self.xs))
+        gs = tuple(map(as_float, self.gs))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "gs", gs)
         if len(xs) != len(gs) or len(xs) < 2:

@@ -34,7 +34,6 @@ from farm_pricer import (
     asymptotic_mu_tilde,
     blocking_prob,
     fixed_point,
-    gap_bound,
     insensitivity_check,
     occupancy_poisson,
     optimize_uniform,
@@ -151,7 +150,8 @@ def test_criterion_06_sandwich_bounds():
                 dist, mu, k = Exponential(rate=25.0), row.value, 5
             else:
                 dist, mu, k = Exponential(rate=25.0), 2.0, int(row.value)
-            lower, upper, coarse = gap_bound(dist, VAL, mu, k)
+            res = optimize_uniform(dist, VAL, mu, k)
+            lower, upper, coarse = res.revenue_K, res.gap_upper, res.coarse_gap
             theta = row.theta_star
             assert lower - 1e-9 <= theta <= upper + 1e-9, f"{vary}={row.value}"
             assert upper <= lower + coarse + 1e-9, f"{vary}={row.value}"

@@ -28,8 +28,7 @@ spec = fp.SystemSpec(5, 2.0, fp.Exponential(rate=25.0), fp.ExponentialValuation(
 res = fp.fixed_point(spec)
 assert abs(fp.revenue_rate(spec, res.prices) - res.theta_star) < 1e-9
 uni = fp.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
-lower, upper, _ = fp.gap_bound(spec.arrival, spec.valuation, spec.mu, spec.servers)
-assert lower <= res.theta_star <= upper and lower == uni.revenue_K
+assert uni.revenue_K <= res.theta_star <= uni.gap_upper
 for dist in (
     fp.Exponential(rate=25.0),
     fp.Deterministic(rate=25.0),
@@ -75,19 +74,20 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # solver failures folded into NoConvergence, and the transform wrappers
     # that log_lst and log_beta_seq replace, and the pass-through to a law's
     # own tail method with its scalar shim, the uniform law's knot table,
-    # and the public Poisson g-chain (fixed_point keeps a private one)
+    # the public Poisson g-chain (fixed_point keeps a private one), and the
+    # uniform-price sandwich, three fields of optimize_uniform's result
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
-               farm_pricer.arrival)  # fmt: skip
+               farm_pricer.arrival, farm_pricer.uniform_pricing)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
                "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
                "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
                "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array", "_knots",
-               "g_chain")  # fmt: skip
+               "g_chain", "gap_bound")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert len(farm_pricer.__all__) == 42
+    assert len(farm_pricer.__all__) == 41
     # records keep only what the caller did not pass in
     for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):
         assert not hasattr(law, "rate")

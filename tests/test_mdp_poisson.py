@@ -15,9 +15,9 @@ from farm_pricer import (
     UniformValuation,
     eval_m,
     fixed_point,
-    gap_bound,
     infinite_server_limit,
     mdp_poisson,
+    optimize_uniform,
     revenue_rate,
     solve_general,
     sweep,
@@ -100,9 +100,9 @@ def test_theta_below_infinite_server_rate():
 
 def test_theta_inside_uniform_price_sandwich():
     spec = base_spec()
-    lower, upper, _ = gap_bound(spec.arrival, spec.valuation, spec.mu, spec.servers)
+    res = optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
     theta = fixed_point(spec).theta_star
-    assert lower - 1e-9 <= theta <= upper + 1e-9
+    assert res.revenue_K - 1e-9 <= theta <= res.gap_upper + 1e-9
 
 
 def test_light_traffic_recovers_infinite_server():
@@ -155,7 +155,7 @@ def test_light_traffic_theta_is_certified(lam):
     # theta* falls with lambda, so an absolute width of 1e-9 would exceed it
     spec = base_spec(lam=lam, k=3)
     res = fixed_point(spec)
-    uniform = gap_bound(spec.arrival, spec.valuation, spec.mu, spec.servers)[0]
+    uniform = optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers).revenue_K
     assert res.theta_star >= uniform * (1.0 - 1e-11)
     assert abs(revenue_rate(spec, res.prices) - res.theta_star) <= 1e-11 * res.theta_star
 
@@ -170,6 +170,22 @@ def test_heavy_traffic_prices_are_certified(k, lam):
     res = fixed_point(spec)
     assert abs(revenue_rate(spec, res.prices) - res.theta_star) <= 1e-9 + 1e-9 * res.theta_star
     assert abs(res.theta_star - solve_general(spec).theta_star) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 2: fixed_point's revenue check weighs states by "
+    "their probability, so prices in rare states go unchecked",
+)
+def test_poisson_prices_match_policy_iteration():
+    # (70, 126) is a timed poisson-exp cell with prices off by up to 1.9e-3
+    # in 6 states; at (300, 300) fixed_point gives p_0 = 0 where policy
+    # iteration gives 1, and 27 states differ
+    for k, lam in ((70, 126.0), (300, 300.0)):
+        spec = base_spec(lam=lam, k=k)
+        np.testing.assert_allclose(
+            fixed_point(spec).prices, solve_general(spec).prices, rtol=0.0, atol=1e-8
+        )
 
 
 def test_uncertified_prices_are_no_convergence(monkeypatch):

@@ -283,6 +283,14 @@ def test_server_count_is_a_positive_integer():
             SystemSpec(bad, 2.0, Exponential(rate=25.0), VAL)
 
 
+def test_rates_are_not_bools():
+    for make in (lambda: SystemSpec(5, True, Exponential(rate=25.0), VAL),
+                 lambda: Exponential(rate=True),
+                 lambda: ExponentialValuation(beta=True)):  # fmt: skip
+        with pytest.raises(ValueError, match="must be positive and finite, got True"):
+            make()
+
+
 @pytest.mark.parametrize(
     "field, law",
     [("arrival", ExponentialValuation(beta=1.0)), ("valuation", Exponential(rate=1.0))],
@@ -326,9 +334,20 @@ CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponenti
         ({**CFG, "valuation": {"kind": "table", "xs": "012", "gs": [1, 0.5, 0]}}, "valuation"),
         ({**CFG, "valuation": {"kind": "table", "xs": {"0": 1, "1": 2, "2": 3}, "gs": [1, 0.5, 0]}},
          "valuation"),
+        ({**CFG, "mu": True}, "mu"),
+        ({**CFG, "lambda": True}, "lambda"),
+        ({**CFG, "arrival": {"kind": "det", "rate": True}}, "arrival"),
+        ({**CFG, "arrival": {"kind": "uniform", "lo": False, "hi": 0.1}}, "arrival"),
+        ({**CFG, "valuation": {"kind": "exp", "beta": True}}, "valuation"),
+        ({**CFG, "valuation": {"kind": "table", "xs": [0, True, 2], "gs": [1, 0.5, 0]}},
+         "valuation"),
+        ({**CFG, "valuation": {"kind": "table", "xs": [0, 1, 2], "gs": [True, 0.5, 0]}},
+         "valuation"),
     ],
     ids=["not-an-object", "missing-mu", "non-numeric-mu", "missing-arrival", "missing-valuation",
-         "zero-mu", "nan-knot", "infinite-knot", "string-knots", "object-knots"],
+         "zero-mu", "nan-knot", "infinite-knot", "string-knots", "object-knots", "bool-mu",
+         "bool-lambda", "bool-arrival-rate", "bool-interval-end", "bool-beta", "bool-x-knot",
+         "bool-g-knot"],
 )  # fmt: skip
 def test_config_errors_name_their_key(cfg, key):
     with pytest.raises(ConfigError) as err:

@@ -22,14 +22,13 @@ from farm_pricer import (
     asymptotic_mu_tilde,
     blocking_prob,
     fixed_point,
-    gap_bound,
     log_beta_seq,
     optimize_uniform,
     revenue_uniform,
     solve_general,
 )
 from farm_pricer import uniform_pricing
-from farm_pricer.uniform_pricing import _blocking_curve
+from farm_pricer.uniform_pricing import _curve
 
 
 def erlang_b(k: int, a: float) -> float:
@@ -222,7 +221,7 @@ def test_grid_grows_until_no_price_past_its_end_can_win(val, p_star, revenue):
     assert res.revenue_K == pytest.approx(revenue, rel=1e-12)
     assert res.revenue_K == revenue_uniform(dist, val, 1.0, 3, res.p_star_K)
     ps = np.linspace(0.5 * q, 4.0 * q, 20001)
-    gbar, block = _blocking_curve(dist, val, 1.0, 3)(ps)
+    gbar, block, _ = _curve(dist, val, 1.0, 3)[0](ps)
     assert np.max(1e12 * ps * gbar * (1.0 - block)) <= res.revenue_K
 
 
@@ -257,7 +256,8 @@ def test_gap_upper_is_infinite_where_blocking_at_p_inf_rounds_to_one():
 
 def test_gap_bound_orders():
     for dist in (Exponential(rate=25.0), Deterministic(rate=25.0)):
-        lower, upper, coarse = gap_bound(dist, VAL, 2.0, 5)
+        res = optimize_uniform(dist, VAL, 2.0, 5)
+        lower, upper, coarse = res.revenue_K, res.gap_upper, res.coarse_gap
         assert 0 < lower <= upper
         assert upper <= lower + coarse + 1e-9
 
@@ -265,7 +265,8 @@ def test_gap_bound_orders():
 def test_gap_bound_poisson_coarse_factor():
     # beta_1 = mu/lambda, so the coarse factor is 1 + rho/K
     lam, mu, k = 25.0, 2.0, 5
-    lower, _, coarse = gap_bound(Exponential(rate=lam), VAL, mu, k)
+    res = optimize_uniform(Exponential(rate=lam), VAL, mu, k)
+    lower, coarse = res.revenue_K, res.coarse_gap
     rho = lam / mu
     assert lower + coarse == pytest.approx(lower * (1 + rho / k), rel=1e-9)
 
@@ -363,7 +364,7 @@ def test_grid_revenue_matches_scalar_path(arrival, valuation, k):
     assert res.revenue_K == pytest.approx(
         revenue_uniform(dist, val, 2.0, k, res.p_star_K), rel=1e-14
     )
-    curve = _blocking_curve(dist, val, 2.0, k)
+    curve = _curve(dist, val, 2.0, k)[0]
     ps = np.geomspace(1e-3, val.tail_quantile(1e-9), 16)
     scalar = [blocking_prob(dist, val, 2.0, k, p) for p in ps]
     np.testing.assert_allclose(curve(ps)[1], scalar, rtol=1e-14, atol=0.0)
@@ -415,7 +416,7 @@ def one_shot_curve(dist, val, mu, k):
 @pytest.mark.parametrize("arrival", ["exp", "det", "two", "uni"])
 def test_row_blocks_match_one_shot_curve(arrival, k):
     dist = arrival_law(arrival, rate_for(k))
-    blocked, reference = _blocking_curve(dist, TABLE7, 2.0, k), one_shot_curve(dist, TABLE7, 2.0, k)
+    blocked, reference = _curve(dist, TABLE7, 2.0, k)[0], one_shot_curve(dist, TABLE7, 2.0, k)
     grid = np.geomspace(TABLE7.tail_quantile(1e-9) * 1e-9, TABLE7.tail_quantile(1e-9), 512)
     for p in (grid, 1.3, np.float64(4.5)):
         got, want = blocked(p), reference(p)
