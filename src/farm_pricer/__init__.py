@@ -26,7 +26,7 @@ from .mdp_poisson import (
 )
 from .model import SystemSpec, price_array, spec_from_config
 from .simulator import InsensitivityReport, SimConfig, SimResult, insensitivity_check, simulate
-from .stationary import OccupancyDist, occupancy_general, occupancy_poisson, revenue_rate
+from .stationary import occupancy_general, occupancy_poisson, revenue_rate
 from .uniform_pricing import (
     UniformPricingResult,
     asymptotic_mu_tilde,
@@ -55,7 +55,6 @@ __all__ = [
     "InsensitivityReport",
     "NoConvergence",
     "NoFiniteMaximizer",
-    "OccupancyDist",
     "ParetoValuation",
     "PoissonSolveResult",
     "PricingError",

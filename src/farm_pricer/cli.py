@@ -184,9 +184,9 @@ def _cmd_evaluate(args) -> int:
     spec = _spec_from_args(args)
     if args.prices is None:
         raise ConfigError("prices", "evaluate needs --prices p0,p1,...")
-    occ, rate = stationary._occupancy_and_rate(spec, _prices(args, spec))
-    payload = {"revenue_rate": rate, "occupancy": occ.pi, "blocking": occ.pi[-1], "view": occ.view}
-    _emit(args, payload, f"revenue rate {rate:.6g}, blocking {occ.pi[-1]:.6g}")
+    pi, rate = stationary._occupancy_and_rate(spec, _prices(args, spec))
+    payload = {"revenue_rate": rate, "occupancy": pi, "blocking": pi[-1]}
+    _emit(args, payload, f"revenue rate {rate:.6g}, blocking {pi[-1]:.6g}")
     return 0
 
 

@@ -25,8 +25,8 @@ class ConfigError(PricingError):
 class NoFiniteMaximizer(PricingError):
     """The objective keeps improving as its argument grows; no finite maximizer.
 
-    eval_m raises it for a Pareto tail with B > 0, optimize_uniform when
-    p * Gbar(p) is still at its supremum just past the 1e-9 tail quantile.
+    Its one raise site is eval_m, for a Pareto tail with B > 0;
+    optimize_uniform reaches it through the eval_m call at its grid end.
     """
 
 

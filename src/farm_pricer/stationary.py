@@ -8,33 +8,19 @@ server per step, so censoring it to {0..n} (Grassmann, Taksar & Heyman,
 Oper. Res. 1985) balances the flow across the cut below n:
 r_n = P[n-1, n] / d_n, with d_n the mass row n of the censored chain sends
 below n.  The revenue rate is then sum_k pi_k lambda Gbar(p_k) p_k.
+
+Both occupancy functions return pi_0..pi_K as a plain array: the count as
+arriving customers see it, which under Poisson arrivals is also the
+time-stationary one.  _product_form normalises it, so it sums to 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arrival import departure_matrix
 from .errors import NoConvergence
 from .model import SystemSpec, price_array
-
-
-@dataclass(frozen=True)
-class OccupancyDist:
-    """Distribution of the busy-server count, with its sampling view.
-
-    view is 'arrival_sampled': the count as incoming customers see it,
-    which under Poisson arrivals is also the time-stationary one.
-    """
-
-    pi: np.ndarray
-    view: str
-
-    def __post_init__(self):
-        if np.any(self.pi < -1e-12) or abs(float(self.pi.sum()) - 1.0) > 1e-9:
-            raise ValueError("occupancy vector must be a probability distribution")
 
 
 def _product_form(ratios: np.ndarray) -> np.ndarray:
@@ -52,14 +38,13 @@ def _product_form(ratios: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def occupancy_poisson(spec: SystemSpec, prices) -> OccupancyDist:
-    """Closed-form busy-server distribution under Poisson arrivals."""
+def occupancy_poisson(spec: SystemSpec, prices) -> np.ndarray:
+    """Closed-form busy-server distribution pi_0..pi_K under Poisson arrivals."""
     if not spec.is_poisson:
         raise ValueError("occupancy_poisson needs exponential interarrivals")
     k = spec.servers
     gbar = spec.valuation.tail(price_array(spec, prices)[:k])
-    pi = _product_form(spec.rho * gbar / np.arange(1, k + 1))
-    return OccupancyDist(pi=pi, view="arrival_sampled")
+    return _product_form(spec.rho * gbar / np.arange(1, k + 1))
 
 
 def embedded_chain(surv: np.ndarray, gbar: np.ndarray) -> np.ndarray:
@@ -75,7 +60,7 @@ def embedded_chain(surv: np.ndarray, gbar: np.ndarray) -> np.ndarray:
     return (1.0 - gbar[:, None]) * surv + gbar[:, None] * admit
 
 
-def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDist:
+def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> np.ndarray:
     """Busy-server distribution seen by arrivals under a renewal stream.
 
     dep is the survivor matrix from `departure_matrix`.  The censored
@@ -98,24 +83,24 @@ def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> OccupancyDis
     defect = float(np.max(np.abs(pi @ P - pi)))
     if not defect <= 1e-8:
         raise NoConvergence(f"embedded chain occupancy off stationarity by {defect:.3g}")
-    return OccupancyDist(pi=pi, view="arrival_sampled")
+    return pi
 
 
 def _occupancy_and_rate(
     spec: SystemSpec, prices, dep: np.ndarray | None = None
-) -> tuple[OccupancyDist, float]:
-    """Arrival-sampled occupancy and the revenue rate it earns; see revenue_rate."""
+) -> tuple[np.ndarray, float]:
+    """Arrival-sampled occupancy pi and the revenue rate it earns; see revenue_rate."""
     p = price_array(spec, prices)
     if spec.is_poisson and dep is None:
-        occ = occupancy_poisson(spec, p)
+        pi = occupancy_poisson(spec, p)
     else:
         if dep is None:
             dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-        occ = occupancy_general(spec, dep, p)
+        pi = occupancy_general(spec, dep, p)
     k = spec.servers
     gbar = spec.valuation.tail(p[:k])
-    earned = occ.pi[:k] * spec.arrival_rate * gbar * np.where(np.isfinite(p[:k]), p[:k], 0.0)
-    return occ, float(earned.sum())
+    earned = pi[:k] * spec.arrival_rate * gbar * np.where(np.isfinite(p[:k]), p[:k], 0.0)
+    return pi, float(earned.sum())
 
 
 def revenue_rate(spec: SystemSpec, prices, dep: np.ndarray | None = None) -> float:

@@ -28,7 +28,7 @@ from .arrival import (
     rare_long_gap_family,
     rare_unit_gap_family,
 )
-from .errors import NoConvergence, NoFiniteMaximizer
+from .errors import NoConvergence
 from .valuation import ValuationDist, eval_m
 
 _BLOCK_FLOATS = 2**13  # float64 entries per log-sum-exp block: 64 KB
@@ -132,6 +132,8 @@ def optimize_uniform(
     (rounding-level revenue differences steer the zoom); revenue_K to about
     1e-15.  NoConvergence if 16 doublings leave the grid end uncertified, or
     if 1 - pi_K(p_star_K) < 1e-9, where rounding picked the price.
+    NoFiniteMaximizer from the grid end's eval_m for a Pareto tail, whose
+    p Gbar(p) never leaves its supremum.
     """
     positive_finite("mu", mu)
     k = positive_int("k", k)
@@ -140,16 +142,6 @@ def optimize_uniform(
     lam = 1.0 / dist.mean
 
     q_hi = val.tail_quantile(1e-9)
-    # 0 for a tail that ends in an atom at q_hi: nothing past it can earn more
-    cap_past_hi = q_hi * val.tail(np.nextafter(q_hi, math.inf))
-    if inf_eval.m_val > 0.0 and cap_past_hi >= (1.0 - 1e-6) * inf_eval.m_val:
-        # p Gbar(p) never leaves its supremum, so raising p only sheds
-        # blocking and the revenue sup is approached, never attained
-        raise NoFiniteMaximizer(
-            f"p * Gbar(p) = {cap_past_hi:.6g} just past the {1e-9:g} tail quantile "
-            f"p = {q_hi:.6g} is still at the supremum {inf_eval.m_val:.6g}; "
-            f"no finite optimal price exists"
-        )
     curve, log_beta = _curve(dist, val, mu, k)
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
     rev = curve(grid)[2]

@@ -291,7 +291,7 @@ def test_criterion_09_simulation_validation():
         )
     )
     dt = time.perf_counter() - t0
-    pi = occupancy_poisson(spec, res.prices).pi
+    pi = occupancy_poisson(spec, res.prices)
 
     ci_ok = abs(out.revenue_rate_mean - res.theta_star) <= out.revenue_rate_ci_half
     half_b = float(

@@ -123,7 +123,7 @@ SIM = ["--arrivals", "2000", "--reps", "2"]
          ["p_star_K", "revenue_K", "p_star_inf", "revenue_inf_bound", "gap_lower",
           "gap_upper", "coarse_gap"]),
         (["evaluate", *BASE, "--prices", "1.2,1.2,1.3,1.45,1.8"],
-         ["revenue_rate", "occupancy", "blocking", "view"]),
+         ["revenue_rate", "occupancy", "blocking"]),
         (["simulate", *BASE, *SIM],
          ["revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac", "occupancy_hist",
           "accepted_frac_by_state", "prices", "theta_analytic"]),
@@ -454,12 +454,26 @@ def test_format_only_on_sweep_and_compare(tmp_path):
     assert (tmp_path / "out").read_text().startswith("policy,price,revenue\n")
 
 
-def test_exit_code_on_solver_failure():
-    # no finite revenue maximizer under a tail with p Gbar(p) constant
+def test_exit_code_on_solver_failure(capsys):
+    # no finite revenue maximizer under a tail with p Gbar(p) constant; the
+    # error comes from m at the uniform grid end
     assert run(["uniform", "--k", "2", "--lambda", "5", "--mu", "2",
                 "--valuation", "pareto:1"]) == 3
+    assert capsys.readouterr().err.startswith("solver error: Pareto tail: ")
     assert run(["solve-poisson", "--k", "2", "--lambda", "5", "--mu", "2",
                 "--valuation", "pareto:1"]) == 3
+
+
+def test_compare_where_the_supremum_sits_at_the_tail_quantile(tmp_path):
+    # p Gbar(p) reaches its supremum 500 at p = 5e11, a finite optimum
+    cfg = tmp_path / "heavy.json"
+    cfg.write_text(json.dumps({
+        "servers": 3, "mu": 2, "arrival": {"kind": "exp", "rate": 5},
+        "valuation": {"kind": "table", "xs": [0, 1, 1e12], "gs": [1, 2e-9, 0]},
+    }))  # fmt: skip
+    rows = run_json(tmp_path, ["compare", "--config", str(cfg)])["rows"]
+    assert rows[1]["price"] == pytest.approx(5e11, rel=1e-6)
+    assert rows[1]["revenue"] <= rows[2]["revenue"]
 
 
 @pytest.mark.parametrize("lam, mu, phi", [("1e20", "1", "1.0"), ("1e-300", "1e30", "0.0")])

@@ -75,19 +75,21 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # that log_lst and log_beta_seq replace, and the pass-through to a law's
     # own tail method with its scalar shim, the uniform law's knot table,
     # the public Poisson g-chain (fixed_point keeps a private one), and the
-    # uniform-price sandwich, three fields of optimize_uniform's result
+    # uniform-price sandwich, three fields of optimize_uniform's result, and
+    # the occupancy record (the occupancy functions return pi itself)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
-               farm_pricer.arrival, farm_pricer.uniform_pricing)  # fmt: skip
+               farm_pricer.arrival, farm_pricer.uniform_pricing,
+               farm_pricer.stationary)  # fmt: skip
     removed = ("g_chain_general", "m_inverse", "OutOfRange", "BracketCollapse",
                "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
                "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
                "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array", "_knots",
-               "g_chain", "gap_bound")  # fmt: skip
+               "g_chain", "gap_bound", "OccupancyDist")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert len(farm_pricer.__all__) == 41
+    assert len(farm_pricer.__all__) == 40
     # records keep only what the caller did not pass in
     for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):
         assert not hasattr(law, "rate")

@@ -83,7 +83,7 @@ def test_occupancy_and_acceptance_match_closed_form():
     prices = fixed_point(spec).prices
     cfg = SimConfig(spec=spec, prices=prices, horizon_arrivals=60_000, replications=10, seed=11)
     out = simulate(cfg)
-    pi = occupancy_poisson(spec, prices).pi
+    pi = occupancy_poisson(spec, prices)
     # consecutive arrival states are autocorrelated, so the iid binomial
     # sigma undershoots (here by 1.6-3.2x); hold each bin to 3 standard
     # errors across replications instead, and add a total-variation cap
@@ -110,7 +110,7 @@ def test_general_arrivals_match_embedded_chain():
     spec = SystemSpec(servers=4, mu=2.0, arrival=Deterministic(rate=12.0), valuation=VAL)
     res = solve_general(spec)
     dep = departure_matrix(spec.arrival, spec.mu, 4)
-    pi = occupancy_general(spec, dep, res.prices).pi
+    pi = occupancy_general(spec, dep, res.prices)
     cfg = SimConfig(spec=spec, prices=res.prices, horizon_arrivals=200_000, replications=5, seed=2)
     out = simulate(cfg)
     n = int(out.seen_counts.sum())

@@ -9,7 +9,6 @@ from farm_pricer import (
     Deterministic,
     Exponential,
     ExponentialValuation,
-    OccupancyDist,
     ConfigError,
     NoConvergence,
     SystemSpec,
@@ -41,23 +40,22 @@ def poisson_spec(lam=25.0, mu=2.0, k=5, val=VAL):
 def test_two_servers_free_entry():
     # rho = 1, Gbar = 1: weights (1, 1, 1/2) -> (2/5, 2/5, 1/5)
     spec = poisson_spec(lam=2.0, mu=2.0, k=2)
-    occ = occupancy_poisson(spec, [0.0, 0.0])
-    np.testing.assert_allclose(occ.pi, (0.4, 0.4, 0.2), rtol=1e-12)
-    assert occ.view == "arrival_sampled"
+    pi = occupancy_poisson(spec, [0.0, 0.0])
+    np.testing.assert_allclose(pi, (0.4, 0.4, 0.2), rtol=1e-12)
 
 
 def test_prohibitive_first_price_pins_system_empty():
     spec = poisson_spec(val=UniformValuation(lo=0.0, hi=2.0))
-    occ = occupancy_poisson(spec, [5.0, 5.0, 5.0, 5.0, 5.0])
-    np.testing.assert_allclose(occ.pi, (1.0, 0, 0, 0, 0, 0), atol=0)
+    pi = occupancy_poisson(spec, [5.0, 5.0, 5.0, 5.0, 5.0])
+    np.testing.assert_allclose(pi, (1.0, 0, 0, 0, 0, 0), atol=0)
 
 
 def test_full_state_mass_is_blocking_probability():
     spec = poisson_spec()
     for p in (0.5, 1.2, 3.0):
-        occ = occupancy_poisson(spec, [p] * 5)
+        pi = occupancy_poisson(spec, [p] * 5)
         pb = blocking_prob(spec.arrival, VAL, spec.mu, 5, p)
-        assert occ.pi[-1] == pytest.approx(pb, rel=1e-10)
+        assert pi[-1] == pytest.approx(pb, rel=1e-10)
 
 
 def loop_occupancy_and_rate(spec, prices):
@@ -87,8 +85,8 @@ def test_product_form_matches_per_state_loop():
             spec = poisson_spec(lam=load * k * 2.0, k=k, val=val)
             prices = np.sort(rng.uniform(0.0, 2.5, k))
             pi, rate = loop_occupancy_and_rate(spec, prices)
-            occ = occupancy_poisson(spec, prices)
-            np.testing.assert_allclose(occ.pi, pi, rtol=1e-12, atol=1e-15)
+            closed = occupancy_poisson(spec, prices)
+            np.testing.assert_allclose(closed, pi, rtol=1e-12, atol=1e-15)
             assert revenue_rate(spec, prices) == pytest.approx(rate, rel=1e-14)
 
 
@@ -98,7 +96,7 @@ def test_embedded_chain_recovers_poisson_occupancy():
     dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
     occ_closed = occupancy_poisson(spec, prices)
     occ_chain = occupancy_general(spec, dep, prices)
-    np.testing.assert_allclose(occ_chain.pi, occ_closed.pi, atol=1e-8)
+    np.testing.assert_allclose(occ_chain, occ_closed, atol=1e-8)
 
 
 @pytest.mark.parametrize("k", [2, 12, 160, 1000])
@@ -110,8 +108,8 @@ def test_censored_chain_matches_closed_form(k):
             spec = poisson_spec(lam=load * k * 2.0, k=k, val=val)
             dep = departure_matrix(spec.arrival, spec.mu, k)
             prices = np.sort(rng.uniform(0.0, 1.8, k))
-            chain = occupancy_general(spec, dep, prices).pi
-            closed = occupancy_poisson(spec, prices).pi
+            chain = occupancy_general(spec, dep, prices)
+            closed = occupancy_poisson(spec, prices)
             assert np.max(np.abs(chain - closed)) <= 1e-13, (load, val)
 
 
@@ -125,9 +123,9 @@ def test_single_server_chain_closed_form():
     p0 = 0.8
     gamma = math.exp(-p0)
     a10, a11 = dep[1, 1], dep[1, 0]
-    occ = occupancy_general(spec, dep, [p0])
+    pi = occupancy_general(spec, dep, [p0])
     denom = a11 + gamma * a10
-    np.testing.assert_allclose(occ.pi, (a11 / denom, gamma * a10 / denom), rtol=1e-12)
+    np.testing.assert_allclose(pi, (a11 / denom, gamma * a10 / denom), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -164,10 +162,10 @@ def test_unreachable_states_are_cut():
         valuation=UniformValuation(lo=0.0, hi=2.0),
     )
     dep = departure_matrix(spec.arrival, spec.mu, 3)
-    occ = occupancy_general(spec, dep, [0.5, 2.5, 0.1])
-    assert occ.pi[2] == 0.0 and occ.pi[3] == 0.0
-    assert occ.pi[:2].sum() == pytest.approx(1.0, rel=1e-12)
-    assert occ.pi[1] > 0
+    pi = occupancy_general(spec, dep, [0.5, 2.5, 0.1])
+    assert pi[2] == 0.0 and pi[3] == 0.0
+    assert pi[:2].sum() == pytest.approx(1.0, rel=1e-12)
+    assert pi[1] > 0
 
 
 def dense_occupancy(spec, dep, prices):
@@ -204,7 +202,7 @@ def test_censored_product_form_matches_dense_solve():
         spec = SystemSpec(servers=k, mu=mu, arrival=arrival, valuation=vals[case // 4 % 3])
         dep = departure_matrix(arrival, mu, k)
         prices = np.sort(rng.uniform(0.0, 2.5, k))
-        pi = occupancy_general(spec, dep, prices).pi
+        pi = occupancy_general(spec, dep, prices)
         assert np.max(np.abs(pi - dense_occupancy(spec, dep, prices))) <= 5e-11, case
 
 
@@ -353,8 +351,3 @@ def test_config_errors_name_their_key(cfg, key):
     with pytest.raises(ConfigError) as err:
         spec_from_config(cfg)
     assert err.value.key == key
-
-
-def test_occupancy_dist_must_be_probability():
-    with pytest.raises(ValueError):
-        OccupancyDist(pi=np.array([0.7, 0.7]), view="arrival_sampled")

@@ -206,6 +206,17 @@ def test_no_finite_maximizer_for_heavy_tail():
         optimize_uniform(Exponential(rate=5.0), ParetoValuation(theta=1.0), 2.0, 2)
 
 
+def test_supremum_at_the_tail_quantile_is_a_finite_maximizer():
+    # p Gbar(p) peaks at 500 at p = 5e11, which is also the 1e-9 tail
+    # quantile: the supremum is attained there, so a finite price is optimal
+    val = TabulatedTail(xs=(0.0, 1.0, 1e12), gs=(1.0, 2e-9, 0.0))
+    res = optimize_uniform(Exponential(rate=5.0), val, 2.0, 3)
+    theta = fixed_point(SystemSpec(3, 2.0, Exponential(rate=5.0), val)).theta_star
+    assert res.p_star_K == pytest.approx(5e11, rel=1e-6)
+    assert res.revenue_K <= theta + 1e-9 * theta
+    assert theta <= res.gap_upper + 1e-9 * theta
+
+
 @pytest.mark.parametrize(
     "val, p_star, revenue",
     [(VAL, 24.339983603052907, 70.21297371716108),
