@@ -16,12 +16,12 @@ arrival-sampled Markov chain needs the survivor-count law
 
 the probability that exactly s of k busy exponential servers are still busy
 after one interval; the paper's departure counts are S[k, s] =
-alpha_{k,k-s}.  It has a closed form for exponential intervals; every
-other law is written as weighted atoms in y = e^{-mu U}, and S is the
-mixture of their binomial rows, grown one busy server at a time by
-Pascal's rule.  Two structural identities are checked on every
-constructed matrix, and NoConvergence is raised when they or the row sums
-fail.
+alpha_{k,k-s}.  It has a closed form for exponential intervals; the
+others grow exactly, one busy server at a time, from nonnegative terms:
+binomial rows in y = e^{-mu U} over the interval's atoms, or divided
+differences of binomial tails over the range of y for a uniform interval.
+Two structural identities are checked on every constructed matrix, and
+NoConvergence is raised when they or the row sums fail.
 """
 
 from __future__ import annotations
@@ -187,38 +187,32 @@ def _survivors_exponential(lam: float, mu: float, k_max: int) -> np.ndarray:
     return surv
 
 
-def _gap_atoms(dist: InterarrivalDist, mu: float, k_max: int) -> tuple[np.ndarray, ...]:
-    """Weights w_n, y_n and 1 - y_n of atoms in y = e^{-mu U} that reproduce S up to row k_max.
-
-    Differences near 1 go through expm1 and keep their digits in heavy traffic.
-    """
-    if isinstance(dist, UniformInterval):
-        # y has density 1 / (mu (hi - lo) y) on [e^{-mu hi}, e^{-mu lo}], so for
-        # s > 0 S[k, s] integrates the polynomial C(k,s) y^{s-1} (1-y)^{k-s} of
-        # degree k - 1, which floor(K/2) + 2 Gauss-Legendre nodes do exactly.  The
-        # rule is not exact for the 1/y of S[k, 0]; an atom at y = 0 (every
-        # busy server finishes) carries the mass 1 - sum w it misses, so the rule
-        # is exact for every polynomial of degree <= K.
-        y_lo, y_hi = math.exp(-mu * dist.hi), math.exp(-mu * dist.lo)
-        nodes, weights = np.polynomial.legendre.leggauss(k_max // 2 + 2)
-        half = -0.5 * y_hi * math.expm1(-mu * (dist.hi - dist.lo))
-        y = y_lo + half * (nodes + 1.0)
-        done = -math.expm1(-mu * dist.lo) + half * (1.0 - nodes)
-        w = half * weights / (mu * (dist.hi - dist.lo) * y)
-        return np.append(w, 1.0 - w.sum()), np.append(y, 0.0), np.append(done, 1.0)
-    if isinstance(dist, Deterministic):
-        w, x = np.array([1.0]), np.array([dist.mean])
-    elif isinstance(dist, TwoPoint):
-        w, x = np.array([dist.p1, 1.0 - dist.p1]), np.array([dist.x1, dist.x2])
-    else:
-        raise ValueError(f"no survivor-count recipe for {type(dist).__name__}")
-    return w, np.exp(-mu * x), -np.expm1(-mu * x)
+def _survivors_uniform(lo: float, hi: float, mu: float, k_max: int) -> np.ndarray:
+    # y = e^{-mu U} has density 1 / (mu (hi - lo) y) on [a, b] = [e^{-mu hi}, e^{-mu lo}]
+    # and C(k,s) y^{s-1} (1-y)^{k-s} = d/dy P(Bin(k, y) >= s) / s, so for s >= 1
+    # S[k, s] = c t_k(s) / s, c = (b - a) / (mu (hi - lo)), with t_k(s) that tail's
+    # divided difference over [a, b]: t_k(s) = P(Bin(k-1, b) = s-1) + a t_{k-1}(s-1)
+    # + (1-a) t_{k-1}(s) by Pascal's and the product rule, all terms nonnegative.
+    # Column 0 is E(1-y)^k = E(1-y)^{k-1} - S[k, 1] / k, kept >= 0 below rounding.
+    a, a_done = math.exp(-mu * hi), -math.expm1(-mu * hi)
+    b, b_done = math.exp(-mu * lo), -math.expm1(-mu * lo)
+    c = -b * math.expm1(-mu * (hi - lo)) / (mu * (hi - lo))
+    binom = np.zeros(k_max + 2)  # binom[s] = P(Bin(k-1, b) = s-1), binom[0] = 0
+    binom[1] = 1.0
+    t = np.zeros(k_max + 1)  # t[s] = t_k(s), t[0] = 0
+    surv = np.zeros((k_max + 1, k_max + 1))
+    surv[0, 0] = 1.0
+    for k in range(1, k_max + 1):
+        t[1 : k + 1] = binom[1 : k + 1] + a * t[:k] + a_done * t[1 : k + 1]
+        surv[k, 1 : k + 1] = c * t[1 : k + 1] / np.arange(1, k + 1)
+        surv[k, 0] = max(0.0, surv[k - 1, 0] - surv[k, 1] / k)
+        binom[1 : k + 2] = binom[1 : k + 2] * b_done + binom[: k + 1] * b
+    return surv
 
 
-def _survivors_mixture(w: np.ndarray, y: np.ndarray, done: np.ndarray, k_max: int) -> np.ndarray:
-    # rows[s, n] = C(k,s) y_n^s done_n^(k-s), atom n's binomial row, grows by
-    # Pascal's rule from nonnegative terms; the clamp drops the y = 0 atom's
-    # cancelling sum where it rounds below 0 in heavy traffic.
+def _survivors_atoms(w: list[float], x: list[float], mu: float, k_max: int) -> np.ndarray:
+    # rows[s, n] = C(k,s) y_n^s (1-y_n)^(k-s) by Pascal's rule, with y_n = e^{-mu x_n}
+    y, done = np.exp(-mu * np.array(x)), -np.expm1(-mu * np.array(x))
     rows = np.zeros((k_max + 1, len(w)))
     rows[0] = 1.0
     surv = np.zeros((k_max + 1, k_max + 1))
@@ -226,7 +220,7 @@ def _survivors_mixture(w: np.ndarray, y: np.ndarray, done: np.ndarray, k_max: in
     for k in range(1, k_max + 1):
         rows[1 : k + 1] = rows[1 : k + 1] * done + rows[:k] * y
         rows[0] *= done
-        surv[k, : k + 1] = np.maximum(0.0, rows[: k + 1] @ w)
+        surv[k, : k + 1] = rows[: k + 1] @ w
     return surv
 
 
@@ -236,10 +230,10 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     S[n, s] is the chance that s of n busy servers are still busy one
     interval later, so the paper's departure counts are S[n, s] =
     alpha_{n,n-s}; S is (k+1) x (k+1) and zero above the diagonal.  A closed
-    form for exponential intervals; for every other law, a mixture of
-    binomial rows over atoms in y = e^{-mu U} (the interval's own atoms, or
-    an exact Gauss-Legendre rule for uniform ones), built row by row with
-    Pascal's rule.  Rows within 1e-9 of summing to one are divided by their
+    form for exponential intervals; for the others, exact recurrences over
+    nonnegative terms, one busy server at a time: divided differences of
+    binomial tails for uniform intervals, binomial rows over the atoms of
+    the rest.  Rows within 1e-9 of summing to one are divided by their
     sums, so each sums to one to rounding; NoConvergence otherwise, or
     when the structural identities fail beyond tolerance.
     """
@@ -247,8 +241,14 @@ def departure_matrix(dist: InterarrivalDist, mu: float, k: int) -> np.ndarray:
     k = positive_int("k", k)
     if isinstance(dist, Exponential):
         surv = _survivors_exponential(dist.rate, mu, k)
+    elif isinstance(dist, UniformInterval):
+        surv = _survivors_uniform(dist.lo, dist.hi, mu, k)
+    elif isinstance(dist, Deterministic):
+        surv = _survivors_atoms([1.0], [dist.mean], mu, k)
+    elif isinstance(dist, TwoPoint):
+        surv = _survivors_atoms([dist.p1, 1.0 - dist.p1], [dist.x1, dist.x2], mu, k)
     else:
-        surv = _survivors_mixture(*_gap_atoms(dist, mu, k), k)
+        raise ValueError(f"no survivor-count recipe for {type(dist).__name__}")
 
     rows = surv.sum(axis=1)
     if not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too

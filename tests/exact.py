@@ -1,16 +1,27 @@
-"""Exact-arithmetic oracle: Poisson arrivals, exp(beta) valuations, Decimal.
+"""Exact-arithmetic oracles: exp(beta) valuations, policy iteration in Decimal.
 
-Policy iteration on the birth-death chain of busy servers.  A policy is the
-vector B_n = h(n) - h(n+1) of shadow costs of taking a server in state n;
-it posts u*(B) = B + 1/beta, which admits at rate lambda e^{-beta B - 1}, so
-lambda m(B) = lambda e^{-beta B - 1} / beta is the surplus per unit time.
+Poisson arrivals (`policy_iteration`): policy iteration on the birth-death
+chain of busy servers.  A policy is the vector B_n = h(n) - h(n+1) of shadow
+costs of taking a server in state n; it posts u*(B) = B + 1/beta, which
+admits at rate lambda e^{-beta B - 1}, so lambda m(B) = lambda e^{-beta B - 1}
+/ beta is the surplus per unit time.
 
 Evaluation: theta from the product-form occupancy, whose terms are all
 positive, then the Bellman equations of states 0..K-1,
 theta = lambda g_n (p_n - B_n) + n mu B_{n-1}, solved upward for the new B.
 State K's equation, theta = K mu B_{K-1}, is left over as the certificate.
+
+Renewal arrivals (`renewal_policy_iteration`, exp(1) values): policy
+iteration on the chain embedded at arrivals.  The survivor matrix S is built
+here from its definition: binomial rows averaged over the gap's atoms, or,
+for a gap uniform on [lo, hi], S[k, s] = (P(Bin(k, b) >= s) - P(Bin(k, a) >= s))
+/ (s mu (hi - lo)) with [a, b] = [e^{-mu hi}, e^{-mu lo}] and column 0 the
+rest of the row.  Evaluation solves g + h(i) - (P h)(i) = Gbar(p_i) p_i with
+h(0) = 0 by Gaussian elimination; improvement posts p_i = B_i + 1 with
+B_i = ((S[i] - S[i+1]) h).
 """
 
+import math
 from decimal import Decimal, localcontext
 
 
@@ -37,4 +48,78 @@ def policy_iteration(k: int, lam: float, mu: float, beta: float = 1.0, digits: i
             if done:
                 assert abs(theta - k * mu * costs[-1]) <= tol * theta, "state K off balance"
                 return float(theta), [float(b + 1 / beta) for b in costs]
+    raise AssertionError("policy iteration did not settle in 100 steps")
+
+
+def _power(x, n):
+    return Decimal(1) if n == 0 else x**n  # Decimal refuses 0 ** 0, and b = 1 when lo = 0
+
+
+def _binomial_tail(k, s, y):
+    return sum(math.comb(k, j) * _power(y, j) * _power(1 - y, k - j) for j in range(s, k + 1))
+
+
+def _survivors(k, mu, atoms, interval):
+    """S[n][s] for n, s = 0..k, zero above the diagonal."""
+    surv = [[Decimal(0)] * (k + 1) for _ in range(k + 1)]
+    if interval is None:
+        for x, w in atoms:
+            y = (-mu * Decimal(x)).exp()
+            for n in range(k + 1):
+                for s in range(n + 1):
+                    surv[n][s] += Decimal(w) * math.comb(n, s) * y**s * (1 - y) ** (n - s)
+        return surv
+    lo, hi = (Decimal(v) for v in interval)
+    a, b = (-mu * hi).exp(), (-mu * lo).exp()
+    for n in range(k + 1):
+        for s in range(1, n + 1):
+            tails = _binomial_tail(n, s, b) - _binomial_tail(n, s, a)
+            surv[n][s] = tails / (s * mu * (hi - lo))
+        surv[n][0] = 1 - sum(surv[n][1:])
+    return surv
+
+
+def _solve(lhs, rhs):
+    """Gaussian elimination with partial pivoting."""
+    n = len(rhs)
+    rows = [row + [r] for row, r in zip(lhs, rhs)]
+    for c in range(n):
+        pivot = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [v - f * u for v, u in zip(rows[r], rows[c])]
+    x = [Decimal(0)] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / rows[c][c]
+    return x
+
+
+def renewal_policy_iteration(k, lam, mu, atoms=None, interval=None, digits=50):
+    """(theta*, prices) for gaps with atoms [(x, p), ...] or uniform on interval (lo, hi)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lam, mu = Decimal(lam), Decimal(mu)
+        surv = _survivors(k, mu, atoms, interval) + [[Decimal(0)] * (k + 1)]
+        tol = Decimal(10) ** (-digits // 2)
+        prices = [Decimal(1)] * k
+        for _ in range(100):
+            admit = [(-p).exp() for p in prices] + [Decimal(0)]
+            # unknowns g, h(1), ..., h(K); P[i] = (1 - Gbar_i) S[i] + Gbar_i S[i+1]
+            lhs = [
+                [Decimal(1)]
+                + [(i == j) - (1 - admit[i]) * surv[i][j] - admit[i] * surv[i + 1][j]
+                   for j in range(1, k + 1)]
+                for i in range(k + 1)
+            ]
+            x = _solve(lhs, [a * p for a, p in zip(admit, prices)] + [Decimal(0)])
+            g, h = x[0], [Decimal(0)] + x[1:]
+            new = [
+                1 + sum((surv[i][j] - surv[i + 1][j]) * h[j] for j in range(k + 1))
+                for i in range(k)
+            ]
+            done = max(abs(a - b) for a, b in zip(new, prices)) <= tol
+            prices = new
+            if done:
+                return float(lam * g), [float(p) for p in prices]
     raise AssertionError("policy iteration did not settle in 100 steps")

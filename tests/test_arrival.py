@@ -3,6 +3,7 @@
 import decimal
 import math
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ def test_uniform_quadrature_matches_monte_carlo():
 
 @pytest.mark.parametrize("k", [1, 2, 5, 50])
 def test_uniform_departure_matrix_is_exact(k):
-    # Gauss-Legendre in y = e^{-mu x} against adaptive quadrature in x
+    # the divided-difference recurrence in y = e^{-mu x} against adaptive
+    # quadrature in x
     from scipy.integrate import quad
 
     mu = 2.0
@@ -220,8 +222,8 @@ def test_uniform_departure_matrix_is_exact(k):
 
 
 def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
-    # S[k, 0] is 1 plus a cancelling sum; in heavy traffic it is far
-    # below rounding (1.5e-171 at k = 51, load 81.12) and must not go negative
+    # S[k, 0] = E(1-y)^k is far below rounding in heavy traffic (1.5e-171 at
+    # k = 51, load 81.12); it is S[k-1, 0] - S[k, 1] / k and must not go negative
     for k in (12, 39, 51, 94, 200):
         for load in (10.0, 30.0, 72.0, 81.12, 100.0):
             for mu in (0.22, 2.0):
@@ -229,26 +231,43 @@ def test_uniform_departure_matrix_nonnegative_in_heavy_traffic():
                 assert S.min() >= 0.0, (k, load, mu)
 
 
-def test_uniform_departure_matrix_heavy_traffic_to_rounding():
-    # K=40, load 100: the rule's half-width e^{-mu lo} - e^{-mu hi} is tiny
-    # and must not be formed by subtraction.  Reference: alpha_{k,i} =
-    # C(k,i)/(hi-lo) sum_l C(i,l) (-1)^l int e^{-(k-i+l) mu x} dx in 80 digits
-    k, mu = 40, 2.0
-    d = UniformInterval.from_rate(100.0 * k * mu)
+@pytest.mark.parametrize(
+    "k, load", [(40, 100.0), (300, 0.02), (300, 2.0), (300, 100.0)],
+    ids=["k40-load100", "k300-load0.02", "k300-load2", "k300-load100"],
+)
+def test_uniform_departure_matrix_heavy_traffic_to_rounding(k, load):
+    # the range e^{-mu lo} - e^{-mu hi} of y is tiny in heavy traffic and must
+    # not be formed by subtraction.  Reference in 80 digits: for s >= 1,
+    # S[k, s] = (P(Bin(k, b) >= s) - P(Bin(k, a) >= s)) / (s mu (hi - lo)) with
+    # [a, b] = [e^{-mu hi}, e^{-mu lo}], and column 0 is the rest of the row
+    mu = 2.0
+    d = UniformInterval.from_rate(load * k * mu)
     S = departure_matrix(d, mu, k)
     with decimal.localcontext() as ctx:
         ctx.prec = 80
         lo, hi, dmu = (decimal.Decimal(v) for v in (d.lo, d.hi, mu))
-        integral = [hi - lo] + [
-            ((-j * dmu * lo).exp() - (-j * dmu * hi).exp()) / (j * dmu) for j in range(1, k + 1)
-        ]
-        worst = 0.0
-        for kk in range(k + 1):
-            for i in range(kk + 1):
-                s = sum(math.comb(i, l) * (-1) ** l * integral[kk - i + l] for l in range(i + 1))
-                ref = math.comb(kk, i) * s / (hi - lo)
-                worst = max(worst, float(abs(decimal.Decimal(S[kk, kk - i]) - ref)))
-    assert worst <= 1e-15
+        tails = []  # tails[0][kk][s] = P(Bin(kk, b) >= s), tails[1] the same at a
+        for y in ((-dmu * lo).exp(), (-dmu * hi).exp()):
+            pmf, rows = [decimal.Decimal(1)], []
+            for kk in range(k + 1):
+                rows.append(list(accumulate(pmf[::-1]))[::-1])
+                pmf = [a * (1 - y) + b * y for a, b in zip(pmf + [0], [0] + pmf)]
+            tails.append(rows)
+        worst_abs = worst_rel = worst_col0 = 0.0
+        for kk in range(1, k + 1):
+            row = [tails[0][kk][s] - tails[1][kk][s] for s in range(kk + 1)]
+            ref = [0] + [row[s] / (s * dmu * (hi - lo)) for s in range(1, kk + 1)]
+            ref[0] = 1 - sum(ref)
+            for s in range(kk + 1):
+                err = abs(decimal.Decimal(S[kk, s]) - ref[s])
+                worst_abs = max(worst_abs, float(err))
+                if s == 0:
+                    worst_col0 = max(worst_col0, float(err))
+                elif ref[s] > decimal.Decimal("1e-30"):
+                    worst_rel = max(worst_rel, float(err / ref[s]))
+    assert worst_abs <= 1e-15
+    assert worst_rel <= 1.5e-14
+    assert worst_col0 <= 1.5e-16
 
 
 def _alpha_40_digits(atoms, mu, k):

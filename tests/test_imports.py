@@ -1,5 +1,6 @@
 """Public names and the import budget: no library or CLI path loads any
-scipy module, the simulator loads no numpy.random module, and
+scipy module, building survivor matrices (uniform gaps too) loads no
+numpy.polynomial module, the simulator loads no numpy.random module, and
 `import farm_pricer` loads no front-end module.
 
 The budget cases run in a fresh interpreter, because this test process may
@@ -36,6 +37,7 @@ for dist in (
     fp.TwoPoint(x1=0.1, p1=0.3, x2=0.02),
 ):
     fp.departure_matrix(dist, 2.0, 5)
+assert "numpy.polynomial" not in sys.modules
 
 base = ["--k", "5", "--lambda", "25", "--mu", "2", "--valuation", "exp:1"]
 out = Path(tempfile.mkdtemp())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import renewal_policy_iteration
 from farm_pricer import (
     Deterministic,
     Exponential,
@@ -142,6 +143,26 @@ def test_uniform_interarrival_reference():
     np.testing.assert_allclose(
         res.prices, (1.1598, 1.2026, 1.2726, 1.4045, 1.7300), atol=5e-4
     )
+
+
+@pytest.mark.parametrize("kind", ["det", "two_point", "unif"])
+@pytest.mark.parametrize("k, load", [(5, 0.4), (5, 2.0), (12, 0.4), (12, 2.0)])
+def test_solve_matches_exact_policy_iteration(k, load, kind):
+    # 50-digit Decimal policy iteration on the chain embedded at arrivals,
+    # with a survivor matrix built from its definition rather than the library's
+    mu = 2.0
+    lam = load * k * mu
+    gap = gap_law(kind, lam, 0.5, 0.2)
+    if kind == "unif":
+        theta, prices = renewal_policy_iteration(k, lam, mu, interval=(gap.lo, gap.hi))
+    elif kind == "det":
+        theta, prices = renewal_policy_iteration(k, lam, mu, atoms=[(gap.mean, 1.0)])
+    else:
+        atoms = [(gap.x1, gap.p1), (gap.x2, 1.0 - gap.p1)]
+        theta, prices = renewal_policy_iteration(k, lam, mu, atoms=atoms)
+    res = solve_general(spec_with(gap, k=k))
+    assert res.theta_star == pytest.approx(theta, rel=1e-12)
+    np.testing.assert_allclose(res.prices, prices, rtol=1e-10, atol=0.0)
 
 
 def test_lower_variability_earns_more_and_prices_lower():
