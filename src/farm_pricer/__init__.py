@@ -18,7 +18,6 @@ from .errors import ConfigError, NoConvergence, NoFiniteMaximizer, PricingError
 from .mdp_general import GeneralSolveResult, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,
-    SweepRow,
     fixed_point,
     infinite_server_limit,
     sweep,
@@ -26,7 +25,7 @@ from .mdp_poisson import (
 )
 from .model import SystemSpec, price_array, spec_from_config
 from .simulator import InsensitivityReport, SimConfig, SimResult, insensitivity_check, simulate
-from .stationary import occupancy_general, occupancy_poisson, revenue_rate
+from .stationary import evaluate, revenue_rate
 from .uniform_pricing import (
     UniformPricingResult,
     asymptotic_mu_tilde,
@@ -60,7 +59,6 @@ __all__ = [
     "PricingError",
     "SimConfig",
     "SimResult",
-    "SweepRow",
     "SystemSpec",
     "TabulatedTail",
     "TwoPoint",
@@ -71,12 +69,11 @@ __all__ = [
     "blocking_prob",
     "departure_matrix",
     "eval_m",
+    "evaluate",
     "fixed_point",
     "infinite_server_limit",
     "insensitivity_check",
     "log_beta_seq",
-    "occupancy_general",
-    "occupancy_poisson",
     "optimize_uniform",
     "price_array",
     "revenue_rate",

@@ -184,7 +184,7 @@ def _cmd_evaluate(args) -> int:
     spec = _spec_from_args(args)
     if args.prices is None:
         raise ConfigError("prices", "evaluate needs --prices p0,p1,...")
-    pi, rate = stationary._occupancy_and_rate(spec, _prices(args, spec))
+    rate, pi = stationary.evaluate(spec, _prices(args, spec))
     payload = {"revenue_rate": rate, "occupancy": pi, "blocking": pi[-1]}
     _emit(args, payload, f"revenue rate {rate:.6g}, blocking {pi[-1]:.6g}")
     return 0
@@ -235,9 +235,9 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from None
     rows = [
-        {"param": args.vary, "value": r.value, "theta_star": r.theta_star,
-         "theta_over_value": r.ratio, "prices": r.result.prices}
-        for r in solved
+        {"param": args.vary, "value": v, "theta_star": r.theta_star,
+         "theta_over_value": r.theta_star / v, "prices": r.prices}
+        for v, r in zip(grid, solved)
     ]  # fmt: skip
     _emit_rows(args, rows, f"swept {args.vary} over {len(rows)} points")
     return 0
@@ -270,9 +270,9 @@ def _fig_prices():
 
 def _fig_sweep(vary: str, grid: list[float]):
     """theta* and theta*/parameter along a grid around the 5-server system."""
-    rows = mdp_poisson.sweep(_reference(5, 25.0), vary, grid)
+    solved = mdp_poisson.sweep(_reference(5, 25.0), vary, grid)
     header = [vary, "theta_star", f"theta_over_{vary}"]
-    return header, [[r.value, r.theta_star, r.ratio] for r in rows]
+    return header, [[v, r.theta_star, r.theta_star / v] for v, r in zip(grid, solved)]
 
 
 def _fig_loads(k: int, rhos: list[float]):
@@ -291,9 +291,10 @@ def _fig_rev_vs_k():
     """Finite-K optimal revenue closing on the infinite-server level lambda/e."""
     spec = _reference(5, 20.0)
     limit, _ = mdp_poisson.infinite_server_limit(spec)
-    rows = mdp_poisson.sweep(spec, "K", range(5, 11))
+    servers = range(5, 11)
+    solved = mdp_poisson.sweep(spec, "K", servers)
     return ["servers", "theta_star", "infinite_server_revenue"], [
-        [r.value, r.theta_star, limit] for r in rows
+        [k, r.theta_star, limit] for k, r in zip(servers, solved)
     ]
 
 

@@ -175,34 +175,17 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
     return h, theta, False
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One solved instance along a parameter sweep."""
-
-    value: float
-    result: PoissonSolveResult
-
-    @property
-    def theta_star(self) -> float:
-        return self.result.theta_star
-
-    @property
-    def ratio(self) -> float:
-        """theta* divided by the varied parameter."""
-        return self.result.theta_star / self.value
-
-
-def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SweepRow]:
+def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[PoissonSolveResult]:
     """Re-solve the system along a strictly increasing parameter grid.
 
-    vary is one of 'lambda', 'mu', 'K' (alias 'servers').  Rows come back
-    in grid order with theta*, theta*/parameter and the full price vector.
+    vary is one of 'lambda', 'mu', 'K' (alias 'servers').  The `fixed_point`
+    results come back in grid order, one per grid value.
     """
     _require_poisson(spec)
     vals = [float(v) for v in grid]
     if len(vals) == 0 or any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    rows = []
+    results = []
     for v in vals:
         if vary == "lambda":
             s = replace(spec, arrival=Exponential(rate=v))
@@ -214,5 +197,5 @@ def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SweepRow]:
             s = replace(spec, servers=int(v))
         else:
             raise ValueError(f"vary must be 'lambda', 'mu' or 'K', got '{vary}'")
-        rows.append(SweepRow(value=v, result=fixed_point(s)))
-    return rows
+        results.append(fixed_point(s))
+    return results

@@ -9,12 +9,14 @@ Oper. Res. 1985) balances the flow across the cut below n:
 r_n = P[n-1, n] / d_n, with d_n the mass row n of the censored chain sends
 below n.  The revenue rate is then sum_k pi_k lambda Gbar(p_k) p_k.
 
-Both occupancy functions return pi_0..pi_K as a plain array: the count as
+`evaluate` returns theta and pi_0..pi_K as a plain array: the count as
 arriving customers see it, which under Poisson arrivals is also the
 time-stationary one.  _product_form normalises it, so it sums to 1.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +40,6 @@ def _product_form(ratios: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def occupancy_poisson(spec: SystemSpec, prices) -> np.ndarray:
-    """Closed-form busy-server distribution pi_0..pi_K under Poisson arrivals."""
-    if not spec.is_poisson:
-        raise ValueError("occupancy_poisson needs exponential interarrivals")
-    k = spec.servers
-    gbar = spec.valuation.tail(price_array(spec, prices)[:k])
-    return _product_form(spec.rho * gbar / np.arange(1, k + 1))
-
-
 def embedded_chain(surv: np.ndarray, gbar: np.ndarray) -> np.ndarray:
     """One-step matrix of the chain embedded at arrivals.
 
@@ -60,56 +53,50 @@ def embedded_chain(surv: np.ndarray, gbar: np.ndarray) -> np.ndarray:
     return (1.0 - gbar[:, None]) * surv + gbar[:, None] * admit
 
 
-def occupancy_general(spec: SystemSpec, dep: np.ndarray, prices) -> np.ndarray:
-    """Busy-server distribution seen by arrivals under a renewal stream.
+class Evaluation(NamedTuple):
+    """What a price vector earns: the revenue rate theta and occupancy pi_0..pi_K."""
 
-    dep is the survivor matrix from `departure_matrix`.  The censored
-    product form, built top-down from nonnegative terms only: row n of the
-    chain on {0..n} sends row = P[n, :n] + P[n, n+1] row'[:n] / d_{n+1}
-    below n, row' being row n+1 on {0..n+1}, and d_n = sum(row).  States
-    above a zero acceptance come out exactly zero.  Raises NoConvergence
-    unless max |pi P - pi| <= 1e-8.
+    theta: float
+    pi: np.ndarray
+
+
+def evaluate(spec: SystemSpec, prices, dep: np.ndarray | None = None) -> Evaluation:
+    """Revenue rate and arrival-sampled busy-server distribution at the given prices.
+
+    theta = sum_{k<K} pi_k lambda Gbar(p_k) p_k: each arrival pays the price
+    posted for the state it finds, if admitted.  Poisson arrivals without a
+    survivor matrix `dep` take the birth-death product form.  Otherwise the
+    chain embedded at arrivals is censored, even for Poisson arrivals, with
+    `dep` from `departure_matrix` built here if not given; that path raises
+    NoConvergence unless max |pi P - pi| <= 1e-8.
     """
     k = spec.servers
-    P = embedded_chain(dep, spec.valuation.tail(price_array(spec, prices)))
-
-    down = np.empty(k + 1)  # down[n] = d_n for n >= 1
-    row = P[k, :k]
-    down[k] = row.sum()
-    for n in range(k - 1, 0, -1):
-        row = P[n, :n] + P[n, n + 1] * row[:n] / down[n + 1]
-        down[n] = row.sum()
-    pi = _product_form(np.diagonal(P, 1) / down[1:])
-    defect = float(np.max(np.abs(pi @ P - pi)))
-    if not defect <= 1e-8:
-        raise NoConvergence(f"embedded chain occupancy off stationarity by {defect:.3g}")
-    return pi
-
-
-def _occupancy_and_rate(
-    spec: SystemSpec, prices, dep: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Arrival-sampled occupancy pi and the revenue rate it earns; see revenue_rate."""
     p = price_array(spec, prices)
+    gbar = spec.valuation.tail(p)
     if spec.is_poisson and dep is None:
-        pi = occupancy_poisson(spec, p)
+        pi = _product_form(spec.rho * gbar[:k] / np.arange(1, k + 1))
     else:
         if dep is None:
-            dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-        pi = occupancy_general(spec, dep, p)
-    k = spec.servers
-    gbar = spec.valuation.tail(p[:k])
-    earned = pi[:k] * spec.arrival_rate * gbar * np.where(np.isfinite(p[:k]), p[:k], 0.0)
-    return pi, float(earned.sum())
+            dep = departure_matrix(spec.arrival, spec.mu, k)
+        P = embedded_chain(dep, gbar)
+        # the censored product form, top-down from nonnegative terms only:
+        # row n of the chain on {0..n} sends row = P[n, :n] + P[n, n+1]
+        # row'[:n] / d_{n+1} below n, row' being row n+1 on {0..n+1}, and
+        # d_n = sum(row).  States above a zero acceptance come out exactly 0.
+        down = np.empty(k + 1)  # down[n] = d_n for n >= 1
+        row = P[k, :k]
+        down[k] = row.sum()
+        for n in range(k - 1, 0, -1):
+            row = P[n, :n] + P[n, n + 1] * row[:n] / down[n + 1]
+            down[n] = row.sum()
+        pi = _product_form(np.diagonal(P, 1) / down[1:])
+        defect = float(np.max(np.abs(pi @ P - pi)))
+        if not defect <= 1e-8:
+            raise NoConvergence(f"embedded chain occupancy off stationarity by {defect:.3g}")
+    earned = pi[:k] * spec.arrival_rate * gbar[:k] * np.where(np.isfinite(p[:k]), p[:k], 0.0)
+    return Evaluation(float(earned.sum()), pi)
 
 
 def revenue_rate(spec: SystemSpec, prices, dep: np.ndarray | None = None) -> float:
-    """Mean revenue per unit time at the given prices.
-
-    sum_{k<K} pi_k lambda Gbar(p_k) p_k over the arrival-sampled occupancy;
-    each arrival pays the price posted for the state it finds, if admitted.
-    Given the survivor matrix `dep` from `departure_matrix`, the embedded
-    chain is used, even for Poisson arrivals; without one, Poisson arrivals
-    use the closed form.
-    """
-    return _occupancy_and_rate(spec, prices, dep)[1]
+    """Mean revenue per unit time at the given prices: `evaluate`'s theta."""
+    return evaluate(spec, prices, dep).theta

@@ -29,7 +29,7 @@ from .arrival import (
     rare_unit_gap_family,
 )
 from .errors import NoConvergence
-from .valuation import ValuationDist, eval_m
+from .valuation import TabulatedTail, ValuationDist, eval_m
 
 _BLOCK_FLOATS = 2**13  # float64 entries per log-sum-exp block: 64 KB
 _GRID_DOUBLINGS = 16  # price doublings past Q(1e-9) before the grid end is given up
@@ -121,7 +121,8 @@ def optimize_uniform(
 ) -> UniformPricingResult:
     """Maximize the uniform-price revenue over p.
 
-    A 512-point log grid on (0, Q(1e-9)], extended past Q(1e-9) until no
+    A 512-point log grid on (0, Q(1e-9)], joined for a tabulated tail by its
+    knots and p_star_inf inside that range, extended past Q(1e-9) until no
     price beyond its end can earn more than its best, then a vector zoom:
     each pass evaluates 17 evenly spaced prices of the bracket around the
     best so far and keeps the two neighbours of the first maximum, until
@@ -144,6 +145,11 @@ def optimize_uniform(
     q_hi = val.tail_quantile(1e-9)
     curve, log_beta = _curve(dist, val, mu, k)
     grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
+    if isinstance(val, TabulatedTail):
+        # a hump peaking on a knot rises only like p on its left, so the
+        # nearest grid price can read it percents low: knots and p_inf join
+        knots = np.array([*val.xs, p_inf])
+        grid = np.union1d(grid, knots[(knots > grid[0]) & (knots < q_hi)])
     rev = curve(grid)[2]
     # Past the grid end q, blocking only lowers revenue below lam p Gbar(p),
     # and p Gbar(p) = (p - q) Gbar(p) + q Gbar(p) <= m(q) + q Gbar(q+): once

@@ -33,9 +33,9 @@ from farm_pricer import (
     UniformValuation,
     asymptotic_mu_tilde,
     blocking_prob,
+    evaluate,
     fixed_point,
     insensitivity_check,
-    occupancy_poisson,
     optimize_uniform,
     revenue_uniform,
     simulate,
@@ -99,15 +99,15 @@ def test_criterion_04_revenue_sweeps():
     failures = []
     for vary, grid, targets in legs:
         rows = sweep(ref_spec(), vary, grid)
-        for row, want in zip(rows, targets):
+        for value, row, want in zip(grid, rows, targets):
             diff = abs(row.theta_star - want)
             status = "ok" if diff <= 0.05 else "MISS"
             print(
-                f"criterion 04 ({vary}={row.value:g}): theta* = {row.theta_star:.6f} "
+                f"criterion 04 ({vary}={value:g}): theta* = {row.theta_star:.6f} "
                 f"vs {want} -> |diff| = {diff:.6f} (tol 0.05) {status}"
             )
             if diff > 0.05:
-                failures.append(f"{vary}={row.value:g} off by {diff:.6f}")
+                failures.append(f"{vary}={value:g} off by {diff:.6f}")
     # K=4 and K=7 were 6.9 and 8.6, on the wrong side of the rounding midpoint:
     # the product-form revenue at the solved prices, a lower bound on theta*,
     # is 6.9500082 and 8.6525350.  K=4 now sits 0.049992 from 7.0, 8e-6 inside
@@ -143,18 +143,18 @@ def test_criterion_06_sandwich_bounds():
         ("mu", [1, 2, 3, 4, 5]),
         ("K", [3, 4, 5, 6, 7]),
     ):
-        for row in sweep(ref_spec(), vary, grid):
+        for value, row in zip(grid, sweep(ref_spec(), vary, grid)):
             if vary == "lambda":
-                dist, mu, k = Exponential(rate=row.value), 2.0, 5
+                dist, mu, k = Exponential(rate=value), 2.0, 5
             elif vary == "mu":
-                dist, mu, k = Exponential(rate=25.0), row.value, 5
+                dist, mu, k = Exponential(rate=25.0), value, 5
             else:
-                dist, mu, k = Exponential(rate=25.0), 2.0, int(row.value)
+                dist, mu, k = Exponential(rate=25.0), 2.0, value
             res = optimize_uniform(dist, VAL, mu, k)
             lower, upper, coarse = res.revenue_K, res.gap_upper, res.coarse_gap
             theta = row.theta_star
-            assert lower - 1e-9 <= theta <= upper + 1e-9, f"{vary}={row.value}"
-            assert upper <= lower + coarse + 1e-9, f"{vary}={row.value}"
+            assert lower - 1e-9 <= theta <= upper + 1e-9, f"{vary}={value}"
+            assert upper <= lower + coarse + 1e-9, f"{vary}={value}"
             worst = max(worst, lower - theta, theta - upper, upper - lower - coarse)
             rows += 1
     print(f"criterion 06 (sandwich): {rows} sweep rows, worst violation margin = {worst:.2e}")
@@ -243,14 +243,14 @@ def test_criterion_07_monotonicity_suite():
         ("K", [3, 4, 5, 6, 7]),
     ):
         rows = sweep(ref_spec(), vary, grid)
-        ratios = [r.ratio for r in rows]
+        ratios = [r.theta_star / v for v, r in zip(grid, rows)]
         if not np.all(np.diff(ratios) < 0):
             violations.append(f"theta/{vary} not decreasing")
         if vary == "K":
             for a, b in zip(rows, rows[1:]):
-                n = len(a.result.prices)
-                if not np.all(b.result.prices[:n] <= a.result.prices + 1e-7):
-                    violations.append(f"u*(K={b.value:g}) above u*(K={a.value:g})")
+                n = len(a.prices)
+                if not np.all(b.prices[:n] <= a.prices + 1e-7):
+                    violations.append(f"u*(K={len(b.prices)}) above u*(K={n})")
 
     print(f"criterion 07 (monotonicity): {len(violations)} violations over 50 specs "
           f"(required 0): {violations if violations else 'clean'}")
@@ -291,7 +291,7 @@ def test_criterion_09_simulation_validation():
         )
     )
     dt = time.perf_counter() - t0
-    pi = occupancy_poisson(spec, res.prices)
+    pi = evaluate(spec, res.prices).pi
 
     ci_ok = abs(out.revenue_rate_mean - res.theta_star) <= out.revenue_rate_ci_half
     half_b = float(

@@ -476,6 +476,26 @@ def test_compare_where_the_supremum_sits_at_the_tail_quantile(tmp_path):
     assert rows[1]["revenue"] <= rows[2]["revenue"]
 
 
+def test_compare_on_a_knot_peaked_table_prints_its_revenues_in_order(tmp_path, capsys):
+    # the best uniform price is the first knot; the grid alone missed it and
+    # printed "revenues 96.13 <= 94.72 <= 96.13"
+    cfg = tmp_path / "knots.json"
+    cfg.write_text(json.dumps({
+        "servers": 100, "mu": 2, "arrival": {"kind": "uniform", "rate": 33.90808423445827},
+        "valuation": {"kind": "table",
+                      "xs": [0, 3.1148336023849215, 3.131677760317614, 3.5524267208127176,
+                             3.9982280262581162, 4.5771826913859],
+                      "gs": [1, 0.9101414451111564, 0.8224708128094376, 0.7851713303122954,
+                             0.6940383247166554, 0.2701370909596944]},
+    }))  # fmt: skip
+    assert run(["compare", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    revenues = [row["revenue"] for row in json.loads(out)["rows"]]
+    assert revenues[0] <= revenues[1] <= revenues[2] * (1.0 + 1e-12)
+    printed = [float(x) for x in err.split()[1::2]]
+    assert printed == sorted(printed) and len(printed) == 3
+
+
 @pytest.mark.parametrize("lam, mu, phi", [("1e20", "1", "1.0"), ("1e-300", "1e30", "0.0")])
 def test_transform_rounding_out_of_the_unit_interval_exits_3(lam, mu, phi, capsys):
     assert run(["uniform", "--k", "3", "--lambda", lam, "--mu", mu,

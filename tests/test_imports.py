@@ -7,7 +7,7 @@ The budget cases run in a fresh interpreter, because this test process may
 already hold those modules from other tests.
 """
 
-import dataclasses
+import ast
 import json
 import os
 import subprocess
@@ -77,8 +77,10 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # that log_lst and log_beta_seq replace, and the pass-through to a law's
     # own tail method with its scalar shim, the uniform law's knot table,
     # the public Poisson g-chain (fixed_point keeps a private one), and the
-    # uniform-price sandwich, three fields of optimize_uniform's result, and
-    # the occupancy record (the occupancy functions return pi itself)
+    # uniform-price sandwich, three fields of optimize_uniform's result, the
+    # occupancy record (the occupancy functions returned pi itself), the
+    # per-law occupancy pair and its dispatcher (evaluate returns theta and
+    # pi), and the sweep row (sweep returns fixed_point's results)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
                farm_pricer.arrival, farm_pricer.uniform_pricing,
@@ -87,11 +89,12 @@ def test_public_names_resolve_and_removed_names_are_gone():
                "NonFiniteObjective", "UnknownFigure", "figures", "emit_figure_data",
                "DegenerateTransform", "QuadratureFailure", "SingularChain", "lst",
                "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array", "_knots",
-               "g_chain", "gap_bound", "OccupancyDist")  # fmt: skip
+               "g_chain", "gap_bound", "OccupancyDist", "occupancy_poisson",
+               "occupancy_general", "_occupancy_and_rate", "SweepRow")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert len(farm_pricer.__all__) == 40
+    assert len(farm_pricer.__all__) == 38
     # records keep only what the caller did not pass in
     for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):
         assert not hasattr(law, "rate")
@@ -101,8 +104,20 @@ def test_public_names_resolve_and_removed_names_are_gone():
                 farm_pricer.UniformValuation(0.5, 2.0)):  # fmt: skip
         assert not hasattr(law, "mean_value")
     assert farm_pricer.AuxEval._fields == ("u_star", "m_val")
-    fields = [f.name for f in dataclasses.fields(farm_pricer.SweepRow)]
-    assert fields == ["value", "result"]
+    assert farm_pricer.stationary.Evaluation._fields == ("theta", "pi")
+    assert "Evaluation" not in farm_pricer.__all__
+
+
+def test_cli_reads_no_private_attribute_of_a_library_module():
+    tree = ast.parse(Path(farm_pricer.cli.__file__).read_text())
+    library = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module is None and node.level == 1
+               for alias in node.names}  # fmt: skip
+    assert "stationary" in library
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in library and node.attr.startswith("_")]  # fmt: skip
+    assert private == []
 
 
 def test_package_import_loads_no_front_end():

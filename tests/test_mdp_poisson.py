@@ -260,11 +260,12 @@ def test_value_iteration_agrees_reference():
 # ---------------------------------------------------------------- sweeps
 
 def test_lambda_sweep_monotonicity():
-    rows = sweep(base_spec(), "lambda", [10.0, 15.0, 20.0, 25.0, 30.0])
+    grid = [10.0, 15.0, 20.0, 25.0, 30.0]
+    rows = sweep(base_spec(), "lambda", grid)
     thetas = [r.theta_star for r in rows]
-    ratios = [r.ratio for r in rows]
-    p_lo = [r.result.prices[0] for r in rows]
-    p_hi = [r.result.prices[-1] for r in rows]
+    ratios = [r.theta_star / lam for lam, r in zip(grid, rows)]
+    p_lo = [r.prices[0] for r in rows]
+    p_hi = [r.prices[-1] for r in rows]
     assert np.all(np.diff(thetas) > 0)
     assert np.all(np.diff(ratios) < 0)
     assert np.all(np.diff(p_lo) > 0)
@@ -281,8 +282,8 @@ def test_server_sweep_monotonicity():
     assert np.all(np.diff([r.theta_star for r in rows]) > 0)
     # adding a server relaxes scarcity: every shared state gets cheaper
     for a, b in zip(rows, rows[1:]):
-        k = len(a.result.prices)
-        assert np.all(b.result.prices[:k] <= a.result.prices + 1e-7)
+        k = len(a.prices)
+        assert np.all(b.prices[:k] <= a.prices + 1e-7)
 
 
 def test_sweep_validation():

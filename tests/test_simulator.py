@@ -21,10 +21,9 @@ from farm_pricer import (
     UniformInterval,
     UniformValuation,
     departure_matrix,
+    evaluate,
     fixed_point,
     insensitivity_check,
-    occupancy_general,
-    occupancy_poisson,
     simulate,
     solve_general,
 )
@@ -83,7 +82,7 @@ def test_occupancy_and_acceptance_match_closed_form():
     prices = fixed_point(spec).prices
     cfg = SimConfig(spec=spec, prices=prices, horizon_arrivals=60_000, replications=10, seed=11)
     out = simulate(cfg)
-    pi = occupancy_poisson(spec, prices)
+    pi = evaluate(spec, prices).pi
     # consecutive arrival states are autocorrelated, so the iid binomial
     # sigma undershoots (here by 1.6-3.2x); hold each bin to 3 standard
     # errors across replications instead, and add a total-variation cap
@@ -110,7 +109,7 @@ def test_general_arrivals_match_embedded_chain():
     spec = SystemSpec(servers=4, mu=2.0, arrival=Deterministic(rate=12.0), valuation=VAL)
     res = solve_general(spec)
     dep = departure_matrix(spec.arrival, spec.mu, 4)
-    pi = occupancy_general(spec, dep, res.prices)
+    pi = evaluate(spec, res.prices, dep).pi
     cfg = SimConfig(spec=spec, prices=res.prices, horizon_arrivals=200_000, replications=5, seed=2)
     out = simulate(cfg)
     n = int(out.seen_counts.sum())

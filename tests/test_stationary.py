@@ -18,9 +18,8 @@ from farm_pricer import (
     UniformValuation,
     blocking_prob,
     departure_matrix,
+    evaluate,
     fixed_point,
-    occupancy_general,
-    occupancy_poisson,
     price_array,
     spec_from_config,
     revenue_rate,
@@ -40,20 +39,20 @@ def poisson_spec(lam=25.0, mu=2.0, k=5, val=VAL):
 def test_two_servers_free_entry():
     # rho = 1, Gbar = 1: weights (1, 1, 1/2) -> (2/5, 2/5, 1/5)
     spec = poisson_spec(lam=2.0, mu=2.0, k=2)
-    pi = occupancy_poisson(spec, [0.0, 0.0])
+    pi = evaluate(spec, [0.0, 0.0]).pi
     np.testing.assert_allclose(pi, (0.4, 0.4, 0.2), rtol=1e-12)
 
 
 def test_prohibitive_first_price_pins_system_empty():
     spec = poisson_spec(val=UniformValuation(lo=0.0, hi=2.0))
-    pi = occupancy_poisson(spec, [5.0, 5.0, 5.0, 5.0, 5.0])
+    pi = evaluate(spec, [5.0, 5.0, 5.0, 5.0, 5.0]).pi
     np.testing.assert_allclose(pi, (1.0, 0, 0, 0, 0, 0), atol=0)
 
 
 def test_full_state_mass_is_blocking_probability():
     spec = poisson_spec()
     for p in (0.5, 1.2, 3.0):
-        pi = occupancy_poisson(spec, [p] * 5)
+        pi = evaluate(spec, [p] * 5).pi
         pb = blocking_prob(spec.arrival, VAL, spec.mu, 5, p)
         assert pi[-1] == pytest.approx(pb, rel=1e-10)
 
@@ -85,7 +84,7 @@ def test_product_form_matches_per_state_loop():
             spec = poisson_spec(lam=load * k * 2.0, k=k, val=val)
             prices = np.sort(rng.uniform(0.0, 2.5, k))
             pi, rate = loop_occupancy_and_rate(spec, prices)
-            closed = occupancy_poisson(spec, prices)
+            closed = evaluate(spec, prices).pi
             np.testing.assert_allclose(closed, pi, rtol=1e-12, atol=1e-15)
             assert revenue_rate(spec, prices) == pytest.approx(rate, rel=1e-14)
 
@@ -94,8 +93,8 @@ def test_embedded_chain_recovers_poisson_occupancy():
     spec = poisson_spec()
     prices = fixed_point(spec).prices
     dep = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    occ_closed = occupancy_poisson(spec, prices)
-    occ_chain = occupancy_general(spec, dep, prices)
+    occ_closed = evaluate(spec, prices).pi
+    occ_chain = evaluate(spec, prices, dep).pi
     np.testing.assert_allclose(occ_chain, occ_closed, atol=1e-8)
 
 
@@ -108,8 +107,8 @@ def test_censored_chain_matches_closed_form(k):
             spec = poisson_spec(lam=load * k * 2.0, k=k, val=val)
             dep = departure_matrix(spec.arrival, spec.mu, k)
             prices = np.sort(rng.uniform(0.0, 1.8, k))
-            chain = occupancy_general(spec, dep, prices)
-            closed = occupancy_poisson(spec, prices)
+            chain = evaluate(spec, prices, dep).pi
+            closed = evaluate(spec, prices).pi
             assert np.max(np.abs(chain - closed)) <= 1e-13, (load, val)
 
 
@@ -123,7 +122,7 @@ def test_single_server_chain_closed_form():
     p0 = 0.8
     gamma = math.exp(-p0)
     a10, a11 = dep[1, 1], dep[1, 0]
-    pi = occupancy_general(spec, dep, [p0])
+    pi = evaluate(spec, [p0], dep).pi
     denom = a11 + gamma * a10
     np.testing.assert_allclose(pi, (a11 / denom, gamma * a10 / denom), rtol=1e-12)
 
@@ -162,7 +161,7 @@ def test_unreachable_states_are_cut():
         valuation=UniformValuation(lo=0.0, hi=2.0),
     )
     dep = departure_matrix(spec.arrival, spec.mu, 3)
-    pi = occupancy_general(spec, dep, [0.5, 2.5, 0.1])
+    pi = evaluate(spec, [0.5, 2.5, 0.1], dep).pi
     assert pi[2] == 0.0 and pi[3] == 0.0
     assert pi[:2].sum() == pytest.approx(1.0, rel=1e-12)
     assert pi[1] > 0
@@ -202,7 +201,7 @@ def test_censored_product_form_matches_dense_solve():
         spec = SystemSpec(servers=k, mu=mu, arrival=arrival, valuation=vals[case // 4 % 3])
         dep = departure_matrix(arrival, mu, k)
         prices = np.sort(rng.uniform(0.0, 2.5, k))
-        pi = occupancy_general(spec, dep, prices)
+        pi = evaluate(spec, prices, dep).pi
         assert np.max(np.abs(pi - dense_occupancy(spec, dep, prices))) <= 5e-11, case
 
 
@@ -213,7 +212,21 @@ def test_stationarity_certificate_rejects_broken_departure_matrix():
     no_departures = np.eye(5)  # S[i, i] = 1: nobody ever leaves
     for broken in (halved, no_departures):
         with np.errstate(all="ignore"), pytest.raises(NoConvergence):
-            occupancy_general(spec, broken, [0.5] * 4)
+            evaluate(spec, [0.5] * 4, broken)
+
+
+@pytest.mark.parametrize(
+    "arrival", [Deterministic(rate=25.0), UniformInterval.from_rate(500.0),
+                TwoPoint(x1=0.01, p1=0.5, x2=0.07)], ids=["det", "unif", "two_point"],
+)  # fmt: skip
+def test_renewal_evaluate_builds_the_departure_matrix_it_is_not_given(arrival):
+    k = 30
+    spec = SystemSpec(k, 2.0, arrival, UniformValuation(lo=0.0, hi=2.0))
+    prices = np.append(np.linspace(0.4, 1.9, k - 1), np.inf)
+    theta, pi = evaluate(spec, prices)
+    given = evaluate(spec, prices, departure_matrix(arrival, 2.0, k))
+    assert float(theta).hex() == float(given.theta).hex()
+    assert [x.hex() for x in pi.tolist()] == [x.hex() for x in given.pi.tolist()]
 
 
 # ----------------------------------------------------------------- revenue
@@ -268,9 +281,6 @@ def test_price_vector_validation():
         price_array(spec, [1.0, math.nan, 3.0])
     with pytest.raises(ValueError):
         price_array(spec, [1.0, 2.0, -math.inf])
-    renewal = SystemSpec(3, 2.0, Deterministic(rate=25.0), VAL)
-    with pytest.raises(ValueError, match="needs exponential interarrivals"):
-        occupancy_poisson(renewal, [1.0, 2.0, 3.0])
 
 
 def test_server_count_is_a_positive_integer():

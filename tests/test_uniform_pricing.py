@@ -341,6 +341,40 @@ def test_gaussian_tail_log_price_decays():
     assert revs[2] < 1e-2
 
 
+# ---------------------------------------------------------------- tabulated humps
+
+def test_knot_peaked_hump_is_not_missed_by_the_grid():
+    # the first knot earns the most, but the log grid alone read its hump
+    # low and settled on a lower hump: gap_upper fell below theta*
+    val = TabulatedTail(
+        xs=(0.0, 4.271379858029836, 4.487885493912459, 5.621261186704473,
+            5.909482004237952, 7.109567839651361),
+        gs=(1.0, 0.7889130393407852, 0.727468390657021, 0.5952407860215746,
+            0.4047100195002603, 0.22088250635854312),
+    )  # fmt: skip
+    dist = Deterministic(rate=0.7311179297449936)
+    res = optimize_uniform(dist, val, 2.0, 2)
+    theta = solve_general(SystemSpec(2, 2.0, dist, val)).theta_star
+    assert res.revenue_K >= revenue_uniform(dist, val, 2.0, 2, res.p_star_inf)
+    assert res.revenue_K <= theta * (1.0 + 1e-12)
+    assert theta <= res.gap_upper * (1.0 + 1e-12)
+
+
+def test_best_uniform_revenue_beats_the_infinite_server_price_on_random_tables():
+    rng = np.random.default_rng(31)
+    laws = (Exponential, Deterministic, UniformInterval.from_rate)
+    for case in range(200):
+        n = int(rng.integers(2, 6))
+        xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 2.0, n))))
+        gs = np.concatenate(([1.0], np.sort(rng.uniform(0.0, 1.0, n))[::-1]))
+        val = TabulatedTail(tuple(xs), tuple(gs))
+        k = int(rng.choice([1, 2, 5, 20, 100]))
+        dist = laws[case % 3](float(10 ** rng.uniform(-1.0, 1.0) * k * 2.0))
+        res = optimize_uniform(dist, val, 2.0, k)
+        at_inf = revenue_uniform(dist, val, 2.0, k, res.p_star_inf)
+        assert at_inf <= res.revenue_K * (1.0 + 1e-12), case
+
+
 # ---------------------------------------------------------------- one-pass grid
 
 TABLE7 = TabulatedTail(
