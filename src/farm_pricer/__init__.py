@@ -19,7 +19,6 @@ from .mdp_general import GeneralSolveResult, solve_general
 from .mdp_poisson import (
     PoissonSolveResult,
     fixed_point,
-    infinite_server_limit,
     sweep,
     value_iteration_oracle,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "eval_m",
     "evaluate",
     "fixed_point",
-    "infinite_server_limit",
     "insensitivity_check",
     "log_beta_seq",
     "optimize_uniform",

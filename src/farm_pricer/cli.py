@@ -26,7 +26,7 @@ from .arrival import Deterministic, Exponential, UniformInterval
 from .errors import ConfigError, PricingError
 from .model import SystemSpec, config_from_shorthand, law_from_config, price_array, spec_from_config
 from .model import shorthand_usage
-from .valuation import ExponentialValuation
+from .valuation import ExponentialValuation, eval_m
 
 
 def _spec_from_args(args) -> SystemSpec:
@@ -86,17 +86,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     return obj
-
-
-def _fields(res) -> dict:
-    """A result dataclass as a payload: its fields in order, b_vals written
-    as 'b', and revenue_K repeated as gap_lower after revenue_inf_bound."""
-    payload = {}
-    for field in dataclasses.fields(res):
-        payload["b" if field.name == "b_vals" else field.name] = getattr(res, field.name)
-        if field.name == "revenue_inf_bound":
-            payload["gap_lower"] = res.revenue_K
-    return payload
 
 
 def _csv_cell(x) -> str:
@@ -162,21 +151,21 @@ def _cmd_solve_poisson(args) -> int:
         )
     res = mdp_poisson.fixed_point(spec)
     summary = f"theta* = {res.theta_star:.6g} after {res.iterations} bisection steps"
-    _emit(args, _fields(res), summary)
+    _emit(args, vars(res), summary)
     return 0
 
 
 def _cmd_solve_general(args) -> int:
     res = mdp_general.solve_general(_spec_from_args(args))
     summary = f"theta* = {res.theta_star:.6g}, max residual {np.max(np.abs(res.residuals)):.2e}"
-    _emit(args, _fields(res), summary)
+    _emit(args, vars(res), summary)
     return 0
 
 
 def _cmd_uniform(args) -> int:
     spec = _spec_from_args(args)
     res = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
-    _emit(args, _fields(res), f"best uniform price {res.p_star_K:.6g} earns {res.revenue_K:.6g}")
+    _emit(args, vars(res), f"best uniform price {res.p_star_K:.6g} earns {res.revenue_K:.6g}")
     return 0
 
 
@@ -214,9 +203,10 @@ def _cmd_simulate(args) -> int:
         res = simulator.simulate(cfg)
     except ValueError as exc:
         raise ConfigError("simulate", str(exc)) from None
-    estimates = ("revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac",
-                 "occupancy_hist", "accepted_frac_by_state")  # fmt: skip
-    payload = {**{k: getattr(res, k) for k in estimates}, "prices": prices}
+    payload = {"revenue_rate_mean": res.revenue_rate_mean,
+               "revenue_rate_ci_half": res.revenue_rate_ci_half,
+               "blocking_frac": res.occupancy_hist[-1], "occupancy_hist": res.occupancy_hist,
+               "accepted_frac_by_state": res.accepted_frac_by_state, "prices": prices}  # fmt: skip
     if theta is not None:
         payload["theta_analytic"] = theta
     summary = (
@@ -290,7 +280,7 @@ def _fig_loads(k: int, rhos: list[float]):
 def _fig_rev_vs_k():
     """Finite-K optimal revenue closing on the infinite-server level lambda/e."""
     spec = _reference(5, 20.0)
-    limit, _ = mdp_poisson.infinite_server_limit(spec)
+    limit = spec.arrival_rate * eval_m(spec.valuation, 0.0).m_val
     servers = range(5, 11)
     solved = mdp_poisson.sweep(spec, "K", servers)
     return ["servers", "theta_star", "infinite_server_revenue"], [

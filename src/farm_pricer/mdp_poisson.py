@@ -39,7 +39,6 @@ class PoissonSolveResult:
     deltas: np.ndarray
     prices: np.ndarray
     iterations: int
-    bracket_width: float
 
 
 def _require_poisson(spec: SystemSpec) -> None:
@@ -64,19 +63,20 @@ def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> l
 def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
     """Bisect theta = lambda m(g_0(theta)) to a width of 1e-12 lambda m(0).
 
-    lambda m(0), the infinite-server revenue, bounds theta* above, so the
-    width is relative to the problem's own revenue scale and theta* comes
-    out the same in any unit of the valuations.  Bracket update per
-    iteration, with v = lambda m(g_0(midpoint)): the new lower end is
-    max(old, min(mid, v)), the new upper end min(old, max(mid, v)).  Either
-    way the width halves and the ends never cross.  The prices must earn
-    theta* (revenue_rate) within that width + 1e-9 theta*; the chain
-    amplifies any error in theta, so until they do bisection goes on,
-    raising NoConvergence at adjacent floats, after 2000 steps or on overflow.
+    lambda m(0), the infinite-server revenue (`optimize_uniform`'s
+    revenue_inf_bound), bounds theta* above, so the width is relative to
+    the problem's own revenue scale and theta* comes out the same in any
+    unit of the valuations.  Bracket update per iteration, with v = lambda
+    m(g_0(midpoint)): the new lower end is max(old, min(mid, v)), the new
+    upper end min(old, max(mid, v)).  Either way the width halves and the
+    ends never cross.  The prices must earn theta* (revenue_rate) within
+    that width + 1e-9 theta*; the chain amplifies any error in theta, so
+    until they do bisection goes on, raising NoConvergence at adjacent
+    floats, after 2000 steps or on overflow.  iterations counts the steps.
     """
     _require_poisson(spec)
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
-    cap = infinite_server_limit(spec)[0]
+    cap = lam * eval_m(val, 0.0).m_val
     tol = 1e-12 * cap
 
     lo = 0.0
@@ -107,18 +107,7 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
         deltas=np.array(deltas),
         prices=prices,
         iterations=iterations,
-        bracket_width=hi - lo,
     )
-
-
-def infinite_server_limit(spec: SystemSpec) -> tuple[float, float]:
-    """(revenue rate, price) when servers are never scarce.
-
-    With unlimited capacity a single price is optimal: the maximizer of
-    u Gbar(u), earning lambda m(0).  Upper-bounds every finite-K revenue.
-    """
-    ev = eval_m(spec.valuation, 0.0)
-    return spec.arrival_rate * ev.m_val, ev.u_star
 
 
 def value_iteration_oracle(spec: SystemSpec) -> float:

@@ -145,17 +145,16 @@ class SimResult:
     """Aggregated estimates; counters are pooled over replications.
 
     occupancy_hist[k] is the fraction of post-warmup arrivals finding k
-    busy servers; accepted_frac_by_state[k] the fraction of those in state
-    k < K whose valuation met the posted price (estimates Gbar(p_k)).
+    busy servers, k = K being blocked; accepted_frac_by_state[k] the
+    fraction of those in state k < K whose valuation met the posted price
+    (estimates Gbar(p_k)); rep_seen_counts has one row per replication.
     """
 
     revenue_rate_mean: float
     revenue_rate_ci_half: float
-    blocking_frac: float
     occupancy_hist: np.ndarray
     accepted_frac_by_state: np.ndarray
     rep_revenue_rates: np.ndarray
-    rep_blocking_fracs: np.ndarray
     rep_seen_counts: np.ndarray
     seen_counts: np.ndarray
     accepted_counts: np.ndarray
@@ -251,23 +250,19 @@ def simulate(cfg: SimConfig) -> SimResult:
     rep_seen = np.array([o[1] for o in outs])
     seen = rep_seen.sum(axis=0)
     accepted = np.array([o[2] for o in outs]).sum(axis=0)
-    rep_block = np.array([o[1][k] / sum(o[1]) for o in outs])
 
     mean = float(rates.mean())
     if reps > 1:
         half = float(t_quantile(reps - 1, 0.975) * rates.std(ddof=1) / math.sqrt(reps))
     else:
         half = math.inf
-    total_seen = int(seen.sum())
     acc_frac = np.where(seen[:k] > 0, accepted / np.maximum(seen[:k], 1), 0.0)
     return SimResult(
         revenue_rate_mean=mean,
         revenue_rate_ci_half=half,
-        blocking_frac=float(seen[k]) / total_seen,
-        occupancy_hist=seen / total_seen,
+        occupancy_hist=seen / seen.sum(),
         accepted_frac_by_state=acc_frac,
         rep_revenue_rates=rates,
-        rep_blocking_fracs=rep_block,
         rep_seen_counts=rep_seen,
         seen_counts=seen,
         accepted_counts=accepted,

@@ -39,7 +39,9 @@ _GRID_DOUBLINGS = 16  # price doublings past Q(1e-9) before the grid end is give
 class UniformPricingResult:
     """Best single price for K servers, and the infinite-server benchmark.
 
-    The revenue R* of the best state-dependent policy lies in
+    With unlimited servers one price, p_star_inf = u*(0), is optimal; it
+    earns revenue_inf_bound = lambda m(0), which bounds every finite-K
+    revenue.  The revenue R* of the best state-dependent policy lies in
     [revenue_K, gap_upper], gap_upper = revenue_K / (1 - pi_K(p_star_inf)).
     coarse_gap bounds R* - revenue_K by revenue_K / (beta_1 K).
     """

@@ -8,8 +8,13 @@ admits at rate lambda e^{-beta B - 1}, so lambda m(B) = lambda e^{-beta B - 1}
 
 Evaluation: theta from the product-form occupancy, whose terms are all
 positive, then the Bellman equations of states 0..K-1,
-theta = lambda g_n (p_n - B_n) + n mu B_{n-1}, solved upward for the new B.
-State K's equation, theta = K mu B_{K-1}, is left over as the certificate.
+theta = lambda g_n (p_n - B_n) + n mu B_{n-1}, and of state K,
+theta = K mu B_{K-1}, solved for the new B from both ends: upward from
+state 0 below the mode of the product-form weights, downward from state K
+above it.  Both run toward the mode, where the weights grow, so rounding
+does not build up; the upward pass alone diverges in heavy traffic
+(K=300, lambda=300).  The mode state's equation is left over as the
+certificate.
 
 Renewal arrivals (`renewal_policy_iteration`, exp(1) values): policy
 iteration on the chain embedded at arrivals.  The survivor matrix S is built
@@ -39,14 +44,19 @@ def policy_iteration(k: int, lam: float, mu: float, beta: float = 1.0, digits: i
             for n in range(k):
                 weights.append(weights[-1] * rates[n] / ((n + 1) * mu))
             theta = sum(w * r * p for w, r, p in zip(weights, rates, prices)) / sum(weights)
-            new, below = [], Decimal(0)
-            for n in range(k):
-                below = prices[n] - (theta - n * mu * below) / rates[n]
-                new.append(below)
+            mode = weights.index(max(weights))
+            new = [Decimal(0)] * k
+            for n in range(mode):  # state n's equation gives B_n
+                new[n] = prices[n] - (theta - n * mu * (new[n - 1] if n else 0)) / rates[n]
+            for n in reversed(range(mode, k)):  # state n + 1's equation gives B_n
+                gain = rates[n + 1] * (prices[n + 1] - new[n + 1]) if n + 1 < k else 0
+                new[n] = (theta - gain) / ((n + 1) * mu)
             done = max(abs(a - b) for a, b in zip(new, costs)) <= tol
             costs = new
             if done:
-                assert abs(theta - k * mu * costs[-1]) <= tol * theta, "state K off balance"
+                gain = rates[mode] * (prices[mode] - costs[mode]) if mode < k else 0
+                lost = mode * mu * costs[mode - 1] if mode else 0
+                assert abs(gain + lost - theta) <= tol * theta, f"state {mode} off balance"
                 return float(theta), [float(b + 1 / beta) for b in costs]
     raise AssertionError("policy iteration did not settle in 100 steps")
 

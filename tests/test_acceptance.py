@@ -294,10 +294,9 @@ def test_criterion_09_simulation_validation():
     pi = evaluate(spec, res.prices).pi
 
     ci_ok = abs(out.revenue_rate_mean - res.theta_star) <= out.revenue_rate_ci_half
-    half_b = float(
-        student_t.ppf(0.975, 19) * out.rep_blocking_fracs.std(ddof=1) / math.sqrt(20)
-    )
-    block_gap = abs(out.blocking_frac - float(pi[-1]))
+    rep_blocking = out.rep_seen_counts[:, -1] / out.rep_seen_counts.sum(axis=1)
+    half_b = float(student_t.ppf(0.975, 19) * rep_blocking.std(ddof=1) / math.sqrt(20))
+    block_gap = abs(out.occupancy_hist[-1] - float(pi[-1]))
     acc_z = 0.0
     for k in range(5):
         gbar = math.exp(-float(res.prices[k]))

@@ -134,7 +134,7 @@ def test_single_server_blocking_is_erlang_b():
         )
         out = simulate(cfg)
         n = int(out.seen_counts.sum())
-        assert abs(out.blocking_frac - want) < three_sigma(want, n)
+        assert abs(out.occupancy_hist[-1] - want) < three_sigma(want, n)
 
 
 def test_prohibitive_price_earns_nothing():
@@ -142,7 +142,7 @@ def test_prohibitive_price_earns_nothing():
     cfg = SimConfig(spec=spec, prices=np.full(3, 1.0 + 1e-12), horizon_arrivals=5_000, seed=1)
     out = simulate(cfg)
     assert out.revenue_rate_mean == 0.0
-    assert out.blocking_frac == 0.0
+    assert out.occupancy_hist[-1] == 0.0
     assert out.occupancy_hist[0] == 1.0
 
 
