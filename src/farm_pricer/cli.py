@@ -174,7 +174,7 @@ def _cmd_evaluate(args) -> int:
     if args.prices is None:
         raise ConfigError("prices", "evaluate needs --prices p0,p1,...")
     rate, pi = stationary.evaluate(spec, _prices(args, spec))
-    payload = {"revenue_rate": rate, "occupancy": pi, "blocking": pi[-1]}
+    payload = {"revenue_rate": rate, "occupancy": pi}
     _emit(args, payload, f"revenue rate {rate:.6g}, blocking {pi[-1]:.6g}")
     return 0
 
@@ -205,10 +205,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate", str(exc)) from None
     payload = {"revenue_rate_mean": res.revenue_rate_mean,
                "revenue_rate_ci_half": res.revenue_rate_ci_half,
-               "blocking_frac": res.occupancy_hist[-1], "occupancy_hist": res.occupancy_hist,
-               "accepted_frac_by_state": res.accepted_frac_by_state, "prices": prices}  # fmt: skip
-    if theta is not None:
-        payload["theta_analytic"] = theta
+               "occupancy_hist": res.occupancy_hist,
+               "accepted_frac_by_state": res.accepted_frac_by_state}  # fmt: skip
+    if theta is not None:  # solved here, so not the caller's own input
+        payload.update(prices=prices, theta_analytic=theta)
     summary = (
         f"simulated revenue rate {res.revenue_rate_mean:.4g} "
         f"+/- {res.revenue_rate_ci_half:.4g} (95% CI, {args.reps} reps)"

@@ -24,10 +24,16 @@ for a gap uniform on [lo, hi], S[k, s] = (P(Bin(k, b) >= s) - P(Bin(k, a) >= s))
 rest of the row.  Evaluation solves g + h(i) - (P h)(i) = Gbar(p_i) p_i with
 h(0) = 0 by Gaussian elimination; improvement posts p_i = B_i + 1 with
 B_i = ((S[i] - S[i+1]) h).
+
+Piecewise-linear tails (`piecewise_linear_m`): f(u) = (u - B) tail(u) in
+`Fraction`s, which hold every float exactly, over `eval_m`'s candidates:
+the knots, each falling segment's parabola top clipped into the segment,
+and max(B, 0), every candidate raised to at least max(B, 0).
 """
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 
 def policy_iteration(k: int, lam: float, mu: float, beta: float = 1.0, digits: int = 60):
@@ -133,3 +139,30 @@ def renewal_policy_iteration(k, lam, mu, atoms=None, interval=None, digits=50):
             if done:
                 return float(lam * g), [float(p) for p in prices]
     raise AssertionError("policy iteration did not settle in 100 steps")
+
+
+def piecewise_linear_m(xs, gs, B):
+    """(m(B), the candidates attaining it) for the tail through knots (xs, gs), exactly.
+
+    f is strictly concave on a falling segment and strictly increasing on a
+    flat one with a positive tail, so when m(B) > 0 the maximizer is unique
+    exactly when one candidate attains m(B).
+    """
+    xs, gs, B = [Fraction(x) for x in xs], [Fraction(g) for g in gs], Fraction(B)
+
+    def tail(u):  # u >= 0 here; zero past the last knot, gs[-1] on it
+        if u > xs[-1]:
+            return Fraction(0)
+        j = max(i for i, x in enumerate(xs) if x <= u)
+        if j == len(xs) - 1:
+            return gs[j]
+        return gs[j] + (gs[j + 1] - gs[j]) * (u - xs[j]) / (xs[j + 1] - xs[j])
+
+    candidates = set(xs) | {max(B, 0)}
+    for xl, xr, gl, gr in zip(xs, xs[1:], gs, gs[1:]):
+        if gr < gl:
+            zero = xl + gl * (xr - xl) / (gl - gr)  # where the segment's line meets 0
+            candidates.add(min(max((B + zero) / 2, xl), xr))
+    f = {u: (u - B) * tail(u) for u in {max(u, B, 0) for u in candidates}}
+    m = max(f.values())
+    return m, sorted(u for u, v in f.items() if v == m)

@@ -65,8 +65,12 @@ def test_evaluate_round_trip(tmp_path):
     prices = ",".join(f"{p:.12g}" for p in solved["prices"])
     data = run_json(tmp_path, ["evaluate", *BASE, "--prices", prices], "b.json")
     assert data["revenue_rate"] == pytest.approx(solved["theta_star"], rel=1e-9)
-    assert data["blocking"] == pytest.approx(data["occupancy"][-1], rel=1e-12)
+    # pi_0..pi_K sums to 1, and its last entry is the blocking probability pi_K
     assert sum(data["occupancy"]) == pytest.approx(1.0, rel=1e-9)
+    spec = _spec_from_args(build_parser().parse_args(["evaluate", *BASE]))
+    pi = farm_pricer.evaluate(spec, [float(p) for p in prices.split(",")]).pi
+    assert len(data["occupancy"]) == 6
+    assert data["occupancy"][-1] == pi[5] == pytest.approx(0.0894084, abs=1e-7)
 
 
 def test_evaluate_round_trip_renewal(tmp_path):
@@ -125,13 +129,14 @@ def _field_names(record):
         (["solve-general", *BASE], _field_names(farm_pricer.GeneralSolveResult)),
         (["uniform", *BASE], _field_names(farm_pricer.UniformPricingResult)),
         (["evaluate", *BASE, "--prices", "1.2,1.2,1.3,1.45,1.8"],
-         ["revenue_rate", "occupancy", "blocking"]),
+         ["revenue_rate", "occupancy"]),
+        # simulate prints the prices only when it solved them
         (["simulate", *BASE, *SIM],
-         ["revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac", "occupancy_hist",
+         ["revenue_rate_mean", "revenue_rate_ci_half", "occupancy_hist",
           "accepted_frac_by_state", "prices", "theta_analytic"]),
         (["simulate", *BASE, *SIM, "--prices", "1.2,1.2,1.3,1.45,1.8"],
-         ["revenue_rate_mean", "revenue_rate_ci_half", "blocking_frac", "occupancy_hist",
-          "accepted_frac_by_state", "prices"]),
+         ["revenue_rate_mean", "revenue_rate_ci_half", "occupancy_hist",
+          "accepted_frac_by_state"]),
         (["compare", *BASE], ["rows"]),
     ],
     ids=["solve-poisson", "solve-general", "uniform", "evaluate", "simulate",

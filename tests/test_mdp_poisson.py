@@ -12,6 +12,7 @@ from farm_pricer import (
     ExponentialValuation,
     NoConvergence,
     SystemSpec,
+    TabulatedTail,
     UniformValuation,
     eval_m,
     fixed_point,
@@ -96,6 +97,19 @@ def test_theta_below_infinite_server_rate():
     assert rev_inf == pytest.approx(25.0 / math.e, rel=1e-12)
     assert p_inf == pytest.approx(1.0, rel=1e-12)
     assert fixed_point(spec).theta_star < rev_inf
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP directions 2 and 4: theta* is the bisection midpoint, not what the prices earn",
+)
+def test_theta_at_most_infinite_server_rate_on_heavy_table():
+    # a 2e-9 tail out to 1e12: theta* = 2500.0000000031396, while lambda m(0),
+    # revenue_rate(prices) and solve_general's theta* are all 2500.0000000024997
+    val = TabulatedTail((0.0, 1.0, 1e12), (1.0, 2e-9, 0.0))
+    spec = SystemSpec(servers=3, mu=2.0, arrival=Exponential(rate=5.0), valuation=val)
+    bound = spec.arrival_rate * eval_m(val, 0.0).m_val
+    assert fixed_point(spec).theta_star <= bound * (1.0 + 8 * np.finfo(float).eps)
 
 
 def test_theta_inside_uniform_price_sandwich():

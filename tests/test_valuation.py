@@ -22,6 +22,8 @@ from farm_pricer import (
 from farm_pricer.errors import ConfigError
 from farm_pricer.model import law_from_config
 
+from exact import piecewise_linear_m
+
 valuation_from_config = partial(law_from_config, "valuation")
 
 
@@ -238,6 +240,30 @@ def test_uniform_valuation_is_a_tabulated_tail(lo):
     assert abs(draws.mean() - (lo + hi) / 2) <= 4 * (hi - lo) / math.sqrt(12 * draws.size)
     spec = SystemSpec(3, 2.0, Exponential(rate=5.0), v)
     assert solve_general(spec).theta_star == pytest.approx(fixed_point(spec).theta_star, rel=1e-9)
+
+
+# the benchmark's 7-knot valuation table (perfbench/workloads.py)
+BENCH_TABLE = TabulatedTail(
+    xs=(0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0), gs=(1.0, 0.8, 0.55, 0.35, 0.2, 0.06, 0.0)
+)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [ATOM, PLATEAU, BENCH_TABLE, UniformValuation(0.5, 3.0)],
+    ids=["atom", "plateau", "bench-table", "unif-0.5-3"],
+)
+def test_tabulated_eval_m_matches_exact_fractions(dist):
+    # B < 0, 0, every knot, two points inside each segment, and past the
+    # last knot, where m = 0 and every u >= B maximizes
+    xs = dist.xs
+    inside = [a + (b - a) * t for a, b in zip(xs, xs[1:]) for t in (1 / 3, 2 / 3)]
+    for B in [-3.0, -2.2, -1.0, -0.3, *xs, *inside, xs[-1] + 1.0]:
+        ev = eval_m(dist, B)
+        m, maximizers = piecewise_linear_m(xs, dist.gs, B)
+        assert ev.m_val == pytest.approx(float(m), rel=1e-15, abs=0.0), B
+        if m > 0 and len(maximizers) == 1:
+            assert ev.u_star == pytest.approx(float(maximizers[0]), rel=1e-15, abs=0.0), B
 
 
 # ---------------------------------------------------------------- config
