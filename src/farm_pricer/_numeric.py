@@ -74,8 +74,7 @@ def t_quantile(df: int, q: float) -> float:
     P(|T| < sqrt(df) tan theta) = |2q - 1| to the last float, then returns
     sqrt(df) tan theta with the sign of q - 1/2.
     """
-    if not isinstance(df, Integral) or df < 1:
-        raise ValueError(f"df must be an integer >= 1, got {df!r}")
+    df = positive_int("df", df)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
     target = abs(2.0 * q - 1.0)

@@ -48,8 +48,9 @@ def _spec_from_args(args) -> SystemSpec:
         cfg["mu"] = args.mu
     if args.lam is not None and args.arrival is not None:
         raise ConfigError("arrival", "--lambda and --arrival both name the arrival law; give one")
-    if args.lam is not None:
-        cfg["arrival"] = {"kind": "exponential", "rate": args.lam}
+    if args.lam is not None:  # the config file's own shorthand, so errors name 'lambda'
+        cfg.pop("arrival", None)
+        cfg["lambda"] = args.lam
     if args.arrival is not None:
         cfg["arrival"] = config_from_shorthand("arrival", args.arrival)
     if args.valuation is not None:

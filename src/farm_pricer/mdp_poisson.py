@@ -124,7 +124,7 @@ def value_iteration_oracle(spec: SystemSpec) -> float:
     q_hi = val.tail_quantile(1e-9)
 
     grid = np.linspace(0.0, q_hi, 4096)
-    h, theta, spans_ok = _rvi(grid, spec, big_lambda)
+    h, _ = _rvi(grid, spec, big_lambda)
 
     # refine near the maximizers the current solution points at
     dh = h[:-1] - h[1:]  # estimated Delta(i)
@@ -134,20 +134,17 @@ def value_iteration_oracle(spec: SystemSpec) -> float:
         u = eval_m(val, float(d)).u_star
         extra.append(np.linspace(max(u - 3 * step, 0.0), u + 3 * step, 64))
     grid2 = np.unique(np.concatenate([grid, *extra]))
-    _, theta2, spans_ok2 = _rvi(grid2, spec, big_lambda)
-    if not (spans_ok and spans_ok2):
-        raise NoConvergence(f"value-iteration span above {_RVI_TOL} after {_RVI_MAX_SWEEPS} sweeps")
-    return theta2
+    return _rvi(grid2, spec, big_lambda)[1]
 
 
 def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
+    """(h, theta) once the span of the theta estimates is within _RVI_TOL."""
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
     qs = lam * val.tail(grid) / big_lambda
     rs = grid * qs
     h = np.zeros(k + 1)
     i_arr = np.arange(k)
     down = i_arr * mu / big_lambda
-    theta = math.nan
     for _ in range(_RVI_MAX_SWEEPS):
         th = np.empty(k + 1)
         dh = h[1:] - h[:-1]
@@ -157,11 +154,10 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
         th[k] = (k * mu / big_lambda) * h[k - 1] + (1.0 - k * mu / big_lambda) * h[k]
         diff = th - h
         lbl, ubl = float(np.min(diff)), float(np.max(diff))
-        theta = big_lambda * 0.5 * (lbl + ubl)
         h = th - th[0]
         if big_lambda * (ubl - lbl) <= _RVI_TOL:
-            return h, theta, True
-    return h, theta, False
+            return h, big_lambda * 0.5 * (lbl + ubl)
+    raise NoConvergence(f"value-iteration span above {_RVI_TOL} after {_RVI_MAX_SWEEPS} sweeps")
 
 
 def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[PoissonSolveResult]:

@@ -145,22 +145,13 @@ def spec_from_config(cfg: dict) -> SystemSpec:
 
     Shape: {"servers": K, "mu": mu, "arrival": {...}, "valuation": {...}},
     each law an object law_from_config reads.  An arrival block may be
-    replaced by {"lambda": rate} as shorthand for a Poisson stream.
+    replaced by {"lambda": rate} as shorthand for a Poisson stream.  A
+    missing or bad value is a ConfigError under its own key.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("system", "expected an object")
-    if "servers" not in cfg:
-        raise ConfigError("servers", "missing")
-    try:
-        servers = positive_int("servers", cfg["servers"])
-    except ValueError as exc:
-        raise ConfigError("servers", str(exc)) from None
-    try:
-        mu = as_float(cfg["mu"])
-    except KeyError:
-        raise ConfigError("mu", "missing") from None
-    except (TypeError, ValueError):
-        raise ConfigError("mu", f"not a number: {cfg.get('mu')!r}") from None
+    servers = _checked(cfg, "servers", positive_int)
+    mu = _checked(cfg, "mu", lambda key, value: positive_finite(key, as_float(value)))
 
     if "arrival" in cfg:
         arrival = law_from_config("arrival", cfg["arrival"])
@@ -172,8 +163,14 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     if "valuation" not in cfg:
         raise ConfigError("valuation", "missing")
     valuation = law_from_config("valuation", cfg["valuation"])
+    return SystemSpec(servers=servers, mu=mu, arrival=arrival, valuation=valuation)
 
+
+def _checked(cfg: dict, key: str, check):
+    """check(key, cfg[key]); a missing or rejected value is a ConfigError under `key`."""
+    if key not in cfg:
+        raise ConfigError(key, "missing")
     try:
-        return SystemSpec(servers=servers, mu=mu, arrival=arrival, valuation=valuation)
-    except ValueError as exc:
-        raise ConfigError("system", str(exc)) from None
+        return check(key, cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from None

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from ._numeric import t_quantile
+from ._numeric import positive_int, t_quantile
 from .arrival import Exponential, InterarrivalDist
 from .model import SystemSpec, price_array, require_law
 
@@ -111,21 +112,14 @@ class SimConfig:
     service_law: Optional[InterarrivalDist] = None
 
     def __post_init__(self):
-        for name in ("horizon_arrivals", "warmup_arrivals", "replications", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "warmup_arrivals":
-                continue  # resolved to 10% of the horizon
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        positive_int("horizon_arrivals", self.horizon_arrivals)
+        positive_int("replications", self.replications)
         warm = self.resolved_warmup
-        if not (self.horizon_arrivals > warm >= 0):
-            raise ValueError(
-                f"need horizon > warmup >= 0, got {self.horizon_arrivals} and {warm}"
-            )
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, value in (("warmup_arrivals", warm), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not self.horizon_arrivals > warm:
+            raise ValueError(f"need horizon > warmup, got {self.horizon_arrivals} and {warm}")
         if self.service_law is not None:
             require_law("service_law", self.service_law, InterarrivalDist)
 

@@ -89,6 +89,8 @@ def _curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
 
 def _at(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float):
     """(pi_K(p), revenue) at one price; where nobody joins (p = inf too) both are 0."""
+    positive_finite("mu", mu)
+    k = positive_int("k", k)
     if val.tail(p) <= 0.0:
         return 0.0, 0.0
     _, block, rev = _curve(dist, val, mu, k)[0](p)
@@ -99,8 +101,6 @@ def blocking_prob(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Long-run fraction of admitted-willing arrivals that find all servers busy."""
-    positive_finite("mu", mu)
-    k = positive_int("k", k)
     if math.isnan(p):
         raise ValueError("price must not be NaN")
     with np.errstate(over="ignore", invalid="ignore"):  # _at's revenue may overflow; unread here
@@ -111,8 +111,6 @@ def revenue_uniform(
     dist: InterarrivalDist, val: ValuationDist, mu: float, k: int, p: float
 ) -> float:
     """Mean revenue rate lambda * p * Gbar(p) * (1 - pi_K(p)) at uniform price p."""
-    positive_finite("mu", mu)
-    k = positive_int("k", k)
     if not p >= 0:  # NaN included
         raise ValueError(f"price must be >= 0, got {p}")
     return _at(dist, val, mu, k, p)[1]

@@ -332,6 +332,18 @@ def test_config_file_and_flag_override(tmp_path):
     assert overridden["theta_star"] < base["theta_star"]
 
 
+def test_lambda_flag_replaces_the_config_files_arrival(tmp_path):
+    cfg = tmp_path / "det.json"
+    cfg.write_text(json.dumps({
+        "servers": 5, "mu": 2.0, "arrival": {"kind": "det", "rate": 25.0},
+        "valuation": {"kind": "exp", "beta": 1.0},
+    }))  # fmt: skip
+    args = build_parser().parse_args(["solve-poisson", "--config", str(cfg), "--lambda", "25"])
+    assert _spec_from_args(args).arrival == farm_pricer.Exponential(rate=25.0)
+    data = run_json(tmp_path, ["solve-poisson", "--config", str(cfg), "--lambda", "25"])
+    assert data == run_json(tmp_path, ["solve-poisson", *BASE], "flags.json")
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
@@ -397,10 +409,15 @@ def test_exit_code_on_bad_config():
         (["sweep", *BASE, "--vary", "K", "--grid", "3,x"], "grid"),
         (["sweep", *BASE, "--vary", "K", "--grid", "3.5"], "sweep"),
         (["uniform", *BASE[:-1], "uniform:2:1"], "valuation"),
+        (["solve-poisson", "--k", "5", "--lambda", "25", "--mu", "0", "--valuation", "exp:1"],
+         "mu"),
+        (["solve-poisson", "--k", "5", "--lambda", "0", "--mu", "2", "--valuation", "exp:1"],
+         "lambda"),
     ],
     ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price",
          "negative-seed", "lambda-and-arrival", "unreadable-config", "config-not-json",
-         "non-numeric-grid", "fractional-server-count", "uniform-valuation-reversed"],
+         "non-numeric-grid", "fractional-server-count", "uniform-valuation-reversed",
+         "zero-mu", "zero-lambda"],
 )  # fmt: skip
 def test_invalid_input_is_a_config_error(argv, key, capsys):
     assert run(argv) == 2

@@ -197,11 +197,12 @@ RARE_STATE_XFAIL = pytest.mark.xfail(
 # (70, 126) is a timed poisson-exp cell, off by up to 1.9e-3 in 6 states; at
 # (300, 300) fixed_point gives p_0 = 0 where policy iteration gives 1, and 27
 # states differ; (70, 448) has 38 states off by up to 1.07, (160, 512) 53 by
-# up to 1
+# up to 1; (67, 2e6), a load of 15 000 with the lambda m(0) start bracket,
+# 63 of 67 by up to 8.18
 @pytest.mark.parametrize(
     "k, lam",
     [pytest.param(k, lam, marks=RARE_STATE_XFAIL)
-     for k, lam in ((70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0))],
+     for k, lam in ((70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0), (67, 2e6))],
 )  # fmt: skip
 def test_poisson_prices_match_policy_iteration(k, lam):
     _, prices = policy_iteration(k, lam, 2.0)
@@ -223,6 +224,17 @@ def test_solvers_match_exact_policy_iteration(k, lam):
     assert res.theta_star == pytest.approx(theta, rel=1e-12)
     np.testing.assert_allclose(res.prices, prices, rtol=0.0, atol=1e-8)
     assert fixed_point(spec).theta_star == pytest.approx(theta, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [67, 68])
+def test_overflowing_start_bracket_falls_back_to_the_infinite_server_rate(k):
+    # g_0(0) is finite, but lambda m(g_0(0)) overflows, so the bisection
+    # starts from [0, lambda m(0)]; at K=66 the chain's bracket takes 1035 steps
+    spec = base_spec(lam=2e6, k=k)
+    theta, _ = policy_iteration(k, 2e6, 2.0)
+    res = fixed_point(spec)
+    assert res.theta_star == pytest.approx(theta, rel=1e-9)
+    assert res.iterations < 100
 
 
 def test_uncertified_prices_are_no_convergence(monkeypatch):
@@ -271,6 +283,12 @@ def test_value_iteration_agrees_single_server():
 def test_value_iteration_agrees_reference():
     theta = value_iteration_oracle(base_spec())
     assert theta == pytest.approx(THETA_REF, rel=1e-6)
+
+
+def test_value_iteration_out_of_sweeps_is_no_convergence(monkeypatch):
+    monkeypatch.setattr(mdp_poisson, "_RVI_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="span above"):
+        value_iteration_oracle(base_spec())
 
 
 # ---------------------------------------------------------------- sweeps

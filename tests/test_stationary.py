@@ -334,7 +334,10 @@ CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponenti
         ({**CFG, "mu": "fast"}, "mu"),
         ({k: v for k, v in CFG.items() if k != "lambda"}, "arrival"),
         ({k: v for k, v in CFG.items() if k != "valuation"}, "valuation"),
-        ({**CFG, "mu": 0.0}, "system"),
+        ({**CFG, "mu": 0.0}, "mu"),
+        ({**CFG, "mu": -1.0}, "mu"),
+        ({**CFG, "mu": math.nan}, "mu"),
+        ({**CFG, "mu": math.inf}, "mu"),
         ({**CFG, "valuation": {"kind": "table", "xs": [0, math.nan, 2], "gs": [1, 0.5, 0]}},
          "valuation"),
         ({**CFG, "valuation": {"kind": "table", "xs": [0, 1, math.inf], "gs": [1, 0.5, 0]}},
@@ -353,9 +356,9 @@ CFG = {"servers": 3, "mu": 2.0, "lambda": 25.0, "valuation": {"kind": "exponenti
          "valuation"),
     ],
     ids=["not-an-object", "missing-mu", "non-numeric-mu", "missing-arrival", "missing-valuation",
-         "zero-mu", "nan-knot", "infinite-knot", "string-knots", "object-knots", "bool-mu",
-         "bool-lambda", "bool-arrival-rate", "bool-interval-end", "bool-beta", "bool-x-knot",
-         "bool-g-knot"],
+         "zero-mu", "negative-mu", "nan-mu", "infinite-mu", "nan-knot", "infinite-knot",
+         "string-knots", "object-knots", "bool-mu", "bool-lambda", "bool-arrival-rate",
+         "bool-interval-end", "bool-beta", "bool-x-knot", "bool-g-knot"],
 )  # fmt: skip
 def test_config_errors_name_their_key(cfg, key):
     with pytest.raises(ConfigError) as err:
