@@ -15,14 +15,9 @@ from .arrival import (
     log_beta_seq,
 )
 from .errors import ConfigError, NoConvergence, NoFiniteMaximizer, PricingError
-from .mdp_general import GeneralSolveResult, solve_general
-from .mdp_poisson import (
-    PoissonSolveResult,
-    fixed_point,
-    sweep,
-    value_iteration_oracle,
-)
-from .model import SystemSpec, price_array, spec_from_config
+from .mdp_general import solve_general
+from .mdp_poisson import fixed_point, sweep, value_iteration_oracle
+from .model import SolveResult, SystemSpec, price_array, spec_from_config
 from .simulator import InsensitivityReport, SimConfig, SimResult, insensitivity_check, simulate
 from .stationary import evaluate, revenue_rate
 from .uniform_pricing import (
@@ -49,15 +44,14 @@ __all__ = [
     "Deterministic",
     "Exponential",
     "ExponentialValuation",
-    "GeneralSolveResult",
     "InsensitivityReport",
     "NoConvergence",
     "NoFiniteMaximizer",
     "ParetoValuation",
-    "PoissonSolveResult",
     "PricingError",
     "SimConfig",
     "SimResult",
+    "SolveResult",
     "SystemSpec",
     "TabulatedTail",
     "TwoPoint",

@@ -150,16 +150,17 @@ def _cmd_solve_poisson(args) -> int:
         raise ConfigError(
             "arrival", "solve-poisson needs exponential interarrivals; use solve-general"
         )
-    res = mdp_poisson.fixed_point(spec)
-    summary = f"theta* = {res.theta_star:.6g} after {res.iterations} bisection steps"
-    _emit(args, vars(res), summary)
-    return 0
+    return _emit_solve(args, mdp_poisson.fixed_point(spec))
 
 
 def _cmd_solve_general(args) -> int:
-    res = mdp_general.solve_general(_spec_from_args(args))
-    summary = f"theta* = {res.theta_star:.6g}, max residual {np.max(np.abs(res.residuals)):.2e}"
-    _emit(args, vars(res), summary)
+    return _emit_solve(args, mdp_general.solve_general(_spec_from_args(args)))
+
+
+def _emit_solve(args, res) -> int:
+    worst = np.max(np.abs(res.residuals))
+    summary = f"theta* = {res.theta_star:.6g} after {res.iterations} iterations"
+    _emit(args, vars(res), f"{summary}, max residual {worst:.2e}")
     return 0
 
 

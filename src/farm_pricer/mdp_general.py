@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arrival import departure_matrix
 from .errors import NoConvergence
-from .model import SystemSpec
+from .model import SolveResult, SystemSpec
 from .stationary import embedded_chain
 from .valuation import eval_m
 
@@ -39,25 +38,7 @@ from .valuation import eval_m
 _MAX_ITERATIONS = 50
 
 
-@dataclass(frozen=True)
-class GeneralSolveResult:
-    """Solution of the arrival-sampled pricing problem.
-
-    deltas[i] = h(i) - h(i+1) are the relative-value differences and b_vals
-    the arguments B_i, with prices = u*(b_vals).  residuals holds the
-    Bellman defects on the revenue-rate scale, lambda (m(b_i) + (S h)_i - h(i))
-    - theta for i < K and lambda ((S h)_K - h(K)) - theta last, with S the
-    survivor matrix and h(0) = 0.
-    """
-
-    theta_star: float
-    deltas: np.ndarray
-    b_vals: np.ndarray
-    prices: np.ndarray
-    residuals: np.ndarray
-
-
-def solve_general(spec: SystemSpec) -> GeneralSolveResult:
+def solve_general(spec: SystemSpec) -> SolveResult:
     """Find theta* and the optimal price vector for a general renewal stream.
 
     Policy iteration from the myopic prices u*(0).  It stops when the prices
@@ -65,12 +46,19 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
     64 eps (K+1) theta, or when g stopped rising with the defects already
     within the certificate 1e-9 max(1, theta).  Raises NoConvergence if the
     certificate does not hold when it stops, or a policy evaluation is singular.
+
+    deltas are the arguments B_i, with prices = u*(deltas), and iterations
+    counts the policy-iteration passes.  residuals are lambda (m(B_i) + (S h)_i -
+    h(i)) - theta for i < K and lambda ((S h)_K - h(K)) - theta last, with S
+    the survivor matrix and h(0) = 0.  Where they vanish, the chain's own
+    differences follow from deltas: h(i) - h(i+1) = B_i + m(B_i) - m(B_{i+1}),
+    with m = 0 at the full state.
     """
     k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
     surv = departure_matrix(spec.arrival, spec.mu, k)
     prices = np.full(k, eval_m(val, 0.0).u_star)
     g_prev = -math.inf
-    for _ in range(_MAX_ITERATIONS):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         gbar = np.append(val.tail(prices), 0.0)
         lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
         lhs[:, 0] = 1.0  # h(0) = 0 frees its column for g
@@ -84,7 +72,6 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
         b = (surv[:k] - surv[1:]) @ h
         evs = [eval_m(val, bi) for bi in b]
         improved = np.array([e.u_star for e in evs])
-        deltas = h[:-1] - h[1:]
         m_vals = np.array([e.m_val for e in evs] + [0.0])
         residuals = lam * (m_vals + surv @ h - h) - theta
         defect = float(np.max(np.abs(residuals)))
@@ -102,6 +89,4 @@ def solve_general(spec: SystemSpec) -> GeneralSolveResult:
             f"policy iteration stopped with Bellman defect {defect:.3g} above {gate:.3g} "
             f"(theta = {theta:.9g})"
         )
-    return GeneralSolveResult(
-        theta_star=theta, deltas=deltas, b_vals=b, prices=prices, residuals=residuals
-    )
+    return SolveResult(theta, b, prices, residuals, iterations)

@@ -18,27 +18,19 @@ sharing no code path with the fixed point, for cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .arrival import Exponential
 from .errors import NoConvergence
-from .model import SystemSpec
+from .model import SolveResult, SystemSpec
 from .stationary import revenue_rate
 from .valuation import ValuationDist, eval_m
 
 _RVI_TOL = 1e-8  # span of the relative value iteration's theta estimates
 _RVI_MAX_SWEEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class PoissonSolveResult:
-    theta_star: float
-    deltas: np.ndarray
-    prices: np.ndarray
-    iterations: int
 
 
 def _require_poisson(spec: SystemSpec) -> None:
@@ -60,7 +52,7 @@ def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> l
     return g
 
 
-def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
+def fixed_point(spec: SystemSpec) -> SolveResult:
     """Bisect theta = lambda m(g_0(theta)) to a width of 1e-12 lambda m(0).
 
     lambda m(0), the infinite-server revenue (`optimize_uniform`'s
@@ -73,6 +65,12 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
     that width + 1e-9 theta*; the chain amplifies any error in theta, so
     until they do bisection goes on, raising NoConvergence at adjacent
     floats, after 2000 steps or on overflow.  iterations counts the steps.
+
+    residuals are lambda m(Delta(i)) + i mu Delta(i-1) - theta* for i < K and
+    K mu Delta(K-1) - theta* for the full state.  The chain solves those of
+    states 1..K to rounding, so residuals[0], the closing condition theta =
+    lambda m(Delta(0)), carries the bisection's defect.  They are reported,
+    not gated: in heavy traffic residuals[0] can be of the order of theta*.
     """
     _require_poisson(spec)
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
@@ -90,7 +88,8 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
         mid = 0.5 * (lo + hi)
         deltas = _chain(mid, k, mu, lam, val)
         if hi - lo <= tol:
-            prices = np.array([eval_m(val, d).u_star for d in deltas])
+            evs = [eval_m(val, d) for d in deltas]
+            prices = np.array([e.u_star for e in evs])
             rate = revenue_rate(spec, prices)
             if abs(rate - mid) <= tol + 1e-9 * mid:
                 break
@@ -102,12 +101,10 @@ def fixed_point(spec: SystemSpec) -> PoissonSolveResult:
         iterations += 1
         if iterations > 2000:
             raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
-    return PoissonSolveResult(
-        theta_star=mid,
-        deltas=np.array(deltas),
-        prices=prices,
-        iterations=iterations,
-    )
+    m_vals = np.array([e.m_val for e in evs] + [0.0])
+    deltas = np.array(deltas)
+    residuals = lam * m_vals + np.arange(k + 1) * mu * np.append(0.0, deltas) - mid
+    return SolveResult(mid, deltas, prices, residuals, iterations)
 
 
 def value_iteration_oracle(spec: SystemSpec) -> float:
@@ -160,7 +157,7 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
     raise NoConvergence(f"value-iteration span above {_RVI_TOL} after {_RVI_MAX_SWEEPS} sweeps")
 
 
-def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[PoissonSolveResult]:
+def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SolveResult]:
     """Re-solve the system along a strictly increasing parameter grid.
 
     vary is one of 'lambda', 'mu', 'K' (alias 'servers').  The `fixed_point`

@@ -1,4 +1,4 @@
-"""System description shared by all solvers: servers, rates, interval and value laws."""
+"""System description and result record shared by all solvers: servers, rates, laws, optimum."""
 
 from __future__ import annotations
 
@@ -46,6 +46,24 @@ class SystemSpec:
     @property
     def is_poisson(self) -> bool:
         return isinstance(self.arrival, Exponential)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """An optimal state-dependent pricing, from `fixed_point` or `solve_general`.
+
+    deltas[i] is the opportunity cost Delta(i) of admitting in state i, the
+    argument of u*, so prices = u*(deltas).  residuals holds each state's
+    Bellman defect on the revenue-rate scale, the full state K last.
+    iterations counts the solver's steps: bisection steps or policy-iteration
+    passes.
+    """
+
+    theta_star: float
+    deltas: np.ndarray
+    prices: np.ndarray
+    residuals: np.ndarray
+    iterations: int
 
 
 def require_law(name: str, law, family) -> None:

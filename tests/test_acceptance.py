@@ -44,6 +44,7 @@ from farm_pricer import (
     value_iteration_oracle,
 )
 from farm_pricer.simulator import SimConfig
+from test_mdp_general import chain_differences
 
 VAL = ExponentialValuation(beta=1.0)
 
@@ -215,10 +216,10 @@ def test_criterion_07_monotonicity_suite():
         specs.append(spec)
         res = solve_general(spec)
         tag = f"general#{i}"
+        if not np.all(np.diff(chain_differences(spec, res)) > 0):
+            violations.append(f"{tag} h-differences")
         if not np.all(np.diff(res.deltas) > 0):
             violations.append(f"{tag} deltas")
-        if not np.all(np.diff(res.b_vals) > 0):
-            violations.append(f"{tag} b")
         if not np.all(np.diff(res.prices) > 0):
             violations.append(f"{tag} prices")
 

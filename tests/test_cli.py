@@ -125,8 +125,8 @@ def _field_names(record):
     "argv, keys",
     [
         # the record commands print their result's fields, in order
-        (["solve-poisson", *BASE], _field_names(farm_pricer.PoissonSolveResult)),
-        (["solve-general", *BASE], _field_names(farm_pricer.GeneralSolveResult)),
+        (["solve-poisson", *BASE], _field_names(farm_pricer.SolveResult)),
+        (["solve-general", *BASE], _field_names(farm_pricer.SolveResult)),
         (["uniform", *BASE], _field_names(farm_pricer.UniformPricingResult)),
         (["evaluate", *BASE, "--prices", "1.2,1.2,1.3,1.45,1.8"],
          ["revenue_rate", "occupancy"]),
@@ -187,7 +187,7 @@ def test_simulate_deterministic_output(tmp_path):
 @pytest.mark.parametrize(
     "argv, summary",
     [(["solve-poisson", "--k", "3", "--mu", "1", "--lambda", "1e-9", "--valuation", "exp:1"],
-      "theta* = 3.67879e-10 after 40 bisection steps\n"),
+      "theta* = 3.67879e-10 after 40 iterations, max residual 1.67e-22\n"),
      (["uniform", "--k", "3", "--mu", "1", "--lambda", "1", "--valuation", "exp:1e-300"],
       "best uniform price 1.01489e+300 earns 3.65806e+299\n")],
     ids=["light-traffic", "tiny-valuation-rate"],

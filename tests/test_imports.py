@@ -81,8 +81,9 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # uniform-price sandwich, three fields of optimize_uniform's result, the
     # occupancy record (the occupancy functions returned pi itself), the
     # per-law occupancy pair and its dispatcher (evaluate returns theta and
-    # pi), the sweep row (sweep returns fixed_point's results), and the
-    # infinite-server pair (optimize_uniform's p_star_inf and revenue_inf_bound)
+    # pi), the sweep row (sweep returns fixed_point's results), the
+    # infinite-server pair (optimize_uniform's p_star_inf and revenue_inf_bound),
+    # and the two solvers' result records (both return SolveResult)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,
                farm_pricer.valuation, farm_pricer.errors, farm_pricer.cli,
                farm_pricer.arrival, farm_pricer.uniform_pricing,
@@ -93,16 +94,18 @@ def test_public_names_resolve_and_removed_names_are_gone():
                "beta_seq", "_log_beta_seq", "tail", "_as_float_or_array", "_knots",
                "g_chain", "gap_bound", "OccupancyDist", "occupancy_poisson",
                "occupancy_general", "_occupancy_and_rate", "SweepRow",
-               "infinite_server_limit")  # fmt: skip
+               "infinite_server_limit", "PoissonSolveResult",
+               "GeneralSolveResult")  # fmt: skip
     for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert len(farm_pricer.__all__) == 37
-    # each number once per record: the bisection's exit width, and the
-    # simulator's blocking copies of occupancy_hist[K] and rep_seen_counts
-    solve_fields = {f.name for f in dataclasses.fields(farm_pricer.PoissonSolveResult)}
+    assert len(farm_pricer.__all__) == 36
+    # each number once per record: the bisection's exit width, the renewal
+    # chain's h-differences (Delta and m give them), and the simulator's
+    # blocking copies of occupancy_hist[K] and rep_seen_counts
+    solve_fields = [f.name for f in dataclasses.fields(farm_pricer.SolveResult)]
     sim_fields = {f.name for f in dataclasses.fields(farm_pricer.SimResult)}
-    assert "bracket_width" not in solve_fields
+    assert solve_fields == ["theta_star", "deltas", "prices", "residuals", "iterations"]
     assert not {"blocking_frac", "rep_blocking_fracs"} & sim_fields
     # records keep only what the caller did not pass in
     for law in (farm_pricer.UniformInterval(0.0, 1.0), farm_pricer.TwoPoint(0.5, 0.5, 1.5)):

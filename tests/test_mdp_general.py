@@ -53,17 +53,18 @@ def gap_law(kind, lam, p1, c):
     return TwoPoint(x1=c / lam, p1=p1, x2=(1.0 - p1 * c) / ((1.0 - p1) * lam))
 
 
+def chain_differences(spec, res):
+    """The embedded chain's h(i) - h(i+1) at an optimum, from its Delta:
+    Delta(i) + m(Delta(i)) - m(Delta(i+1)), with m = 0 at the full state."""
+    m = np.array([eval_m(spec.valuation, d).m_val for d in res.deltas] + [0.0])
+    return res.deltas + m[:-1] - m[1:]
+
+
 def assert_certified(spec, res, rel=1e-10):
     """Bellman residuals, revenue_rate(prices) = theta* to rel and the uniform-price bounds."""
     theta = res.theta_star
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, theta)
     S = departure_matrix(spec.arrival, spec.mu, spec.servers)
-    # the residuals again in the paper's form lambda (m(B_i) + sum_{j<i} a_{i,j}
-    # Delta(j)) - theta, with a_{i,j} the chance that at most j of i survive
-    a_below = np.tril(np.cumsum(S, axis=1), -1)[:, : spec.servers]
-    m_vals = np.array([eval_m(spec.valuation, b).m_val for b in res.b_vals] + [0.0])
-    paper = spec.arrival_rate * (m_vals + a_below @ res.deltas) - theta
-    assert np.max(np.abs(paper - res.residuals)) <= 1e-11 * max(1.0, theta)
     assert revenue_rate(spec, res.prices, S) == pytest.approx(theta, rel=rel, abs=0.0)
     uni = optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
     # where blocking is negligible, theta*, the best uniform revenue and
@@ -79,9 +80,9 @@ def test_matches_fixed_point_for_poisson():
     res = solve_general(spec)
     assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-6)
     np.testing.assert_allclose(res.prices, ref.prices, atol=1e-5)
-    # the sampled chain's g_j differ from the uniformized Delta(i); the
-    # effective price arguments b_i are what must agree
-    np.testing.assert_allclose(res.b_vals, ref.deltas, atol=1e-5)
+    # the sampled chain's h-differences differ from the uniformized chain's,
+    # but both solvers report the paper's Delta(i), the argument of u*
+    np.testing.assert_allclose(res.deltas, ref.deltas, atol=1e-5)
 
 
 def test_matches_fixed_point_single_server():
@@ -91,7 +92,8 @@ def test_matches_fixed_point_single_server():
     assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-6)
     # root condition is theta = lambda P(server freed within one gap) g_0,
     # and that probability is mu/(lambda+mu) for Poisson arrivals
-    assert res.deltas[0] == pytest.approx(res.theta_star / (3.0 * 2.0 / 5.0), rel=1e-6)
+    g_0 = chain_differences(spec, res)[0]
+    assert g_0 == pytest.approx(res.theta_star / (3.0 * 2.0 / 5.0), rel=1e-6)
 
 
 @pytest.mark.parametrize("lam", [1e-12, 1e-6])
@@ -125,6 +127,48 @@ def test_atom_valuation_matches_fixed_point_and_certificate():
     res = solve_general(spec)
     assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-9)
     assert revenue_rate(spec, res.prices) == pytest.approx(res.theta_star, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", GAP_KINDS)
+def test_survivor_rows_telescope_into_the_papers_form(kind):
+    # (S h)_i - h(i) = sum_{j<i} a_{i,j} (h(j) - h(j+1)), with a_{i,j} the
+    # chance that at most j of i busy servers survive a gap: the paper's form
+    # of the Bellman equations, for any h
+    rng = np.random.default_rng(2026)
+    for k in (1, 5, 12, 40):
+        for load in (0.1, 1.0, 5.0):
+            S = departure_matrix(gap_law(kind, load * k * 2.0, 0.3, 0.4), 2.0, k)
+            h = rng.standard_normal(k + 1)
+            a_below = np.tril(np.cumsum(S, axis=1), -1)[:, :k]
+            np.testing.assert_allclose(
+                S @ h - h, a_below @ (h[:-1] - h[1:]), rtol=0.0, atol=1e-14 * np.max(np.abs(h))
+            )
+
+
+def test_both_solvers_price_at_u_star_of_their_deltas():
+    # deltas is the paper's Delta(i) in both solvers: the prices are u* of it, exactly
+    for solve, arrival in ((fixed_point, Exponential(rate=25.0)),
+                           (solve_general, Deterministic(rate=25.0)),
+                           (solve_general, UniformInterval.from_rate(25.0)),
+                           (solve_general, gap_law("two_point", 25.0, 0.5, 0.2))):  # fmt: skip
+        for val in (VAL, UniformValuation(lo=0.0, hi=2.0), TABLE7):
+            res = solve(spec_with(arrival, val=val))
+            u_star = [eval_m(val, d).u_star for d in res.deltas]
+            assert res.prices.tolist() == u_star, (arrival, val)
+
+
+@pytest.mark.parametrize("kind", GAP_KINDS)
+def test_iterations_count_the_policy_iteration_passes(kind, monkeypatch):
+    # a cap of exactly that many passes gives the same solve
+    for load in (0.1, 1.0, 5.0):
+        spec = spec_with(gap_law(kind, load * 10.0, 0.5, 0.2))
+        res = solve_general(spec)
+        assert 1 <= res.iterations <= mdp_general._MAX_ITERATIONS
+        monkeypatch.setattr(mdp_general, "_MAX_ITERATIONS", res.iterations)
+        again = solve_general(spec)
+        monkeypatch.undo()
+        assert again.theta_star == res.theta_star and again.iterations == res.iterations
+        assert again.prices.tolist() == res.prices.tolist()
 
 
 # ------------------------------------------------------------- regressions
@@ -185,8 +229,8 @@ def test_lower_variability_earns_more_and_prices_lower():
 def test_solution_structure(arrival):
     spec = spec_with(arrival)
     res = solve_general(spec)
+    assert np.all(np.diff(chain_differences(spec, res)) > 0)
     assert np.all(np.diff(res.deltas) > 0)
-    assert np.all(np.diff(res.b_vals) > 0)
     assert np.all(np.diff(res.prices) > 0)
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
     assert 0 < res.theta_star < spec.arrival_rate * eval_m(spec.valuation, 0.0).m_val
@@ -226,7 +270,7 @@ def test_light_traffic_discards_clamped_roots():
     )
     res = solve_general(spec)
     assert res.theta_star == pytest.approx(1.8882, abs=2e-3)
-    assert np.all(np.diff(res.deltas) > 0)
+    assert np.all(np.diff(chain_differences(spec, res)) > 0)
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
 
 
