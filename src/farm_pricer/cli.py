@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mdp_general, mdp_poisson, simulator, stationary, uniform_pricing
+from . import mdp_poisson, simulator, stationary, uniform_pricing
 from .arrival import Deterministic, Exponential, UniformInterval
 from .errors import ConfigError, PricingError
+from .mdp_general import solve_general
 from .model import SystemSpec, config_from_shorthand, law_from_config, price_array, spec_from_config
 from .model import shorthand_usage
 from .valuation import ExponentialValuation, eval_m
@@ -130,34 +131,22 @@ def _emit_rows(args, rows: list[dict], summary: str, key: str | None = None) -> 
     _emit(args, _csv_text(header, table), summary)
 
 
-def _optimum(spec: SystemSpec):
-    """The optimal policy, by the formulation matching the arrival law."""
-    return (mdp_poisson.fixed_point if spec.is_poisson else mdp_general.solve_general)(spec)
-
-
 def _revenues(spec: SystemSpec):
     """The best uniform pricing, the revenue at its infinite-server price, and theta*."""
     uni = uniform_pricing.optimize_uniform(spec.arrival, spec.valuation, spec.mu, spec.servers)
     at_inf_price = uniform_pricing.revenue_uniform(
         spec.arrival, spec.valuation, spec.mu, spec.servers, uni.p_star_inf
     )
-    return uni, at_inf_price, _optimum(spec).theta_star
+    return uni, at_inf_price, solve_general(spec).theta_star
 
 
-def _cmd_solve_poisson(args) -> int:
+def _cmd_solve(args) -> int:
     spec = _spec_from_args(args)
-    if not spec.is_poisson:
+    if args.command == "solve-poisson" and not spec.is_poisson:
         raise ConfigError(
             "arrival", "solve-poisson needs exponential interarrivals; use solve-general"
         )
-    return _emit_solve(args, mdp_poisson.fixed_point(spec))
-
-
-def _cmd_solve_general(args) -> int:
-    return _emit_solve(args, mdp_general.solve_general(_spec_from_args(args)))
-
-
-def _emit_solve(args, res) -> int:
+    res = solve_general(spec)
     worst = np.max(np.abs(res.residuals))
     summary = f"theta* = {res.theta_star:.6g} after {res.iterations} iterations"
     _emit(args, vars(res), f"{summary}, max residual {worst:.2e}")
@@ -186,7 +175,7 @@ def _cmd_simulate(args) -> int:
     if args.prices is not None:
         theta, prices = None, np.asarray(_prices(args, spec), dtype=float)
     else:
-        res = _optimum(spec)
+        res = solve_general(spec)
         theta, prices = res.theta_star, res.prices
     service = None
     if args.service is not None:
@@ -255,7 +244,7 @@ def _reference(k: int, lam: float) -> SystemSpec:
 def _fig_prices():
     """Optimal prices per state for three interarrival laws at rate 25."""
     laws = (Deterministic(rate=25.0), UniformInterval.from_rate(25.0), Exponential(rate=25.0))
-    solved = [_optimum(dataclasses.replace(_reference(5, 25.0), arrival=law)) for law in laws]
+    solved = [solve_general(dataclasses.replace(_reference(5, 25.0), arrival=law)) for law in laws]
     rows = [[i, *(res.prices[i] for res in solved)] for i in range(5)]
     return ["state", "constant", "uniform", "exponential"], rows
 
@@ -332,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     formats = {"choices": ["json", "csv"], "default": "json", "help": "output format"}
 
-    command("solve-poisson", _cmd_solve_poisson, "state-dependent optimum, Poisson arrivals")
-    command("solve-general", _cmd_solve_general, "state-dependent optimum, renewal arrivals")
+    command("solve-poisson", _cmd_solve, "state-dependent optimum, Poisson arrivals")
+    command("solve-general", _cmd_solve, "state-dependent optimum, renewal arrivals")
     command("uniform", _cmd_uniform, "best single price and optimality-gap bounds")
 
     p = command("evaluate", _cmd_evaluate, "revenue and occupancy for an explicit price vector")

@@ -1,36 +1,31 @@
-"""Optimal state-dependent pricing under general renewal arrivals.
+"""Optimal state-dependent pricing by Howard's policy iteration, any renewal stream.
 
-Sampling the system at arrival instants gives a Markov chain on the busy
-count i = 0..K that an arrival finds.  An arrival offered price p is
-admitted with probability Gbar(p) and pays p; admitted or not, the next
-arrival finds the survivors of one interarrival period, drawn from row i
-or row i + 1 of the survivor matrix S (`stationary.embedded_chain`).
-Pricing is an average-reward MDP on that chain, solved by Howard's policy
-iteration (Puterman, *Markov Decision Processes*, 1994, sec. 8.6).  Each
-iteration
-
-* evaluates the current prices: one dense solve of h + g = r + P h with
-  h(0) = 0, where r_i = Gbar(p_i) p_i and theta = lambda g;
-* improves them: p_i = u*(B_i) with B_i = E[h | reject] - E[h | admit]
-  = (S[i] - S[i+1]) h, which is the exact surplus map `eval_m`.
-
-The Bellman equations are theta = lambda (m(B_i) + (S h)_i - h(i)) for
-i < K and theta = lambda ((S h)_K - h(K)).  Their defects are the solve's
-certificate: it returns only when every defect is within
-1e-9 max(1, theta*), and raises NoConvergence otherwise.
+An average-reward MDP on the busy count i = 0..K (Puterman, *Markov Decision
+Processes*, 1994, sec. 8.6).  Each pass evaluates the prices, which gives the
+paper's Delta(i), and improves them to u*(Delta(i)) by the exact `eval_m`.
+Renewal arrivals are evaluated on the chain embedded at arrivals, P from the
+survivor matrix S (`stationary.embedded_chain`): one dense solve of
+h + g = r + P h, h(0) = 0, with r_i = Gbar(p_i) p_i, theta = lambda g and
+Delta(i) = (S[i] - S[i+1]) h.  Poisson arrivals need no matrix: theta and pi
+come from `stationary.evaluate`, and Delta from each state's equation
+theta = lambda Gbar(p_i) (p_i - Delta(i)) + i mu Delta(i-1), theta = K mu
+Delta(K-1) at the full state, solved toward the mode of pi from both ends, so
+rounding does not build up.  The Bellman defects of the optimality equations
+are the certificate: every one within 1e-9 max(1, theta*), or NoConvergence.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from .arrival import departure_matrix
 from .errors import NoConvergence
 from .model import SolveResult, SystemSpec
-from .stationary import embedded_chain
+from .stationary import embedded_chain, evaluate
 from .valuation import eval_m
 
 # Random specs took at most 6 iterations at K <= 40, load <= 5, and 13 at
@@ -38,55 +33,83 @@ from .valuation import eval_m
 _MAX_ITERATIONS = 50
 
 
+def _improve(spec: SystemSpec, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """(u*(Delta(i)) for i < K, m(Delta(i)) with m = 0 at the full state)."""
+    evs = [eval_m(spec.valuation, d) for d in deltas]
+    return np.array([e.u_star for e in evs]), np.array([e.m_val for e in evs] + [0.0])
+
+
+def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray):
+    """(g per arrival, theta, B, improved prices, Bellman defects) by one dense solve."""
+    k, lam = spec.servers, spec.arrival_rate
+    gbar = np.append(spec.valuation.tail(prices), 0.0)
+    lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
+    lhs[:, 0] = 1.0  # h(0) = 0 frees its column for g
+    try:
+        x = np.linalg.solve(lhs, np.append(gbar[:k] * prices, 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"policy evaluation failed on {k + 1} states: {exc}") from None
+    g, h = x[0], np.append(0.0, x[1:])
+    theta = float(lam * g)
+    b = (surv[:k] - surv[1:]) @ h
+    improved, m_vals = _improve(spec, b)
+    return g, theta, b, improved, lam * (m_vals + surv @ h - h) - theta
+
+
+def _birth_death_step(spec: SystemSpec, prices: np.ndarray):
+    """(theta as g, theta, Delta, improved prices, Bellman defects), O(K) Python floats."""
+    k, mu = spec.servers, spec.mu
+    theta, pi = evaluate(spec, prices)
+    rates = (spec.arrival_rate * spec.valuation.tail(prices)).tolist()
+    p, mode, d = prices.tolist(), int(np.argmax(pi)), [0.0] * k
+    prev = 0.0
+    for i in range(mode):  # state i's equation gives Delta(i)
+        prev = d[i] = p[i] - (theta - i * mu * prev) / rates[i]
+    gain = 0.0  # lambda Gbar(p_{i+1}) (p_{i+1} - Delta(i+1)); none at the full state
+    for i in range(k - 1, mode - 1, -1):  # state i + 1's equation gives Delta(i)
+        d[i] = (theta - gain) / ((i + 1) * mu)
+        gain = rates[i] * (p[i] - d[i])
+    improved, m_vals = _improve(spec, d)
+    lost = np.arange(k + 1) * mu * np.append(0.0, d)
+    return theta, theta, np.array(d), improved, spec.arrival_rate * m_vals + lost - theta
+
+
 def solve_general(spec: SystemSpec) -> SolveResult:
-    """Find theta* and the optimal price vector for a general renewal stream.
+    """theta* and the optimal prices, for Poisson or renewal arrivals.
 
-    Policy iteration from the myopic prices u*(0).  It stops when the prices
-    repeat, when the Bellman defects reach the rounding floor
-    64 eps (K+1) theta, or when g stopped rising with the defects already
-    within the certificate 1e-9 max(1, theta).  Raises NoConvergence if the
-    certificate does not hold when it stops, or a policy evaluation is singular.
-
-    deltas are the arguments B_i, with prices = u*(deltas), and iterations
-    counts the policy-iteration passes.  residuals are lambda (m(B_i) + (S h)_i -
-    h(i)) - theta for i < K and lambda ((S h)_K - h(K)) - theta last, with S
-    the survivor matrix and h(0) = 0.  Where they vanish, the chain's own
-    differences follow from deltas: h(i) - h(i+1) = B_i + m(B_i) - m(B_{i+1}),
-    with m = 0 at the full state.
+    From the myopic prices u*(0) until the prices repeat, the defects reach
+    the rounding floor 64 eps (K+1) theta, or the gain g (per arrival on the
+    embedded chain, theta on the birth-death chain) stops rising with the
+    defects within the certificate.  A Poisson solve then evaluates the
+    prices it returns, so theta*, deltas and residuals are theirs and theta*
+    is their `revenue_rate`; a renewal solve reports the policy before the
+    last improvement.  Raises NoConvergence if the certificate fails or an
+    evaluation is singular.
     """
-    k, lam, val = spec.servers, spec.arrival_rate, spec.valuation
-    surv = departure_matrix(spec.arrival, spec.mu, k)
-    prices = np.full(k, eval_m(val, 0.0).u_star)
+    if spec.is_poisson:
+        step = partial(_birth_death_step, spec)
+    else:
+        step = partial(_embedded_step, spec, departure_matrix(spec.arrival, spec.mu, spec.servers))
+    prices = np.full(spec.servers, eval_m(spec.valuation, 0.0).u_star)
     g_prev = -math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        gbar = np.append(val.tail(prices), 0.0)
-        lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
-        lhs[:, 0] = 1.0  # h(0) = 0 frees its column for g
-        try:
-            x = np.linalg.solve(lhs, np.append(gbar[:k] * prices, 0.0))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"policy evaluation failed on {k + 1} states: {exc}") from None
-        g, h = x[0], np.append(0.0, x[1:])
-        theta = float(lam * g)
-
-        b = (surv[:k] - surv[1:]) @ h
-        evs = [eval_m(val, bi) for bi in b]
-        improved = np.array([e.u_star for e in evs])
-        m_vals = np.array([e.m_val for e in evs] + [0.0])
-        residuals = lam * (m_vals + surv @ h - h) - theta
+        g, theta, deltas, improved, residuals = step(prices)
         defect = float(np.max(np.abs(residuals)))
-        gate = 1e-9 * max(1.0, theta)
         done = (
             np.array_equal(improved, prices)
-            or defect <= 64 * sys.float_info.epsilon * (k + 1) * theta
-            or (g <= g_prev and defect <= gate)
+            or defect <= 64 * sys.float_info.epsilon * (spec.servers + 1) * theta
+            or (g <= g_prev and defect <= 1e-9 * max(1.0, theta))
         )
         prices, g_prev = improved, g
         if done:
             break
+    if spec.is_poisson:
+        _, theta, deltas, _, residuals = step(prices)
+        defect = float(np.max(np.abs(residuals)))
+    gate = 1e-9 * max(1.0, theta)
     if not defect <= gate:
         raise NoConvergence(
             f"policy iteration stopped with Bellman defect {defect:.3g} above {gate:.3g} "
             f"(theta = {theta:.9g})"
         )
-    return SolveResult(theta, b, prices, residuals, iterations)
+    return SolveResult(theta, deltas, prices, residuals, iterations)

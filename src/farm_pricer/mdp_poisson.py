@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import mdp_general
 from .arrival import Exponential
 from .errors import NoConvergence
 from .model import SolveResult, SystemSpec
@@ -160,8 +161,8 @@ def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
 def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SolveResult]:
     """Re-solve the system along a strictly increasing parameter grid.
 
-    vary is one of 'lambda', 'mu', 'K' (alias 'servers').  The `fixed_point`
-    results come back in grid order, one per grid value.
+    vary is one of 'lambda', 'mu', 'K' (alias 'servers').  The
+    `solve_general` results come back in grid order, one per grid value.
     """
     _require_poisson(spec)
     vals = [float(v) for v in grid]
@@ -179,5 +180,5 @@ def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SolveResul
             s = replace(spec, servers=int(v))
         else:
             raise ValueError(f"vary must be 'lambda', 'mu' or 'K', got '{vary}'")
-        results.append(fixed_point(s))
+        results.append(mdp_general.solve_general(s))
     return results

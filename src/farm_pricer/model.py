@@ -52,11 +52,11 @@ class SystemSpec:
 class SolveResult:
     """An optimal state-dependent pricing, from `fixed_point` or `solve_general`.
 
-    deltas[i] is the opportunity cost Delta(i) of admitting in state i, the
-    argument of u*, so prices = u*(deltas).  residuals holds each state's
-    Bellman defect on the revenue-rate scale, the full state K last.
-    iterations counts the solver's steps: bisection steps or policy-iteration
-    passes.
+    deltas[i] is the opportunity cost Delta(i) of admitting in state i, and
+    prices = u*(deltas), except that a Poisson `solve_general` reports the
+    deltas of its returned prices.  residuals holds each state's Bellman
+    defect on the revenue-rate scale, the full state K last.  iterations
+    counts the solver's steps: bisection steps or policy-iteration passes.
     """
 
     theta_star: float

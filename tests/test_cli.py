@@ -187,7 +187,7 @@ def test_simulate_deterministic_output(tmp_path):
 @pytest.mark.parametrize(
     "argv, summary",
     [(["solve-poisson", "--k", "3", "--mu", "1", "--lambda", "1e-9", "--valuation", "exp:1"],
-      "theta* = 3.67879e-10 after 40 iterations, max residual 1.67e-22\n"),
+      "theta* = 3.67879e-10 after 1 iterations, max residual 5.17e-26\n"),
      (["uniform", "--k", "3", "--mu", "1", "--lambda", "1", "--valuation", "exp:1e-300"],
       "best uniform price 1.01489e+300 earns 3.65806e+299\n")],
     ids=["light-traffic", "tiny-valuation-rate"],
@@ -497,7 +497,13 @@ def test_compare_where_the_supremum_sits_at_the_tail_quantile(tmp_path):
     }))  # fmt: skip
     rows = run_json(tmp_path, ["compare", "--config", str(cfg)])["rows"]
     assert rows[1]["price"] == pytest.approx(5e11, rel=1e-6)
-    assert rows[1]["revenue"] <= rows[2]["revenue"]
+    # theta* is what the optimal prices earn, lambda m(0) here, never more;
+    # the best uniform revenue may round one ulp above it
+    theta, eps = rows[2]["revenue"], sys.float_info.epsilon
+    table = farm_pricer.TabulatedTail((0, 1, 1e12), (1, 2e-9, 0))
+    lam_m0 = 5 * farm_pricer.eval_m(table, 0.0).m_val
+    assert rows[1]["revenue"] <= theta * (1 + 4 * eps)
+    assert theta <= lam_m0 * (1 + 4 * eps)
 
 
 def test_compare_on_a_knot_peaked_table_prints_its_revenues_in_order(tmp_path, capsys):
@@ -527,8 +533,24 @@ def test_transform_rounding_out_of_the_unit_interval_exits_3(lam, mu, phi, capsy
     assert f"= {phi} is not inside (0, 1)" in capsys.readouterr().err
 
 
-def test_overflowing_poisson_chain_exits_3(capsys):
-    # the g-chain overflows the floats: a solver error, not a traceback
-    assert run(["solve-poisson", "--k", "1000", "--lambda", "5000", "--mu", "2",
-                "--valuation", "exp:1"]) == 3
-    assert "solver error" in capsys.readouterr().err
+@pytest.mark.parametrize("lam", ["140", "5000"])
+def test_large_poisson_solves_are_certified(tmp_path, lam):
+    # fixed_point printed max residual 2.84 (5.5e-2 theta*) at lambda=140,
+    # and its g-chain overflows at 5000 (test_overflowing_chain_is_no_convergence)
+    argv = ["solve-poisson", "--k", "1000", "--lambda", lam, "--mu", "2", "--valuation", "exp:1"]
+    data = run_json(tmp_path, argv)
+    assert max(map(abs, data["residuals"])) <= 1e-9 * data["theta_star"]
+
+
+def test_no_command_calls_fixed_point(tmp_path, monkeypatch):
+    # every optimum the CLI prints comes from solve_general; fixed_point,
+    # however it is imported, looks up its g-chain in its module
+    def refuse(*args):
+        raise AssertionError("fixed_point called")
+
+    monkeypatch.setattr(farm_pricer.mdp_poisson, "_chain", refuse)
+    for argv in (["solve-poisson", *BASE], ["compare", *BASE], ["simulate", *BASE, *SIM],
+                 ["sweep", *BASE, "--vary", "K", "--grid", "3,4"]):
+        run_json(tmp_path, argv)
+    for fid in FIGURE_CSV:
+        assert run(["figure", "--id", fid, "--out", str(tmp_path / f"{fid}.csv")]) == 0

@@ -81,7 +81,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
     # uniform-price sandwich, three fields of optimize_uniform's result, the
     # occupancy record (the occupancy functions returned pi itself), the
     # per-law occupancy pair and its dispatcher (evaluate returns theta and
-    # pi), the sweep row (sweep returns fixed_point's results), the
+    # pi), the sweep row (sweep returns `SolveResult`s), the
     # infinite-server pair (optimize_uniform's p_star_inf and revenue_inf_bound),
     # and the two solvers' result records (both return SolveResult)
     modules = (farm_pricer, farm_pricer.mdp_general, farm_pricer.mdp_poisson,

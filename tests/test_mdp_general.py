@@ -1,6 +1,7 @@
-"""Arrival-sampled solver: Poisson equivalence, frozen regressions, invariants, certificate."""
+"""Policy iteration: Poisson equivalence and evaluation, regressions, invariants, certificate."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import renewal_policy_iteration
+from exact import policy_iteration, renewal_policy_iteration
 from farm_pricer import (
     Deterministic,
     Exponential,
@@ -169,6 +170,73 @@ def test_iterations_count_the_policy_iteration_passes(kind, monkeypatch):
         monkeypatch.undo()
         assert again.theta_star == res.theta_star and again.iterations == res.iterations
         assert again.prices.tolist() == res.prices.tolist()
+
+
+# ------------------------------------------ Poisson birth-death evaluation
+
+@pytest.mark.parametrize(
+    "k, lam", [(70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0), (67, 2e6)]
+)
+def test_poisson_rare_states_match_exact_policy_iteration(k, lam):
+    # fixed_point misses these cells' rare-state prices; the O(K) evaluation
+    # runs toward the mode of pi from both ends and settles on them
+    theta, prices = policy_iteration(k, lam, 2.0)
+    spec = spec_with(Exponential(rate=lam), k=k)
+    res = solve_general(spec)
+    np.testing.assert_allclose(res.prices, prices, rtol=0.0, atol=1e-8)
+    assert res.theta_star == pytest.approx(theta, rel=1e-12, abs=0.0)
+    # a Poisson solve reports the evaluation of the prices it returns
+    assert res.theta_star == revenue_rate(spec, res.prices)
+    assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
+
+
+@pytest.mark.parametrize("val", [VAL, UniformValuation(lo=0.0, hi=2.0)], ids=["exp", "unif"])
+@pytest.mark.parametrize("k, lam", [(1000, 1800.0), (1000, 5000.0), (1000, 6400.0), (400, 2560.0)])
+def test_poisson_cells_where_the_g_chain_overflows_certify(k, lam, val):
+    # fixed_point raises "g-chain overflows" on each of these cells
+    spec = spec_with(Exponential(rate=lam), k=k, val=val)
+    res = solve_general(spec)
+    assert_certified(spec, res, rel=1e-12)
+    assert res.theta_star == revenue_rate(spec, res.prices)
+    # where Delta(i) is below the rounding of p_i, prices may step down by rounding
+    assert np.all(np.diff(res.prices) >= -1e-12)
+    if val is VAL:
+        exact_prices = policy_iteration(k, lam, 2.0)[1]
+        np.testing.assert_allclose(res.prices, exact_prices, rtol=0.0, atol=1e-8)
+
+
+def test_birth_death_deltas_match_the_dense_embedded_chain():
+    # at prices that are not optimal, the O(K) recursion and the dense solve
+    # of the chain embedded at arrivals, Delta = (S_i - S_{i+1}) h, agree;
+    # every price admits someone, or Delta in unreachable states explodes
+    rng = np.random.default_rng(2026)
+    cases = 0
+    for val, top in ((VAL, 5.0), (UniformValuation(lo=0.0, hi=2.0), 1.9), (TABLE7, 3.9)):
+        for k in (1, 3, 10, 40):
+            for load in (0.1, 1.0, 5.0):
+                spec = spec_with(Exponential(rate=load * k * 2.0), k=k, val=val)
+                surv = departure_matrix(spec.arrival, spec.mu, k)
+                for _ in range(2):
+                    prices = rng.uniform(0.0, top, k)
+                    _, theta, deltas, *_ = mdp_general._birth_death_step(spec, prices)
+                    _, _, dense, *_ = mdp_general._embedded_step(spec, surv, prices)
+                    atol = 1e-12 * max(1.0, theta)
+                    np.testing.assert_allclose(deltas, dense, rtol=0.0, atol=atol)
+                    cases += 1
+    assert cases == 72
+
+
+def test_poisson_solve_allocates_no_state_matrix():
+    # one (K+1)^2 float matrix would take 800 MB here
+    spec = spec_with(Exponential(rate=18000.0), k=10_000)
+    tracemalloc.start()
+    try:
+        res = solve_general(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.max(np.abs(res.residuals)) <= 1e-9 * res.theta_star
 
 
 # ------------------------------------------------------------- regressions
