@@ -6,6 +6,7 @@ occupancy and revenue formulas, and a discrete-event simulator that checks
 the analytics.
 """
 
+from . import mdp_poisson  # noqa: F401  (perfbench calls fp.mdp_poisson.fixed_point)
 from .arrival import (
     Deterministic,
     Exponential,
@@ -15,8 +16,7 @@ from .arrival import (
     log_beta_seq,
 )
 from .errors import ConfigError, NoConvergence, NoFiniteMaximizer, PricingError
-from .mdp_general import solve_general
-from .mdp_poisson import fixed_point, sweep, value_iteration_oracle
+from .mdp_general import fixed_point, solve_general, sweep, value_iteration_oracle
 from .model import SolveResult, SystemSpec, price_array, spec_from_config
 from .simulator import InsensitivityReport, SimConfig, SimResult, insensitivity_check, simulate
 from .stationary import evaluate, revenue_rate

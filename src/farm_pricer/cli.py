@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mdp_poisson, simulator, stationary, uniform_pricing
+from . import simulator, stationary, uniform_pricing
 from .arrival import Deterministic, Exponential, UniformInterval
 from .errors import ConfigError, PricingError
-from .mdp_general import solve_general
+from .mdp_general import solve_general, sweep
 from .model import SystemSpec, config_from_shorthand, law_from_config, price_array, spec_from_config
 from .model import shorthand_usage
 from .valuation import ExponentialValuation, eval_m
@@ -212,7 +212,7 @@ def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     grid = _numbers("grid", args.grid)
     try:
-        solved = mdp_poisson.sweep(spec, args.vary, grid)
+        solved = sweep(spec, args.vary, grid)
     except ValueError as exc:
         raise ConfigError("sweep", str(exc)) from None
     rows = [
@@ -251,7 +251,7 @@ def _fig_prices():
 
 def _fig_sweep(vary: str, grid: list[float]):
     """theta* and theta*/parameter along a grid around the 5-server system."""
-    solved = mdp_poisson.sweep(_reference(5, 25.0), vary, grid)
+    solved = sweep(_reference(5, 25.0), vary, grid)
     header = [vary, "theta_star", f"theta_over_{vary}"]
     return header, [[v, r.theta_star, r.theta_star / v] for v, r in zip(grid, solved)]
 
@@ -273,7 +273,7 @@ def _fig_rev_vs_k():
     spec = _reference(5, 20.0)
     limit = spec.arrival_rate * eval_m(spec.valuation, 0.0).m_val
     servers = range(5, 11)
-    solved = mdp_poisson.sweep(spec, "K", servers)
+    solved = sweep(spec, "K", servers)
     return ["servers", "theta_star", "infinite_server_revenue"], [
         [k, r.theta_star, limit] for k, r in zip(servers, solved)
     ]

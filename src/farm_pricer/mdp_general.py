@@ -1,7 +1,8 @@
-"""Optimal state-dependent pricing by Howard's policy iteration, any renewal stream.
+"""Optimal state-dependent pricing: policy iteration, the Poisson fixed point, an oracle.
 
 An average-reward MDP on the busy count i = 0..K (Puterman, *Markov Decision
-Processes*, 1994, sec. 8.6).  Each pass evaluates the prices, which gives the
+Processes*, 1994, sec. 8.6).  `solve_general` runs Howard's policy iteration
+for any renewal stream.  Each pass evaluates the prices, which gives the
 paper's Delta(i), and improves them to u*(Delta(i)) by the exact `eval_m`.
 Renewal arrivals are evaluated on the chain embedded at arrivals, P from the
 survivor matrix S (`stationary.embedded_chain`): one dense solve of
@@ -12,31 +13,55 @@ theta = lambda Gbar(p_i) (p_i - Delta(i)) + i mu Delta(i-1), theta = K mu
 Delta(K-1) at the full state, solved toward the mode of pi from both ends, so
 rounding does not build up.  The Bellman defects of the optimality equations
 are the certificate: every one within 1e-9 max(1, theta*), or NoConvergence.
+
+Under Poisson arrivals the optimality equations also collapse to the paper's
+fixed point theta = lambda m(g_0(theta)), with Delta(i) = g_i(theta) computed
+downward from g_{K-1} = theta / (K mu) by g_{i-1} = (theta - lambda m(g_i)) /
+(i mu); `fixed_point` bisects it.  `value_iteration_oracle` solves the same
+MDP by relative value iteration over a discretized price grid, sharing no
+code path with either solver, for cross-validation.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from .arrival import departure_matrix
+from .arrival import Exponential, departure_matrix
 from .errors import NoConvergence
 from .model import SolveResult, SystemSpec
-from .stationary import embedded_chain, evaluate
-from .valuation import eval_m
+from .stationary import embedded_chain, evaluate, revenue_rate
+from .valuation import ValuationDist, eval_m
 
 # Random specs took at most 6 iterations at K <= 40, load <= 5, and 13 at
 # K <= 200, load <= 100; the cap only ends a solve that cannot certify.
 _MAX_ITERATIONS = 50
+_RVI_TOL = 1e-8  # span of the relative value iteration's theta estimates
+_RVI_MAX_SWEEPS = 1_000_000
+
+
+def _require_poisson(spec: SystemSpec) -> None:
+    if not spec.is_poisson:
+        raise ValueError(
+            f"this solver needs exponential interarrivals, got {type(spec.arrival).__name__}"
+        )
 
 
 def _improve(spec: SystemSpec, deltas) -> tuple[np.ndarray, np.ndarray]:
     """(u*(Delta(i)) for i < K, m(Delta(i)) with m = 0 at the full state)."""
     evs = [eval_m(spec.valuation, d) for d in deltas]
     return np.array([e.u_star for e in evs]), np.array([e.m_val for e in evs] + [0.0])
+
+
+def _poisson_defects(spec: SystemSpec, deltas, m_vals: np.ndarray, theta: float) -> np.ndarray:
+    """lambda m(Delta(i)) + i mu Delta(i-1) - theta per state, the full state K last."""
+    lost = np.arange(spec.servers + 1) * spec.mu * np.append(0.0, deltas)
+    return spec.arrival_rate * m_vals + lost - theta
 
 
 def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray):
@@ -70,8 +95,7 @@ def _birth_death_step(spec: SystemSpec, prices: np.ndarray):
         d[i] = (theta - gain) / ((i + 1) * mu)
         gain = rates[i] * (p[i] - d[i])
     improved, m_vals = _improve(spec, d)
-    lost = np.arange(k + 1) * mu * np.append(0.0, d)
-    return theta, theta, np.array(d), improved, spec.arrival_rate * m_vals + lost - theta
+    return theta, theta, np.array(d), improved, _poisson_defects(spec, d, m_vals, theta)
 
 
 def solve_general(spec: SystemSpec) -> SolveResult:
@@ -113,3 +137,146 @@ def solve_general(spec: SystemSpec) -> SolveResult:
             f"(theta = {theta:.9g})"
         )
     return SolveResult(theta, deltas, prices, residuals, iterations)
+
+
+def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> list[float]:
+    """(g_0(theta), ..., g_{K-1}(theta)) by downward recursion; NoConvergence on overflow."""
+    g = [0.0] * k
+    gi = g[k - 1] = theta / (k * mu)
+    for i in range(k - 1, 0, -1):
+        gi = (theta - lam * eval_m(val, gi).m_val) / (i * mu)
+        if not math.isfinite(gi):
+            raise NoConvergence(f"g-chain overflows at state {i - 1} (theta = {theta:.9g})")
+        g[i - 1] = gi
+    return g
+
+
+def fixed_point(spec: SystemSpec) -> SolveResult:
+    """Bisect theta = lambda m(g_0(theta)) to a width of 1e-12 lambda m(0).
+
+    lambda m(0), the infinite-server revenue (`optimize_uniform`'s
+    revenue_inf_bound), bounds theta* above, so the width is relative to
+    the problem's own revenue scale and theta* comes out the same in any
+    unit of the valuations.  Bracket update per iteration, with v = lambda
+    m(g_0(midpoint)): the new lower end is max(old, min(mid, v)), the new
+    upper end min(old, max(mid, v)).  Either way the width halves and the
+    ends never cross.  The prices must earn theta* (revenue_rate) within
+    that width + 1e-9 theta*; the chain amplifies any error in theta, so
+    until they do bisection goes on, raising NoConvergence at adjacent
+    floats, after 2000 steps or on overflow.  iterations counts the steps.
+
+    residuals are `_poisson_defects` of the chain, the same Bellman defects
+    a Poisson `solve_general` reports: lambda m(Delta(i)) + i mu
+    Delta(i-1) - theta* for i < K and K mu Delta(K-1) - theta* for the full
+    state.  The chain solves those of states 1..K to rounding, so
+    residuals[0], the closing condition theta = lambda m(Delta(0)), carries
+    the bisection's defect.  They are reported, not gated: in heavy traffic
+    residuals[0] can be of the order of theta*.
+    """
+    _require_poisson(spec)
+    k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
+    cap = lam * eval_m(val, 0.0).m_val
+    tol = 1e-12 * cap
+
+    lo = 0.0
+    hi = lam * eval_m(val, _chain(0.0, k, mu, lam, val)[0]).m_val
+    if not math.isfinite(hi):
+        # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
+        hi = cap
+
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        deltas = _chain(mid, k, mu, lam, val)
+        if hi - lo <= tol:
+            prices, m_vals = _improve(spec, deltas)
+            rate = revenue_rate(spec, prices)
+            if abs(rate - mid) <= tol + 1e-9 * mid:
+                break
+            if not lo < mid < hi:
+                raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
+        v = lam * eval_m(val, deltas[0]).m_val
+        lo = max(lo, min(mid, v))
+        hi = min(hi, max(mid, v))
+        iterations += 1
+        if iterations > 2000:
+            raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
+    residuals = _poisson_defects(spec, deltas, m_vals, mid)
+    return SolveResult(mid, np.array(deltas), prices, residuals, iterations)
+
+
+def value_iteration_oracle(spec: SystemSpec) -> float:
+    """Average revenue rate by relative value iteration on the uniformized chain.
+
+    Controls live on a 4096-point price grid over [0, Q(1e-9)], then the
+    grid is refined once around the maximizers implied by the first pass
+    (u* applied to the estimated reward differences).  Entirely independent
+    of the solvers' code paths, so agreement is meaningful evidence.
+    """
+    _require_poisson(spec)
+    k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
+    big_lambda = k * mu + lam
+    q_hi = val.tail_quantile(1e-9)
+
+    grid = np.linspace(0.0, q_hi, 4096)
+    h, _ = _rvi(grid, spec, big_lambda)
+
+    # refine near the maximizers the current solution points at
+    dh = h[:-1] - h[1:]  # estimated Delta(i)
+    extra = []
+    step = q_hi / 4095
+    for d in dh:
+        u = eval_m(val, float(d)).u_star
+        extra.append(np.linspace(max(u - 3 * step, 0.0), u + 3 * step, 64))
+    grid2 = np.unique(np.concatenate([grid, *extra]))
+    return _rvi(grid2, spec, big_lambda)[1]
+
+
+def _rvi(grid: np.ndarray, spec: SystemSpec, big_lambda: float):
+    """(h, theta) once the span of the theta estimates is within _RVI_TOL."""
+    k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
+    qs = lam * val.tail(grid) / big_lambda
+    rs = grid * qs
+    h = np.zeros(k + 1)
+    i_arr = np.arange(k)
+    down = i_arr * mu / big_lambda
+    for _ in range(_RVI_MAX_SWEEPS):
+        th = np.empty(k + 1)
+        dh = h[1:] - h[:-1]
+        # max over the price grid of q(u) * (u + h(i+1) - h(i)), per state
+        gain = np.max(rs[None, :] + qs[None, :] * dh[:, None], axis=1)
+        th[:k] = down * np.r_[0.0, h[: k - 1]] + (1.0 - down) * h[:k] + gain
+        th[k] = (k * mu / big_lambda) * h[k - 1] + (1.0 - k * mu / big_lambda) * h[k]
+        diff = th - h
+        lbl, ubl = float(np.min(diff)), float(np.max(diff))
+        h = th - th[0]
+        if big_lambda * (ubl - lbl) <= _RVI_TOL:
+            return h, big_lambda * 0.5 * (lbl + ubl)
+    raise NoConvergence(f"value-iteration span above {_RVI_TOL} after {_RVI_MAX_SWEEPS} sweeps")
+
+
+def sweep(spec: SystemSpec, vary: str, grid: Sequence[float]) -> list[SolveResult]:
+    """Re-solve the system along a strictly increasing parameter grid.
+
+    vary is one of 'lambda', 'mu', 'K' (alias 'servers').  The grid must be
+    nonempty, finite and strictly increasing, and every system on it valid,
+    before the first solve.  The `solve_general` results come back in grid
+    order, one per grid value.
+    """
+    _require_poisson(spec)
+    vals = [float(v) for v in grid]
+    if not (vals and all(map(math.isfinite, vals)) and all(a < b for a, b in zip(vals, vals[1:]))):
+        raise ValueError("grid must be nonempty, finite and strictly increasing")
+    specs = []
+    for v in vals:
+        if vary == "lambda":
+            specs.append(replace(spec, arrival=Exponential(rate=v)))
+        elif vary == "mu":
+            specs.append(replace(spec, mu=v))
+        elif vary in ("K", "servers"):
+            if v != int(v):
+                raise ValueError(f"server counts must be integers, got {v}")
+            specs.append(replace(spec, servers=int(v)))
+        else:
+            raise ValueError(f"vary must be 'lambda', 'mu' or 'K', got '{vary}'")
+    return [solve_general(s) for s in specs]

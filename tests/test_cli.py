@@ -278,7 +278,7 @@ def test_every_figure_emits(tmp_path, fid):
 
 
 def test_figure_command_writes_the_library_csv(tmp_path):
-    # mu-rev is the library's mdp_poisson.sweep over mu, which `sweep` writes too
+    # mu-rev is the library's mdp_general.sweep over mu, which `sweep` writes too
     assert run(["figure", "--id", "mu-rev", "--out", str(tmp_path / "fig.csv")]) == 0
     assert run(["sweep", *BASE, "--vary", "mu", "--grid", "1,2,3,4,5", "--format", "csv",
                 "--out", str(tmp_path / "sweep.csv")]) == 0  # fmt: skip
@@ -408,6 +408,7 @@ def test_exit_code_on_bad_config():
         (["uniform", "--config", __file__], "config"),
         (["sweep", *BASE, "--vary", "K", "--grid", "3,x"], "grid"),
         (["sweep", *BASE, "--vary", "K", "--grid", "3.5"], "sweep"),
+        (["sweep", *BASE, "--vary", "K", "--grid", "3,inf"], "sweep"),
         (["uniform", *BASE[:-1], "uniform:2:1"], "valuation"),
         (["solve-poisson", "--k", "5", "--lambda", "25", "--mu", "0", "--valuation", "exp:1"],
          "mu"),
@@ -416,8 +417,8 @@ def test_exit_code_on_bad_config():
     ],
     ids=["renewal-arrivals", "zero-reps", "warmup-past-horizon", "minus-infinite-price",
          "negative-seed", "lambda-and-arrival", "unreadable-config", "config-not-json",
-         "non-numeric-grid", "fractional-server-count", "uniform-valuation-reversed",
-         "zero-mu", "zero-lambda"],
+         "non-numeric-grid", "fractional-server-count", "infinite-grid-value",
+         "uniform-valuation-reversed", "zero-mu", "zero-lambda"],
 )  # fmt: skip
 def test_invalid_input_is_a_config_error(argv, key, capsys):
     assert run(argv) == 2
@@ -548,7 +549,7 @@ def test_no_command_calls_fixed_point(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("fixed_point called")
 
-    monkeypatch.setattr(farm_pricer.mdp_poisson, "_chain", refuse)
+    monkeypatch.setattr(farm_pricer.mdp_general, "_chain", refuse)
     for argv in (["solve-poisson", *BASE], ["compare", *BASE], ["simulate", *BASE, *SIM],
                  ["sweep", *BASE, "--vary", "K", "--grid", "3,4"]):
         run_json(tmp_path, argv)

@@ -16,7 +16,7 @@ from farm_pricer import (
     UniformValuation,
     eval_m,
     fixed_point,
-    mdp_poisson,
+    mdp_general,
     optimize_uniform,
     revenue_rate,
     solve_general,
@@ -267,7 +267,7 @@ def test_overflowing_start_bracket_falls_back_to_the_infinite_server_rate(k):
 
 def test_uncertified_prices_are_no_convergence(monkeypatch):
     # prices that never earn theta* end the bisection at adjacent floats
-    monkeypatch.setattr(mdp_poisson, "revenue_rate", lambda spec, prices: 0.0)
+    monkeypatch.setattr(mdp_general, "revenue_rate", lambda spec, prices: 0.0)
     with pytest.raises(NoConvergence, match="prices earn"):
         fixed_point(base_spec())
 
@@ -314,7 +314,7 @@ def test_value_iteration_agrees_reference():
 
 
 def test_value_iteration_out_of_sweeps_is_no_convergence(monkeypatch):
-    monkeypatch.setattr(mdp_poisson, "_RVI_MAX_SWEEPS", 1)
+    monkeypatch.setattr(mdp_general, "_RVI_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence, match="span above"):
         value_iteration_oracle(base_spec())
 
@@ -348,7 +348,9 @@ def test_server_sweep_monotonicity():
         assert np.all(b.prices[:k] <= a.prices + 1e-7)
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    # the whole grid is checked before anything is solved
+    monkeypatch.setattr(mdp_general, "solve_general", lambda spec: pytest.fail("solved"))
     with pytest.raises(ValueError):
         sweep(base_spec(), "lambda", [])
     with pytest.raises(ValueError):
@@ -357,3 +359,7 @@ def test_sweep_validation():
         sweep(base_spec(), "beta", [1.0, 2.0])
     with pytest.raises(ValueError):
         sweep(base_spec(), "K", [3.5, 4.0])
+    bad = (("K", [3, math.inf]), ("lambda", [30.0, math.nan, 20.0]), ("mu", [math.nan]))
+    for vary, grid in bad:
+        with pytest.raises(ValueError, match="nonempty, finite and strictly increasing"):
+            sweep(base_spec(), vary, grid)
