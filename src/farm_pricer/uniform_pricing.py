@@ -33,6 +33,24 @@ from .valuation import TabulatedTail, ValuationDist, eval_m
 
 _BLOCK_FLOATS = 2**13  # float64 entries per log-sum-exp block: 64 KB
 _GRID_DOUBLINGS = 16  # price doublings past Q(1e-9) before the grid end is given up
+_GRID_STEPS = np.arange(512.0)  # 0 .. 511: the log grid's exponents, in steps
+_ZOOM_STEPS = np.arange(17.0)  # 0 .. 16: one zoom pass's prices, in steps
+_GRID_STEPS.flags.writeable = _ZOOM_STEPS.flags.writeable = False
+
+
+def _log_grid(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, 512) for positive ends: the same steps and bits, no wrapper."""
+    log_lo = np.log10(lo)
+    grid = np.power(10.0, _GRID_STEPS * ((np.log10(hi) - log_lo) / 511) + log_lo)
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
+def _zoom_prices(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, 17) for lo < hi: the same steps and bits, no wrapper."""
+    ps = _ZOOM_STEPS * ((hi - lo) / 16) + lo
+    ps[-1] = hi
+    return ps
 
 
 @dataclass(frozen=True)
@@ -60,12 +78,13 @@ def _curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
     log C(K,j) + log beta_j is built once; each call, on a price or an
     array of prices, runs the log-sum-exp over blocks of max(1, 2**13 //
     (K+1)) prices, so no temporary exceeds 64 KB.  Every step reduces along
-    a row, so a price gets the same bits in any block.
+    a row, so a price gets the same bits in any block: optimize_uniform
+    relies on that when it evaluates only the grid prices its bound leaves.
     """
     log_beta = log_beta_seq(dist, mu, k)
     lf = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])  # log 0! .. log K!
     terms = lf[k] - lf - lf[::-1] + log_beta
-    j = np.arange(k + 1)
+    neg_j = -np.arange(k + 1.0)  # -j as floats, so no block casts it
     rows = max(1, _BLOCK_FLOATS // (k + 1))
     lam = 1.0 / dist.mean
 
@@ -76,11 +95,11 @@ def _curve(dist: InterarrivalDist, val: ValuationDist, mu: float, k: int):
         log_g = np.log(np.where(joins, gbar, 1.0)).ravel()
         log_sum = np.empty_like(log_g)
         for s in range(0, log_g.size, rows):
-            x = np.multiply.outer(log_g[s : s + rows], -j)
+            x = np.multiply.outer(log_g[s : s + rows], neg_j)
             x += terms
-            top = x.max(axis=-1, keepdims=True)
+            top = np.maximum.reduce(x, axis=1, keepdims=True)
             x -= top
-            log_sum[s : s + rows] = top[:, 0] + np.log(np.exp(x, out=x).sum(axis=-1))
+            log_sum[s : s + rows] = top[:, 0] + np.log(np.add.reduce(np.exp(x, out=x), axis=1))
         block = np.where(joins, np.exp(-log_sum.reshape(gbar.shape)), 0.0)
         return gbar, block, lam * p * gbar * (1.0 - block)
 
@@ -123,12 +142,17 @@ def optimize_uniform(
 
     A 512-point log grid on (0, Q(1e-9)], joined for a tabulated tail by its
     knots and p_star_inf inside that range, extended past Q(1e-9) until no
-    price beyond its end can earn more than its best, then a vector zoom:
-    each pass evaluates 17 evenly spaced prices of the bracket around the
-    best so far and keeps the two neighbours of the first maximum, until
-    the bracket is 1e-8 of its upper end wide, so every price scale gets
-    the same polish.  The revenue curve is not provably unimodal, so the
-    grid does the global work and the zoom only polishes.  On a flat
+    price beyond its end can earn more than its best.  The blocking
+    log-sum-exp runs only at the grid prices whose no-blocking revenue
+    U(p) = lam p Gbar(p) is not below the revenue at U's maximizer: the
+    revenue is U (1 - pi_K) with U computed as curve computes it, so it is
+    at most U bit for bit and a skipped price cannot be the first maximum.
+    Then a vector zoom: each pass evaluates 17 evenly spaced prices of the
+    bracket around the best so far and keeps the two neighbours of the
+    first maximum, until the bracket is 1e-8 of its upper end wide, so
+    every price scale gets the same polish.  The revenue curve is not
+    provably unimodal, so the grid does the global work and the zoom only
+    polishes.  On a flat
     maximum p_star_K is reproducible only to about 5e-8 relative
     (rounding-level revenue differences steer the zoom); revenue_K to about
     1e-15.  NoConvergence if 16 doublings leave the grid end uncertified, or
@@ -144,13 +168,23 @@ def optimize_uniform(
 
     q_hi = val.tail_quantile(1e-9)
     curve, log_beta = _curve(dist, val, mu, k)
-    grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
+    grid = _log_grid(max(q_hi * 1e-9, 1e-300), q_hi)
     if isinstance(val, TabulatedTail):
         # a hump peaking on a knot rises only like p on its left, so the
         # nearest grid price can read it percents low: knots and p_inf join
         knots = np.array([*val.xs, p_inf])
         grid = np.union1d(grid, knots[(knots > grid[0]) & (knots < q_hi)])
-    rev = curve(grid)[2]
+    # U = lam p Gbar(p) as curve forms it bounds its revenue bit for bit.  A
+    # NaN or inf U rules nothing out, so curve meets, and warns of, every
+    # overflow of U at that very price; a one-price array, not a scalar,
+    # keeps the warnings' text ("multiply", not "scalar multiply").
+    gbar = val.tail(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = lam * grid * gbar
+    top = bound.argmax()
+    live = ~(bound < curve(grid[top : top + 1])[2])
+    rev = np.full(grid.shape, -math.inf)
+    rev[live] = curve(grid[live])[2]
     # Past the grid end q, blocking only lowers revenue below lam p Gbar(p),
     # and p Gbar(p) = (p - q) Gbar(p) + q Gbar(p) <= m(q) + q Gbar(q+): once
     # lam times that is at most the best revenue, no later price can win.
@@ -168,9 +202,9 @@ def optimize_uniform(
     p_star, r_star = float(grid[i]), float(rev[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     while hi - lo > 1e-8 * hi:
-        ps = np.linspace(lo, hi, 17)
+        ps = _zoom_prices(lo, hi)
         rs = curve(ps)[2]
-        j = int(np.argmax(rs))  # the first maximum: ties go to the smaller price
+        j = int(rs.argmax())  # the first maximum: ties go to the smaller price
         if rs[j] > r_star:
             p_star, r_star = float(ps[j]), float(rs[j])
         lo, hi, width = ps[max(j - 1, 0)], ps[min(j + 1, 16)], hi - lo

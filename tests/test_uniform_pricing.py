@@ -236,6 +236,14 @@ def test_grid_grows_until_no_price_past_its_end_can_win(val, p_star, revenue):
     assert np.max(1e12 * ps * gbar * (1.0 - block)) <= res.revenue_K
 
 
+def test_grid_end_search_reports_an_overflowing_revenue_curve():
+    # lam p overflows on most of the grid, so revenue reads inf or NaN there
+    # and no grid end is ever certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match=r"revenue past p = 1\.35812e\+306"):
+            optimize_uniform(Deterministic(rate=1e300), ExponentialValuation(beta=1e-300), 1.0, 3)
+
+
 def test_grid_end_search_gives_up_after_its_doublings(monkeypatch):
     monkeypatch.setattr(uniform_pricing, "_GRID_DOUBLINGS", 0)
     with pytest.raises(NoConvergence, match="may still beat the best grid price"):
@@ -413,6 +421,11 @@ def test_grid_revenue_matches_scalar_path(arrival, valuation, k):
     ps = np.geomspace(1e-3, val.tail_quantile(1e-9), 16)
     scalar = [blocking_prob(dist, val, 2.0, k, p) for p in ps]
     np.testing.assert_allclose(curve(ps)[1], scalar, rtol=1e-14, atol=0.0)
+    # optimize_uniform skips the log-sum-exp where lam p Gbar(p) is below a
+    # revenue already earned; that needs the revenue at or below it exactly
+    q_hi = val.tail_quantile(1e-9)
+    grid = np.geomspace(max(q_hi * 1e-9, 1e-300), q_hi, 512)
+    assert np.all(curve(grid)[2] <= 1.0 / dist.mean * grid * val.tail(grid))
 
 
 # (arrival, valuation, K) -> (revenue_K, gap_upper), computed by the
@@ -467,6 +480,47 @@ def test_row_blocks_match_one_shot_curve(arrival, k):
         got, want = blocked(p), reference(p)
         assert np.shape(got[1]) == np.shape(want[1])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_only_prices_the_no_blocking_bound_leaves_run_the_log_sum_exp(monkeypatch):
+    # 512 grid prices, 8 zoom passes of 17 and p_star, p_inf make 650; at
+    # light load lam p Gbar(p) rules out all but a few grid prices
+    seen = []
+
+    def counting_curve(*args):
+        curve, log_beta = _curve(*args)
+
+        def counted(p):
+            seen.append(np.size(p))
+            return curve(p)
+
+        return counted, log_beta
+
+    monkeypatch.setattr(uniform_pricing, "_curve", counting_curve)
+    optimize_uniform(Exponential(rate=140.0), VAL, 2.0, 1000)
+    assert sum(seen) < 200
+
+
+def random_ends(rng, n):
+    """Pairs lo < hi of positive floats from 1e-300 to 1e300, and edge pairs."""
+    lo = 10.0 ** rng.uniform(-300.0, 280.0, n)
+    hi = lo * 10.0 ** rng.uniform(1e-12, 20.0, n)
+    edges = [(1e-300, 1e-291), (1e-300, 2e-300), (1e291, 1e300), (1e300, 1.7e308),
+             (1e-300, np.nextafter(1e-300, 1.0)), (1.0, np.nextafter(1.0, 2.0))]  # fmt: skip
+    return [*zip(lo, hi), *edges]
+
+
+def test_log_grid_is_geomspace_bit_for_bit():
+    rng = np.random.default_rng(39)
+    for lo, hi in random_ends(rng, 2000):
+        assert np.array_equal(uniform_pricing._log_grid(lo, hi), np.geomspace(lo, hi, 512))
+        assert np.array_equal(uniform_pricing._log_grid(hi, lo), np.geomspace(hi, lo, 512))
+
+
+def test_zoom_prices_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for lo, hi in random_ends(rng, 2000):
+        assert np.array_equal(uniform_pricing._zoom_prices(lo, hi), np.linspace(lo, hi, 17))
 
 
 def test_optimize_uniform_memory_is_bounded():
