@@ -17,7 +17,9 @@ are the certificate: every one within 1e-9 max(1, theta*), or NoConvergence.
 Under Poisson arrivals the optimality equations also collapse to the paper's
 fixed point theta = lambda m(g_0(theta)), with Delta(i) = g_i(theta) computed
 downward from g_{K-1} = theta / (K mu) by g_{i-1} = (theta - lambda m(g_i)) /
-(i mu); `fixed_point` bisects it.  `value_iteration_oracle` solves the same
+(i mu); `fixed_point` bisects it.  Both solvers end on one evaluation of the
+prices they return, so theta* is what those prices earn, deltas their Delta
+and residuals their Bellman defects.  `value_iteration_oracle` solves the same
 MDP by relative value iteration over a discretized price grid, sharing no
 code path with either solver, for cross-validation.
 """
@@ -35,7 +37,7 @@ import numpy as np
 from .arrival import Exponential, departure_matrix
 from .errors import NoConvergence
 from .model import SolveResult, SystemSpec
-from .stationary import embedded_chain, evaluate, revenue_rate
+from .stationary import embedded_chain, evaluate
 from .valuation import ValuationDist, eval_m
 
 # Random specs took at most 6 iterations at K <= 40, load <= 5, and 13 at
@@ -56,12 +58,6 @@ def _improve(spec: SystemSpec, deltas) -> tuple[np.ndarray, np.ndarray]:
     """(u*(Delta(i)) for i < K, m(Delta(i)) with m = 0 at the full state)."""
     evs = [eval_m(spec.valuation, d) for d in deltas]
     return np.array([e.u_star for e in evs]), np.array([e.m_val for e in evs] + [0.0])
-
-
-def _poisson_defects(spec: SystemSpec, deltas, m_vals: np.ndarray, theta: float) -> np.ndarray:
-    """lambda m(Delta(i)) + i mu Delta(i-1) - theta per state, the full state K last."""
-    lost = np.arange(spec.servers + 1) * spec.mu * np.append(0.0, deltas)
-    return spec.arrival_rate * m_vals + lost - theta
 
 
 def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray):
@@ -95,7 +91,8 @@ def _birth_death_step(spec: SystemSpec, prices: np.ndarray):
         d[i] = (theta - gain) / ((i + 1) * mu)
         gain = rates[i] * (p[i] - d[i])
     improved, m_vals = _improve(spec, d)
-    return theta, theta, np.array(d), improved, _poisson_defects(spec, d, m_vals, theta)
+    lost = np.arange(k + 1) * mu * np.append(0.0, d)  # i mu Delta(i-1), the full state K last
+    return theta, theta, np.array(d), improved, spec.arrival_rate * m_vals + lost - theta
 
 
 def solve_general(spec: SystemSpec) -> SolveResult:
@@ -104,11 +101,9 @@ def solve_general(spec: SystemSpec) -> SolveResult:
     From the myopic prices u*(0) until the prices repeat, the defects reach
     the rounding floor 64 eps (K+1) theta, or the gain g (per arrival on the
     embedded chain, theta on the birth-death chain) stops rising with the
-    defects within the certificate.  A Poisson solve then evaluates the
-    prices it returns, so theta*, deltas and residuals are theirs and theta*
-    is their `revenue_rate`; a renewal solve reports the policy before the
-    last improvement.  Raises NoConvergence if the certificate fails or an
-    evaluation is singular.
+    defects within the certificate.  The solve then evaluates the prices it
+    returns, so theta*, deltas and residuals are theirs.  Raises
+    NoConvergence if the certificate fails or an evaluation is singular.
     """
     if spec.is_poisson:
         step = partial(_birth_death_step, spec)
@@ -117,7 +112,7 @@ def solve_general(spec: SystemSpec) -> SolveResult:
     prices = np.full(spec.servers, eval_m(spec.valuation, 0.0).u_star)
     g_prev = -math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        g, theta, deltas, improved, residuals = step(prices)
+        g, theta, _, improved, residuals = step(prices)
         defect = float(np.max(np.abs(residuals)))
         done = (
             np.array_equal(improved, prices)
@@ -127,9 +122,8 @@ def solve_general(spec: SystemSpec) -> SolveResult:
         prices, g_prev = improved, g
         if done:
             break
-    if spec.is_poisson:
-        _, theta, deltas, _, residuals = step(prices)
-        defect = float(np.max(np.abs(residuals)))
+    _, theta, deltas, _, residuals = step(prices)
+    defect = float(np.max(np.abs(residuals)))
     gate = 1e-9 * max(1.0, theta)
     if not defect <= gate:
         raise NoConvergence(
@@ -165,13 +159,11 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
     until they do bisection goes on, raising NoConvergence at adjacent
     floats, after 2000 steps or on overflow.  iterations counts the steps.
 
-    residuals are `_poisson_defects` of the chain, the same Bellman defects
-    a Poisson `solve_general` reports: lambda m(Delta(i)) + i mu
-    Delta(i-1) - theta* for i < K and K mu Delta(K-1) - theta* for the full
-    state.  The chain solves those of states 1..K to rounding, so
-    residuals[0], the closing condition theta = lambda m(Delta(0)), carries
-    the bisection's defect.  They are reported, not gated: in heavy traffic
-    residuals[0] can be of the order of theta*.
+    theta*, deltas and residuals come from the evaluation of the returned
+    prices that the revenue check runs, as in a Poisson `solve_general`.
+    The residuals are reported, not gated: that check weighs states by
+    their probability, so where prices in rare states miss the optimum,
+    their residuals can reach the order of theta*.
     """
     _require_poisson(spec)
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
@@ -189,8 +181,8 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
         mid = 0.5 * (lo + hi)
         deltas = _chain(mid, k, mu, lam, val)
         if hi - lo <= tol:
-            prices, m_vals = _improve(spec, deltas)
-            rate = revenue_rate(spec, prices)
+            prices = _improve(spec, deltas)[0]
+            _, rate, evaluated, _, residuals = _birth_death_step(spec, prices)
             if abs(rate - mid) <= tol + 1e-9 * mid:
                 break
             if not lo < mid < hi:
@@ -201,8 +193,7 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
         iterations += 1
         if iterations > 2000:
             raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
-    residuals = _poisson_defects(spec, deltas, m_vals, mid)
-    return SolveResult(mid, np.array(deltas), prices, residuals, iterations)
+    return SolveResult(rate, evaluated, prices, residuals, iterations)
 
 
 def value_iteration_oracle(spec: SystemSpec) -> float:

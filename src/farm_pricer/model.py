@@ -52,11 +52,14 @@ class SystemSpec:
 class SolveResult:
     """An optimal state-dependent pricing, from `fixed_point` or `solve_general`.
 
-    deltas[i] is the opportunity cost Delta(i) of admitting in state i, and
-    prices = u*(deltas), except that a Poisson `solve_general` reports the
-    deltas of its returned prices.  residuals holds each state's Bellman
-    defect on the revenue-rate scale, the full state K last.  iterations
-    counts the solver's steps: bisection steps or policy-iteration passes.
+    theta_star, deltas and residuals all describe the returned prices p:
+    theta_star is their revenue rate, deltas[i] their opportunity cost
+    Delta(i) of admitting in state i, and residuals[i] = lambda
+    (m(Delta(i)) - Gbar(p_i) (p_i - Delta(i))) their Bellman defect, the
+    revenue rate that re-pricing state i at u*(Delta(i)) would add.  The
+    full state K comes last, where it is 0; all are >= 0 up to rounding.
+    iterations counts the solver's steps: bisection steps or
+    policy-iteration passes.
     """
 
     theta_star: float
