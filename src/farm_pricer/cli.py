@@ -79,8 +79,6 @@ def _prices(args, spec: SystemSpec) -> list[float]:
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):

@@ -17,11 +17,11 @@ are the certificate: every one within 1e-9 max(1, theta*), or NoConvergence.
 Under Poisson arrivals the optimality equations also collapse to the paper's
 fixed point theta = lambda m(g_0(theta)), with Delta(i) = g_i(theta) computed
 downward from g_{K-1} = theta / (K mu) by g_{i-1} = (theta - lambda m(g_i)) /
-(i mu); `fixed_point` bisects it.  Both solvers end on one evaluation of the
-prices they return, so theta* is what those prices earn, deltas their Delta
-and residuals their Bellman defects.  `value_iteration_oracle` solves the same
-MDP by relative value iteration over a discretized price grid, sharing no
-code path with either solver, for cross-validation.
+(i mu); `fixed_point` bisects it.  Both solvers return the `SolveResult` that
+their law's step builds on the prices they return, so theta* is what those
+prices earn, deltas their Delta and residuals their Bellman defects.  The
+`value_iteration_oracle` solves the same MDP by relative value iteration on
+a discretized price grid, sharing no code path with either solver, as a check.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def _improve(spec: SystemSpec, deltas) -> tuple[np.ndarray, np.ndarray]:
     return np.array([e.u_star for e in evs]), np.array([e.m_val for e in evs] + [0.0])
 
 
-def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray):
-    """(g per arrival, theta, B, improved prices, Bellman defects) by one dense solve."""
+def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray, iterations: int):
+    """(the SolveResult of prices, their improved prices) by one dense solve."""
     k, lam = spec.servers, spec.arrival_rate
     gbar = np.append(spec.valuation.tail(prices), 0.0)
     lhs = np.eye(k + 1) - embedded_chain(surv, gbar)
@@ -70,15 +70,15 @@ def _embedded_step(spec: SystemSpec, surv: np.ndarray, prices: np.ndarray):
         x = np.linalg.solve(lhs, np.append(gbar[:k] * prices, 0.0))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"policy evaluation failed on {k + 1} states: {exc}") from None
-    g, h = x[0], np.append(0.0, x[1:])
-    theta = float(lam * g)
+    theta, h = float(lam * x[0]), np.append(0.0, x[1:])
     b = (surv[:k] - surv[1:]) @ h
     improved, m_vals = _improve(spec, b)
-    return g, theta, b, improved, lam * (m_vals + surv @ h - h) - theta
+    residuals = lam * (m_vals + surv @ h - h) - theta
+    return SolveResult(theta, b, prices, residuals, iterations), improved
 
 
-def _birth_death_step(spec: SystemSpec, prices: np.ndarray):
-    """(theta as g, theta, Delta, improved prices, Bellman defects), O(K) Python floats."""
+def _birth_death_step(spec: SystemSpec, prices: np.ndarray, iterations: int):
+    """(the SolveResult of prices, their improved prices), O(K) Python floats."""
     k, mu = spec.servers, spec.mu
     theta, pi = evaluate(spec, prices)
     rates = (spec.arrival_rate * spec.valuation.tail(prices)).tolist()
@@ -92,45 +92,45 @@ def _birth_death_step(spec: SystemSpec, prices: np.ndarray):
         gain = rates[i] * (p[i] - d[i])
     improved, m_vals = _improve(spec, d)
     lost = np.arange(k + 1) * mu * np.append(0.0, d)  # i mu Delta(i-1), the full state K last
-    return theta, theta, np.array(d), improved, spec.arrival_rate * m_vals + lost - theta
+    residuals = spec.arrival_rate * m_vals + lost - theta
+    return SolveResult(theta, np.array(d), prices, residuals, iterations), improved
 
 
 def solve_general(spec: SystemSpec) -> SolveResult:
     """theta* and the optimal prices, for Poisson or renewal arrivals.
 
     From the myopic prices u*(0) until the prices repeat, the defects reach
-    the rounding floor 64 eps (K+1) theta, or the gain g (per arrival on the
-    embedded chain, theta on the birth-death chain) stops rising with the
+    the rounding floor 64 eps (K+1) theta, or theta stops rising with the
     defects within the certificate.  The solve then evaluates the prices it
-    returns, so theta*, deltas and residuals are theirs.  Raises
-    NoConvergence if the certificate fails or an evaluation is singular.
+    returns and returns that step's record, so theta*, deltas and residuals
+    are theirs.  Raises NoConvergence if the certificate fails or an
+    evaluation is singular.
     """
     if spec.is_poisson:
         step = partial(_birth_death_step, spec)
     else:
         step = partial(_embedded_step, spec, departure_matrix(spec.arrival, spec.mu, spec.servers))
     prices = np.full(spec.servers, eval_m(spec.valuation, 0.0).u_star)
-    g_prev = -math.inf
+    theta_prev = -math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        g, theta, _, improved, residuals = step(prices)
-        defect = float(np.max(np.abs(residuals)))
+        res, improved = step(prices, iterations)
+        theta, defect = res.theta_star, float(np.max(np.abs(res.residuals)))
         done = (
             np.array_equal(improved, prices)
             or defect <= 64 * sys.float_info.epsilon * (spec.servers + 1) * theta
-            or (g <= g_prev and defect <= 1e-9 * max(1.0, theta))
+            or (theta <= theta_prev and defect <= 1e-9 * max(1.0, theta))
         )
-        prices, g_prev = improved, g
+        prices, theta_prev = improved, theta
         if done:
             break
-    _, theta, deltas, _, residuals = step(prices)
-    defect = float(np.max(np.abs(residuals)))
-    gate = 1e-9 * max(1.0, theta)
+    res = step(prices, iterations)[0]
+    defect, gate = float(np.max(np.abs(res.residuals))), 1e-9 * max(1.0, res.theta_star)
     if not defect <= gate:
         raise NoConvergence(
             f"policy iteration stopped with Bellman defect {defect:.3g} above {gate:.3g} "
-            f"(theta = {theta:.9g})"
+            f"(theta = {res.theta_star:.9g})"
         )
-    return SolveResult(theta, deltas, prices, residuals, iterations)
+    return res
 
 
 def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> list[float]:
@@ -159,8 +159,8 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
     until they do bisection goes on, raising NoConvergence at adjacent
     floats, after 2000 steps or on overflow.  iterations counts the steps.
 
-    theta*, deltas and residuals come from the evaluation of the returned
-    prices that the revenue check runs, as in a Poisson `solve_general`.
+    The result is the record that the revenue check's step builds on the
+    returned prices, as in a Poisson `solve_general`.
     The residuals are reported, not gated: that check weighs states by
     their probability, so where prices in rare states miss the optimum,
     their residuals can reach the order of theta*.
@@ -181,19 +181,17 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
         mid = 0.5 * (lo + hi)
         deltas = _chain(mid, k, mu, lam, val)
         if hi - lo <= tol:
-            prices = _improve(spec, deltas)[0]
-            _, rate, evaluated, _, residuals = _birth_death_step(spec, prices)
-            if abs(rate - mid) <= tol + 1e-9 * mid:
-                break
+            res = _birth_death_step(spec, _improve(spec, deltas)[0], iterations)[0]
+            if abs(res.theta_star - mid) <= tol + 1e-9 * mid:
+                return res
             if not lo < mid < hi:
-                raise NoConvergence(f"prices earn {rate:.9g}, not theta* = {mid:.9g}")
+                raise NoConvergence(f"prices earn {res.theta_star:.9g}, not theta* = {mid:.9g}")
         v = lam * eval_m(val, deltas[0]).m_val
         lo = max(lo, min(mid, v))
         hi = min(hi, max(mid, v))
         iterations += 1
         if iterations > 2000:
             raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
-    return SolveResult(rate, evaluated, prices, residuals, iterations)
 
 
 def value_iteration_oracle(spec: SystemSpec) -> float:

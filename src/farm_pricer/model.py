@@ -52,14 +52,16 @@ class SystemSpec:
 class SolveResult:
     """An optimal state-dependent pricing, from `fixed_point` or `solve_general`.
 
-    theta_star, deltas and residuals all describe the returned prices p:
-    theta_star is their revenue rate, deltas[i] their opportunity cost
-    Delta(i) of admitting in state i, and residuals[i] = lambda
-    (m(Delta(i)) - Gbar(p_i) (p_i - Delta(i))) their Bellman defect, the
-    revenue rate that re-pricing state i at u*(Delta(i)) would add.  The
-    full state K comes last, where it is 0; all are >= 0 up to rounding.
-    iterations counts the solver's steps: bisection steps or
-    policy-iteration passes.
+    The arrival law's step builds it from the returned prices p, so
+    theta_star, deltas and residuals describe them: theta_star is their
+    revenue rate, deltas[i] their opportunity cost Delta(i) of admitting in
+    state i, and residuals[i] = lambda (m(Delta(i)) - Gbar(p_i) (p_i -
+    Delta(i))) their Bellman defect, the revenue rate that re-pricing state
+    i at u*(Delta(i)) would add.  The full state K comes last, where it is
+    0; all are >= 0 up to rounding.  Each law computes them in its Bellman
+    operator's form, which bounds theta* for any Delta, where the form
+    above does so only in exact arithmetic: hence two formulas.
+    iterations counts bisection steps or policy-iteration passes.
     """
 
     theta_star: float

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from farm_pricer import (
     Exponential,
     ExponentialValuation,
     NoConvergence,
+    SolveResult,
     SystemSpec,
     TabulatedTail,
     TwoPoint,
@@ -147,8 +148,8 @@ def test_survivor_rows_telescope_into_the_papers_form(kind):
 
 
 def test_every_solve_reports_one_evaluation_of_its_prices():
-    # theta*, deltas and residuals are the law's step function run on the
-    # returned prices, and theta* is what those prices earn
+    # the returned record is the one the law's step builds on the returned
+    # prices, every field bit for bit, and theta* is what those prices earn
     for solve, arrival in ((fixed_point, Exponential(rate=25.0)),
                            (solve_general, Exponential(rate=25.0)),
                            (solve_general, Deterministic(rate=25.0)),
@@ -158,16 +159,18 @@ def test_every_solve_reports_one_evaluation_of_its_prices():
             spec = spec_with(arrival, val=val)
             res = solve(spec)
             if spec.is_poisson:
-                _, theta, deltas, _, residuals = mdp_general._birth_death_step(spec, res.prices)
+                record, _ = mdp_general._birth_death_step(spec, res.prices, res.iterations)
                 assert res.theta_star == revenue_rate(spec, res.prices), (solve, val)
             else:
                 S = departure_matrix(arrival, spec.mu, spec.servers)
-                _, theta, deltas, _, residuals = mdp_general._embedded_step(spec, S, res.prices)
+                record, _ = mdp_general._embedded_step(spec, S, res.prices, res.iterations)
                 rate = revenue_rate(spec, res.prices, S)
                 assert res.theta_star == pytest.approx(rate, rel=1e-12, abs=0.0), (arrival, val)
-            assert res.theta_star == theta, (solve, arrival, val)
-            assert res.deltas.tolist() == deltas.tolist(), (solve, arrival, val)
-            assert res.residuals.tolist() == residuals.tolist(), (solve, arrival, val)
+            for field in fields(SolveResult):
+                got, built = getattr(res, field.name), getattr(record, field.name)
+                where = (solve, arrival, val, field.name)
+                assert type(got) is type(built), where
+                assert np.asarray(got).tobytes() == np.asarray(built).tobytes(), where
             assert np.min(res.residuals) >= -1e-12 * max(1.0, res.theta_star), (solve, arrival, val)
 
 
@@ -231,10 +234,10 @@ def test_birth_death_deltas_match_the_dense_embedded_chain():
                 surv = departure_matrix(spec.arrival, spec.mu, k)
                 for _ in range(2):
                     prices = rng.uniform(0.0, top, k)
-                    _, theta, deltas, *_ = mdp_general._birth_death_step(spec, prices)
-                    _, _, dense, *_ = mdp_general._embedded_step(spec, surv, prices)
-                    atol = 1e-12 * max(1.0, theta)
-                    np.testing.assert_allclose(deltas, dense, rtol=0.0, atol=atol)
+                    birth_death = mdp_general._birth_death_step(spec, prices, 0)[0]
+                    dense = mdp_general._embedded_step(spec, surv, prices, 0)[0]
+                    atol = 1e-12 * max(1.0, birth_death.theta_star)
+                    np.testing.assert_allclose(birth_death.deltas, dense.deltas, rtol=0.0, atol=atol)
                     cases += 1
     assert cases == 72
 

@@ -116,7 +116,7 @@ CERTIFICATE_MISSES = {
 def certificate_cell(k, lam, cell_id):
     marks = ()
     if (k, lam) in CERTIFICATE_MISSES:
-        reason = "ROADMAP direction 2: the prices' Bellman defects reach "
+        reason = "ROADMAP directions 16 and 1: the prices' Bellman defects reach "
         reason += CERTIFICATE_MISSES[k, lam]
         marks = pytest.mark.xfail(strict=True, reason=reason)
     return pytest.param(k, lam, id=cell_id, marks=marks)
@@ -232,7 +232,7 @@ def test_heavy_traffic_prices_are_certified(k, lam):
 
 RARE_STATE_XFAIL = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP direction 2: fixed_point's revenue check weighs states by "
+    reason="ROADMAP directions 16 and 1: fixed_point's revenue check weighs states by "
     "their probability, so prices in rare states go unchecked",
 )
 
