@@ -17,9 +17,10 @@ are the certificate: every one within 1e-9 max(1, theta*), or NoConvergence.
 Under Poisson arrivals the optimality equations also collapse to the paper's
 fixed point theta = lambda m(g_0(theta)), with Delta(i) = g_i(theta) computed
 downward from g_{K-1} = theta / (K mu) by g_{i-1} = (theta - lambda m(g_i)) /
-(i mu); `fixed_point` bisects it.  Both solvers return the `SolveResult` that
-their law's step builds on the prices they return, so theta* is what those
-prices earn, deltas their Delta and residuals their Bellman defects.  The
+(i mu); `fixed_point` bisects it and starts the same policy iteration from
+u*(g(theta)).  Both solvers return the `SolveResult` that their law's step
+builds on the prices they return, so theta* is what those prices earn,
+deltas their Delta and residuals their Bellman defects, gated alike.  The
 `value_iteration_oracle` solves the same MDP by relative value iteration on
 a discretized price grid, sharing no code path with either solver, as a check.
 """
@@ -99,18 +100,26 @@ def _birth_death_step(spec: SystemSpec, prices: np.ndarray, iterations: int):
 def solve_general(spec: SystemSpec) -> SolveResult:
     """theta* and the optimal prices, for Poisson or renewal arrivals.
 
-    From the myopic prices u*(0) until the prices repeat, the defects reach
-    the rounding floor 64 eps (K+1) theta, or theta stops rising with the
-    defects within the certificate.  The solve then evaluates the prices it
-    returns and returns that step's record, so theta*, deltas and residuals
-    are theirs.  Raises NoConvergence if the certificate fails or an
-    evaluation is singular.
+    Policy iteration (`_policy_iteration`) from the myopic prices u*(0).
+    Raises NoConvergence if the certificate fails or an evaluation is
+    singular.
     """
     if spec.is_poisson:
         step = partial(_birth_death_step, spec)
     else:
         step = partial(_embedded_step, spec, departure_matrix(spec.arrival, spec.mu, spec.servers))
-    prices = np.full(spec.servers, eval_m(spec.valuation, 0.0).u_star)
+    return _policy_iteration(spec, step, np.full(spec.servers, eval_m(spec.valuation, 0.0).u_star))
+
+
+def _policy_iteration(spec: SystemSpec, step, prices: np.ndarray) -> SolveResult:
+    """Howard's passes from the given prices, and the certified record of the last ones.
+
+    Passes run until the prices repeat, the defects reach the rounding floor
+    64 eps (K+1) theta, or theta stops rising with the defects within the
+    certificate.  The prices returned are then evaluated once more and that
+    step's record is returned, so theta*, deltas and residuals are theirs
+    and iterations counts the passes.  NoConvergence if the certificate fails.
+    """
     theta_prev = -math.inf
     for iterations in range(1, _MAX_ITERATIONS + 1):
         res, improved = step(prices, iterations)
@@ -146,29 +155,22 @@ def _chain(theta: float, k: int, mu: float, lam: float, val: ValuationDist) -> l
 
 
 def fixed_point(spec: SystemSpec) -> SolveResult:
-    """Bisect theta = lambda m(g_0(theta)) to a width of 1e-12 lambda m(0).
+    """Bisect theta = lambda m(g_0(theta)) to a width of 1e-9 lambda m(0), then policy-iterate.
 
     lambda m(0), the infinite-server revenue (`optimize_uniform`'s
     revenue_inf_bound), bounds theta* above, so the width is relative to
-    the problem's own revenue scale and theta* comes out the same in any
-    unit of the valuations.  Bracket update per iteration, with v = lambda
-    m(g_0(midpoint)): the new lower end is max(old, min(mid, v)), the new
-    upper end min(old, max(mid, v)).  Either way the width halves and the
-    ends never cross.  The prices must earn theta* (revenue_rate) within
-    that width + 1e-9 theta*; the chain amplifies any error in theta, so
-    until they do bisection goes on, raising NoConvergence at adjacent
-    floats, after 2000 steps or on overflow.  iterations counts the steps.
-
-    The result is the record that the revenue check's step builds on the
-    returned prices, as in a Poisson `solve_general`.
-    The residuals are reported, not gated: that check weighs states by
-    their probability, so where prices in rare states miss the optimum,
-    their residuals can reach the order of theta*.
+    the problem's own revenue scale.  Bracket update per step, with v =
+    lambda m(g_0(midpoint)): the new lower end is max(old, min(mid, v)), the
+    new upper end min(old, max(mid, v)).  Either way the width at least
+    halves and the ends never cross.  The prices u*(g(midpoint)) then start
+    `_policy_iteration`, whose record and certificate gate are those of a
+    Poisson `solve_general`.  NoConvergence after 2000 steps, when the chain
+    overflows, or when the certificate fails.
     """
     _require_poisson(spec)
     k, mu, lam, val = spec.servers, spec.mu, spec.arrival_rate, spec.valuation
     cap = lam * eval_m(val, 0.0).m_val
-    tol = 1e-12 * cap
+    tol = 1e-9 * cap
 
     lo = 0.0
     hi = lam * eval_m(val, _chain(0.0, k, mu, lam, val)[0]).m_val
@@ -176,22 +178,19 @@ def fixed_point(spec: SystemSpec) -> SolveResult:
         # still valid: theta* = lam m(Delta(0)) < lam m(0) since Delta(0) > 0
         hi = cap
 
-    iterations = 0
+    steps = 0
     while True:
         mid = 0.5 * (lo + hi)
         deltas = _chain(mid, k, mu, lam, val)
         if hi - lo <= tol:
-            res = _birth_death_step(spec, _improve(spec, deltas)[0], iterations)[0]
-            if abs(res.theta_star - mid) <= tol + 1e-9 * mid:
-                return res
-            if not lo < mid < hi:
-                raise NoConvergence(f"prices earn {res.theta_star:.9g}, not theta* = {mid:.9g}")
+            step = partial(_birth_death_step, spec)
+            return _policy_iteration(spec, step, _improve(spec, deltas)[0])
         v = lam * eval_m(val, deltas[0]).m_val
         lo = max(lo, min(mid, v))
         hi = min(hi, max(mid, v))
-        iterations += 1
-        if iterations > 2000:
-            raise NoConvergence(f"no convergence after {iterations} steps, width {hi - lo}")
+        steps += 1
+        if steps > 2000:
+            raise NoConvergence(f"no convergence after {steps} steps, width {hi - lo}")
 
 
 def value_iteration_oracle(spec: SystemSpec) -> float:

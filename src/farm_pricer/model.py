@@ -61,7 +61,7 @@ class SolveResult:
     0; all are >= 0 up to rounding.  Each law computes them in its Bellman
     operator's form, which bounds theta* for any Delta, where the form
     above does so only in exact arithmetic: hence two formulas.
-    iterations counts bisection steps or policy-iteration passes.
+    iterations counts policy-iteration passes.
     """
 
     theta_star: float

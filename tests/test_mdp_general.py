@@ -176,16 +176,19 @@ def test_every_solve_reports_one_evaluation_of_its_prices():
 
 @pytest.mark.parametrize("kind", GAP_KINDS)
 def test_iterations_count_the_policy_iteration_passes(kind, monkeypatch):
-    # a cap of exactly that many passes gives the same solve
+    # a cap of exactly that many passes gives the same solve; fixed_point's
+    # passes start from its bisection's prices
+    solvers = (solve_general, fixed_point) if kind == "exp" else (solve_general,)
     for load in (0.1, 1.0, 5.0):
         spec = spec_with(gap_law(kind, load * 10.0, 0.5, 0.2))
-        res = solve_general(spec)
-        assert 1 <= res.iterations <= mdp_general._MAX_ITERATIONS
-        monkeypatch.setattr(mdp_general, "_MAX_ITERATIONS", res.iterations)
-        again = solve_general(spec)
-        monkeypatch.undo()
-        assert again.theta_star == res.theta_star and again.iterations == res.iterations
-        assert again.prices.tolist() == res.prices.tolist()
+        for solve in solvers:
+            res = solve(spec)
+            assert 1 <= res.iterations <= mdp_general._MAX_ITERATIONS
+            monkeypatch.setattr(mdp_general, "_MAX_ITERATIONS", res.iterations)
+            again = solve(spec)
+            monkeypatch.undo()
+            assert again.theta_star == res.theta_star and again.iterations == res.iterations
+            assert again.prices.tolist() == res.prices.tolist()
 
 
 # ------------------------------------------ Poisson birth-death evaluation
@@ -194,8 +197,8 @@ def test_iterations_count_the_policy_iteration_passes(kind, monkeypatch):
     "k, lam", [(70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0), (67, 2e6)]
 )
 def test_poisson_rare_states_match_exact_policy_iteration(k, lam):
-    # fixed_point misses these cells' rare-state prices; the O(K) evaluation
-    # runs toward the mode of pi from both ends and settles on them
+    # prices that earn theta* can miss in these cells' rare states; the O(K)
+    # evaluation runs toward the mode of pi from both ends and settles on them
     theta, prices = policy_iteration(k, lam, 2.0)
     spec = spec_with(Exponential(rate=lam), k=k)
     res = solve_general(spec)
@@ -435,13 +438,20 @@ def renewal_specs(draw):
 @example(spec_with(Deterministic(rate=120.0), k=150))
 @example(spec_with(Deterministic(rate=120.0), k=150, val=UniformValuation(lo=0.0, hi=2.0)))
 @example(spec_with(Deterministic(rate=120.0), k=150, val=TABLE7))
+# a bisected theta* left Bellman defects of 0.35 theta* in rare states here
+@example(spec_with(Exponential(rate=180.0), k=30))
 def test_certificate_on_random_renewal_specs(spec):
-    # every gap law, exponential included, solved by solve_general alone;
+    # every gap law, exponential included, and fixed_point on Poisson specs;
     # the residuals are those of the returned prices, so near rounding
     res = solve_general(spec)
     assert_certified(spec, res)
     assert np.max(np.abs(res.residuals)) <= 1e-12 * max(1.0, res.theta_star)
     assert np.all(np.diff(res.prices) >= -1e-10)
+    if spec.is_poisson:
+        ref = fixed_point(spec)
+        assert np.max(np.abs(ref.residuals)) <= 1e-12 * max(1.0, ref.theta_star)
+        assert ref.theta_star == pytest.approx(res.theta_star, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(ref.prices, res.prices, rtol=0.0, atol=1e-8)
     # one more server never earns less
     more = solve_general(replace(spec, servers=spec.servers + 1))
     assert more.theta_star >= res.theta_star * (1 - 1e-12)

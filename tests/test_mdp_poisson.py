@@ -104,26 +104,10 @@ def test_residuals_are_the_bellman_defects(k, lam):
     assert np.min(res.residuals) >= -1e-12 * max(1.0, theta)
 
 
-# fixed_point's prices miss the optimum in rare states on these two cells
-# (test_poisson_prices_match_policy_iteration), and their own Bellman
-# defects show it
-CERTIFICATE_MISSES = {
-    (1000, 140.0): "1.6e-3 theta* at K=1000",
-    (70, 126.0): "1.8e-6 theta* at K=70",
-}
-
-
-def certificate_cell(k, lam, cell_id):
-    marks = ()
-    if (k, lam) in CERTIFICATE_MISSES:
-        reason = "ROADMAP directions 16 and 1: the prices' Bellman defects reach "
-        reason += CERTIFICATE_MISSES[k, lam]
-        marks = pytest.mark.xfail(strict=True, reason=reason)
-    return pytest.param(k, lam, id=cell_id, marks=marks)
-
-
-@pytest.mark.parametrize("k, lam", [certificate_cell(*cell) for cell in BENCHMARK_CELLS])
+@pytest.mark.parametrize("k, lam", [pytest.param(k, lam, id=i) for k, lam, i in BENCHMARK_CELLS])
 def test_residuals_within_the_certificate_on_benchmark_cells(k, lam):
+    # prices that earn theta* left 1.8e-6 theta* here at (70, 126) and 1.6e-3
+    # theta* at (1000, 140): revenue weighs states by their probability
     res = fixed_point(base_spec(lam=lam, k=k))
     assert np.max(np.abs(res.residuals)) <= 1e-9 * max(1.0, res.theta_star)
 
@@ -146,7 +130,7 @@ def test_theta_below_infinite_server_rate():
 
 
 def test_theta_at_most_infinite_server_rate_on_heavy_table():
-    # a 2e-9 tail out to 1e12: the bisection's midpoint, 2500.0000000031396,
+    # a 2e-9 tail out to 1e12: the bisection's last midpoint, 2500.0000006573355,
     # lies above lambda m(0) = 2500.0000000024997, what the prices earn
     val = TabulatedTail((0.0, 1.0, 1e12), (1.0, 2e-9, 0.0))
     spec = SystemSpec(servers=3, mu=2.0, arrival=Exponential(rate=5.0), valuation=val)
@@ -221,33 +205,24 @@ def test_light_traffic_theta_is_certified(lam):
 @pytest.mark.parametrize("k, lam", [(300, 300.0), (400, 720.0), (1000, 154.2621070932341)])
 def test_heavy_traffic_prices_are_certified(k, lam):
     # the downward chain amplifies the error of a theta bisected to 1e-9: the
-    # prices at that width earned ~1e-21 theta* (K=300), ~1e-56 theta* (K=400)
-    # and 2.6e-9 too little (K=1000), so the bisection goes on until they earn
-    # theta*; policy iteration on the embedded chain is the independent check
+    # prices at that width earn ~1e-21 theta* (K=300), ~1e-56 theta* (K=400)
+    # and 2.6e-9 too little (K=1000), so policy iteration from them must
+    # recover the optimum; solve_general, started from u*(0), is the check
     spec = base_spec(lam=lam, k=k)
     res = fixed_point(spec)
     assert abs(revenue_rate(spec, res.prices) - res.theta_star) <= 1e-9 + 1e-9 * res.theta_star
     assert abs(res.theta_star - solve_general(spec).theta_star) <= 1e-9
 
 
-RARE_STATE_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP directions 16 and 1: fixed_point's revenue check weighs states by "
-    "their probability, so prices in rare states go unchecked",
-)
-
-
-# fixed_point's prices off the exact policy iteration's by more than 1e-8:
-# (70, 126) is a timed poisson-exp cell, off by up to 1.9e-3 in 6 states; at
-# (300, 300) fixed_point gives p_0 = 0 where policy iteration gives 1, and 27
-# states differ; (70, 448) has 38 states off by up to 1.07, (160, 512) 53 by
-# up to 1; (67, 2e6), a load of 15 000 with the lambda m(0) start bracket,
-# 63 of 67 by up to 8.18
+# prices that earn the bisected theta* can still miss in rare states, which
+# a revenue check cannot see: (70, 126) is a timed poisson-exp cell, off by up
+# to 1.9e-3 in 6 states; at (300, 300) p_0 = 0 where policy iteration gives 1,
+# and 27 states differ; (70, 448) has 38 states off by up to 1.07, (160, 512)
+# 53 by up to 1; (67, 2e6), a load of 15 000 with the lambda m(0) start
+# bracket, 63 of 67 by up to 8.18; the Bellman-defect gate catches them all
 @pytest.mark.parametrize(
-    "k, lam",
-    [pytest.param(k, lam, marks=RARE_STATE_XFAIL)
-     for k, lam in ((70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0), (67, 2e6))],
-)  # fmt: skip
+    "k, lam", [(70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0), (67, 2e6)]
+)
 def test_poisson_prices_match_policy_iteration(k, lam):
     _, prices = policy_iteration(k, lam, 2.0)
     np.testing.assert_allclose(
@@ -260,8 +235,8 @@ def test_poisson_prices_match_policy_iteration(k, lam):
     [(5, 25.0), (12, 21.6), (30, 54.0), (70, 126.0), (300, 300.0), (70, 448.0), (160, 512.0)],
 )
 def test_solvers_match_exact_policy_iteration(k, lam):
-    # 60-digit Decimal policy iteration; fixed_point's prices are left out,
-    # as they miss in rare states (test_poisson_prices_match_policy_iteration)
+    # 60-digit Decimal policy iteration; fixed_point's prices are checked in
+    # test_poisson_prices_match_policy_iteration
     theta, prices = policy_iteration(k, lam, 2.0)
     spec = base_spec(lam=lam, k=k)
     res = solve_general(spec)
@@ -271,23 +246,25 @@ def test_solvers_match_exact_policy_iteration(k, lam):
 
 
 @pytest.mark.parametrize("k", [67, 68])
-def test_overflowing_start_bracket_falls_back_to_the_infinite_server_rate(k):
+def test_overflowing_start_bracket_falls_back_to_the_infinite_server_rate(k, monkeypatch):
     # g_0(0) is finite, but lambda m(g_0(0)) overflows, so the bisection
-    # starts from [0, lambda m(0)]; at K=66 the chain's bracket takes 1035 steps
+    # starts from [0, lambda m(0)]: 32 g-chains, where K=66's bracket takes 1026
+    real, calls = mdp_general._chain, []
+    monkeypatch.setattr(mdp_general, "_chain", lambda *a: calls.append(a) or real(*a))
     spec = base_spec(lam=2e6, k=k)
     theta, _ = policy_iteration(k, 2e6, 2.0)
     res = fixed_point(spec)
     assert res.theta_star == pytest.approx(theta, rel=1e-9)
-    assert res.iterations < 100
+    assert len(calls) < 100
 
 
 def test_uncertified_prices_are_no_convergence(monkeypatch):
-    # prices that never earn theta* end the bisection at adjacent floats
+    # prices that seem to earn nothing leave Bellman defects of order theta*
     real = mdp_general.evaluate
     monkeypatch.setattr(
         mdp_general, "evaluate", lambda spec, prices: Evaluation(0.0, real(spec, prices).pi)
     )
-    with pytest.raises(NoConvergence, match="prices earn"):
+    with pytest.raises(NoConvergence, match="Bellman defect"):
         fixed_point(base_spec())
 
 
